@@ -42,9 +42,9 @@ int main(int argc, char** argv) {
     const std::size_t i = task / 2;
     const auto& cfg = cfgs[i];
     if (task % 2 == 0)
-      tNoComm[i] = toSeconds(campaign.runner().runOne(cfg, false, {}, 22, noCommCfg).makespan);
+      tNoComm[i] = toSeconds(campaign.runner().runOne(cfg, {}, noCommCfg).makespan);
     else
-      tNoShare[i] = toSeconds(campaign.runner().runOne(cfg, false, {}, 22, noShareCfg).makespan);
+      tNoShare[i] = toSeconds(campaign.runner().runOne(cfg, {}, noShareCfg).makespan);
   });
 
   std::printf("Ablation: CPU sharing / communication CPU overhead\n\n");

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   ablatedCfg.networkContention = false;
   std::vector<double> tAblated(cfgs.size());
   parallelFor(pool, cfgs.size(), [&](std::size_t i) {
-    tAblated[i] = toSeconds(campaign.runner().runOne(cfgs[i], false, {}, 21, ablatedCfg).makespan);
+    tAblated[i] = toSeconds(campaign.runner().runOne(cfgs[i], {}, ablatedCfg).makespan);
   });
 
   std::printf("Ablation: network contention model on/off\n\n");

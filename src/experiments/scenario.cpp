@@ -55,18 +55,14 @@ core::SimConfig ScenarioRunner::referenceConfig(std::uint64_t fidelitySeed) cons
   return c;
 }
 
-core::RunResult ScenarioRunner::runOne(const lu::LuConfig& cfg, bool fidelity,
-                                       const mall::AllocationPlan& plan,
-                                       std::uint64_t fidelitySeed,
-                                       core::SimConfig overrides) const {
-  (void)fidelity;
-  core::SimEngine engine(overrides);
+core::RunResult ScenarioRunner::runOne(const lu::LuConfig& cfg, const mall::AllocationPlan& plan,
+                                       core::SimConfig config, mall::RemovalPolicy policy) const {
+  core::SimEngine engine(std::move(config));
   // Fresh build per run: the column directory mutates under malleability.
   lu::LuBuild build = lu::buildLu(cfg, settings_.model, /*allocate=*/false);
   std::unique_ptr<mall::LuMalleabilityController> controller;
   if (!plan.empty())
-    controller = std::make_unique<mall::LuMalleabilityController>(engine, build, plan);
-  (void)fidelitySeed;
+    controller = std::make_unique<mall::LuMalleabilityController>(engine, build, plan, policy);
   return lu::runLu(engine, build);
 }
 
@@ -76,27 +72,12 @@ Observation ScenarioRunner::run(const lu::LuConfig& cfg, const mall::AllocationP
   obs.label = cfg.variantName() + " r=" + std::to_string(cfg.r) + " w=" +
               std::to_string(cfg.workers) +
               (plan.empty() ? std::string{} : " [" + plan.describe() + "]");
-
-  {
-    core::SimEngine engine(referenceConfig(fidelitySeed));
-    lu::LuBuild build = lu::buildLu(cfg, settings_.model, false);
-    std::unique_ptr<mall::LuMalleabilityController> controller;
-    if (!plan.empty())
-      controller = std::make_unique<mall::LuMalleabilityController>(engine, build, plan, policy);
-    obs.measured = lu::runLu(engine, build);
-    lu::checkOutputs(cfg, obs.measured);
-    obs.measuredSec = toSeconds(obs.measured.makespan);
-  }
-  {
-    core::SimEngine engine(predictorConfig());
-    lu::LuBuild build = lu::buildLu(cfg, settings_.model, false);
-    std::unique_ptr<mall::LuMalleabilityController> controller;
-    if (!plan.empty())
-      controller = std::make_unique<mall::LuMalleabilityController>(engine, build, plan, policy);
-    obs.predicted = lu::runLu(engine, build);
-    lu::checkOutputs(cfg, obs.predicted);
-    obs.predictedSec = toSeconds(obs.predicted.makespan);
-  }
+  obs.measured = runOne(cfg, plan, referenceConfig(fidelitySeed), policy);
+  lu::checkOutputs(cfg, obs.measured);
+  obs.measuredSec = toSeconds(obs.measured.makespan);
+  obs.predicted = runOne(cfg, plan, predictorConfig(), policy);
+  lu::checkOutputs(cfg, obs.predicted);
+  obs.predictedSec = toSeconds(obs.predicted.makespan);
   return obs;
 }
 

@@ -58,10 +58,11 @@ public:
                   std::uint64_t fidelitySeed = 1,
                   mall::RemovalPolicy policy = mall::RemovalPolicy::MigrateColumns) const;
 
-  /// One leg only (used by ablation benches).
-  core::RunResult runOne(const lu::LuConfig& cfg, bool fidelity,
-                         const mall::AllocationPlan& plan, std::uint64_t fidelitySeed,
-                         core::SimConfig overrides) const;
+  /// One leg only: a fresh engine configured by `config` (run() passes
+  /// referenceConfig / predictorConfig; ablation benches pass variants).
+  core::RunResult runOne(const lu::LuConfig& cfg, const mall::AllocationPlan& plan,
+                         core::SimConfig config,
+                         mall::RemovalPolicy policy = mall::RemovalPolicy::MigrateColumns) const;
 
   /// The platform parameters the predictor uses: nominal profile with the
   /// latency/bandwidth a calibration benchmark would measure through the

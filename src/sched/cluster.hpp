@@ -20,13 +20,15 @@
 // bit-identical at any build concurrency — so a cluster run is a pure
 // function of (workload, profiles, policy, config) at any --jobs value.
 //
-// Two implementations share these semantics event-for-event:
-// simulateCluster is the production loop whose per-event hot paths are
-// O(1)/O(log n) — precomputed remaining-time suffix sums, an ordered
-// estimated-finish index over the running set for backfill's shadow-time
-// computation, a lazily compacted queue — and simulateClusterReference is
-// the pre-optimization loop (full-array scans, tail sums recomputed per
-// query) kept as the oracle: tests assert bit-identical metrics and
+// The loop is written once (cluster_loop.hpp) over three data structures
+// and instantiated twice.  simulateCluster uses indexed ones whose
+// per-event cost is O(1)/O(log n) — precomputed remaining-time suffix
+// sums, an ordered estimated-finish index over the running set for
+// backfill's shadow-time computation, a lazily compacted queue.
+// simulateClusterReference is the same loop over linear-scan structures
+// (mid-queue erases, a sort of the running jobs per blocked-head pass,
+// tail sums recomputed per query), kept as the oracle for the indexed
+// ones: tests assert bit-identical metrics and recorder contents, and
 // bench/cluster_scale measures the throughput gap.
 #pragma once
 
@@ -83,26 +85,22 @@ struct ClusterConfig {
   /// Observability (all optional; null = disabled, zero cost).  The run's
   /// aggregate counters/gauges/histograms fold into `metrics` under
   /// `metricsPrefix` when the loop quiesces; instrumentation never feeds
-  /// back into the simulation, so results are bit-identical either way —
-  /// both loops record the same values, proving their equivalence extends
-  /// to what they observe.
+  /// back into the simulation, so results are bit-identical either way.
   obs::Registry* metrics = nullptr;
   std::string metricsPrefix;
   /// Per-job spans (queued/run), realloc instants and backfill decisions in
-  /// *simulated* microseconds, one trace tid per job id.  Only the
-  /// optimized loop emits traces (the reference loop is an oracle, not a
-  /// production path).
+  /// *simulated* microseconds, one trace tid per job id.
   obs::TraceSink* trace = nullptr;
   /// Trace process lane, so several policies share one trace file.
   std::int32_t tracePid = 0;
   /// Flight recorder: the full decision audit log (admit/hold verdicts
   /// with typed wait reasons, backfill passes and candidates, realloc
   /// grants with policy rationale), per-job wait intervals, and the
-  /// simulated-time timeseries.  BOTH loops feed it from the same semantic
-  /// points, so equal recorder contents across loops is a per-decision
-  /// correctness check.  Null = off (zero cost); wait *attribution* is
-  /// always-on integer bookkeeping either way, so metrics JSON is
-  /// bit-identical with and without a recorder.
+  /// simulated-time timeseries.  Equal recorder contents from
+  /// simulateCluster and simulateClusterReference check the indexed data
+  /// structures decision by decision.  Null = off (zero cost); wait
+  /// *attribution* is always-on integer bookkeeping either way, so metrics
+  /// JSON is bit-identical with and without a recorder.
   obs::Recorder* recorder = nullptr;
 
   static ClusterConfig fromProfile(const net::PlatformProfile& p, std::int32_t nodes) {
@@ -118,9 +116,10 @@ struct ClusterConfig {
 ClusterMetrics simulateCluster(const ClusterConfig& cfg, const Workload& workload,
                                const JobProfileTable& profiles, Policy& policy);
 
-/// The pre-optimization event loop (linear scans, per-query tail sums),
-/// semantically identical to simulateCluster and kept as its oracle and
-/// throughput baseline.  Do not use at scale.
+/// The same event loop over linear-scan data structures (mid-queue erases,
+/// a sort per shadow-time query, per-query tail sums): the oracle and
+/// throughput baseline for simulateCluster's indexed ones.  Do not use at
+/// scale.
 ClusterMetrics simulateClusterReference(const ClusterConfig& cfg, const Workload& workload,
                                         const JobProfileTable& profiles, Policy& policy);
 

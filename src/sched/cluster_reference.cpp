@@ -1,421 +1,76 @@
-// The pre-optimization cluster event loop, frozen as an oracle.
-//
-// This is the original simulateCluster implementation: remaining runtimes
-// recomputed as tail sums per query, the EASY shadow-time pass rebuilding
-// and sorting a (finish, nodes) vector scraped from the full jobs_ array on
-// every blocked-head event, mid-deque queue erases.  Per-event cost grows
-// with the total job count, which is exactly why it was replaced — but its
-// semantics are the specification.  sched_test pins the optimized loop to
-// this one bit-for-bit (identical ClusterMetrics JSON across policies,
-// backfill modes and saturation levels) and bench/cluster_scale measures
-// the throughput ratio between the two, so every hot-path optimization
-// stays an optimization, never a behaviour change.
-//
-// Shared semantics added since the split (timeline coalescing via
-// ClusterMetrics::recordUse, the backfillDepth candidate bound, event
-// counting, progress callbacks) are implemented here too, in the same
-// places — the two loops must stay observationally identical.
-#include "sched/cluster.hpp"
-
+// The reference cluster event loop: the shared loop body (cluster_loop.hpp)
+// over the original linear-scan data structures — mid-deque queue erases,
+// a sort of every running job per blocked-head pass, and remaining times
+// recomputed as tail sums per query.  Per-event cost grows with the total
+// job count, which is why simulateCluster replaced these structures; but
+// they are simple enough to be obviously right, so they serve as the
+// specification.  sched_test pins simulateCluster to this loop bit-for-bit
+// (metrics JSON, recorder decisions and registry contents) and
+// bench/cluster_scale measures the throughput ratio between the two.
 #include <algorithm>
 #include <deque>
 #include <utility>
 #include <vector>
 
-#include "des/scheduler.hpp"
-#include "obs/recorder.hpp"
-#include "sched/observe.hpp"
-#include "support/error.hpp"
+#include "sched/cluster.hpp"
+#include "sched/cluster_loop.hpp"
 
 namespace dps::sched {
 
 namespace {
 
-class ClusterSimReference {
-public:
-  ClusterSimReference(const ClusterConfig& cfg, const Workload& workload,
-                      const JobProfileTable& profiles, Policy& policy)
-      : cfg_(cfg), workload_(workload), profiles_(profiles), policy_(policy) {
-    DPS_CHECK(cfg_.nodes > 0, "cluster needs at least one node");
-    DPS_CHECK(cfg_.migrationBandwidthBytesPerSec > 0, "migration bandwidth must be positive");
-    free_ = cfg_.nodes;
-    jobs_.resize(workload.jobs.size());
-    for (std::size_t i = 0; i < workload.jobs.size(); ++i) {
-      const Job& job = workload.jobs[i];
-      const ClassProfile& profile = profiles_.of(job.klass);
-      DPS_CHECK(profile.maxNodes() <= cfg_.nodes,
-                "job class " + profile.name + " cannot fit the cluster");
-      JobRt& rt = jobs_[i];
-      rt.out.id = job.id;
-      rt.out.klass = profile.name;
-      rt.out.arrivalSec = job.arrivalSec;
-      rt.out.bestSec = profile.bestSec();
+struct LinearScan {
+  /// Holds live entries only: starting a job erases it where it stands.
+  class Queue {
+  public:
+    void push(std::size_t i) { q_.push_back(i); }
+    std::int32_t size() const { return static_cast<std::int32_t>(q_.size()); }
+    std::size_t head() const { return q_.front(); }
+    void popHead() { q_.pop_front(); }
+    std::size_t behindHead() const { return 1; }
+    bool done(std::size_t pos) const { return pos >= q_.size(); }
+    std::size_t at(std::size_t pos) const { return q_[pos]; }
+    std::size_t skip(std::size_t pos) const { return pos + 1; }
+    std::size_t take(std::size_t pos) {
+      q_.erase(q_.begin() + static_cast<std::ptrdiff_t>(pos));
+      return pos; // the next entry slid into this slot
     }
-  }
 
-  ClusterMetrics run() {
-    if (cfg_.recorder != nullptr)
-      cfg_.recorder->beginRun(policy_.name(), cfg_.nodes, workload_.cfg.seed);
-    metrics_.timeline.push_back(UtilizationPoint{0.0, 0});
-    for (std::size_t i = 0; i < workload_.jobs.size(); ++i)
-      sched_.scheduleAt(simEpoch() + seconds(workload_.jobs[i].arrivalSec),
-                        [this, i] { onArrival(i); });
-    sched_.run();
-
-    metrics_.policy = policy_.name();
-    metrics_.nodes = cfg_.nodes;
-    metrics_.seed = workload_.cfg.seed;
-    metrics_.events = events_;
-    for (JobRt& rt : jobs_) {
-      DPS_CHECK(rt.finished, "cluster simulation quiesced with unfinished jobs");
-      metrics_.jobs.push_back(std::move(rt.out));
-    }
-    metrics_.finalize();
-    recordClusterRun(cfg_, metrics_, sched_.firedCount(), sched_.queueHighWater());
-    return std::move(metrics_);
-  }
-
-private:
-  struct JobRt {
-    std::int32_t nodes = 0; // current allocation (0 = not running)
-    std::int32_t phase = 0; // next phase index
-    bool finished = false;
-    /// Profile-estimated finish assuming the current allocation holds —
-    /// the running-job knowledge EASY backfill reserves against.
-    double estFinishSec = 0;
-    /// Wait attribution (integer SimTime ticks — see the optimized loop;
-    /// both loops must bank identical buckets and recorder intervals).
-    std::int64_t arrivalNs = 0;
-    std::int64_t waitSinceNs = 0;
-    obs::WaitReason waitReason = obs::WaitReason::HeadOfLine;
-    JobOutcome out;
+  private:
+    std::deque<std::size_t> q_;
   };
 
-  double nowSec() const { return toSeconds(sched_.now().time_since_epoch()); }
-  std::int64_t nowNs() const { return sched_.now().time_since_epoch().count(); }
-
-  const ClassProfile& profileOf(std::size_t i) const {
-    return profiles_.of(workload_.jobs[i].klass);
-  }
-
-  ClusterView view() const {
-    ClusterView v;
-    v.totalNodes = cfg_.nodes;
-    v.freeNodes = free_;
-    v.runningJobs = running_;
-    v.queuedJobs = static_cast<std::int32_t>(queue_.size());
-    return v;
-  }
-
-  void recordUse() {
-    metrics_.recordUse(nowSec(), cfg_.nodes - free_);
-    recordState();
-  }
-
-  /// Same state-change sample points as the optimized loop (the reference
-  /// queue holds no tombstones, so its raw size is the live queue depth).
-  void recordState() {
-    if (cfg_.recorder != nullptr)
-      cfg_.recorder->stateSample(nowSec(), cfg_.nodes - free_, free_, running_,
-                                 static_cast<std::int32_t>(queue_.size()));
-  }
-
-  void closeWait(JobRt& rt, std::int64_t t) {
-    if (t <= rt.waitSinceNs) return;
-    rt.out.wait.byReason[static_cast<std::size_t>(rt.waitReason)] += t - rt.waitSinceNs;
-    if (cfg_.recorder != nullptr)
-      cfg_.recorder->waitInterval(rt.out.id, static_cast<double>(rt.waitSinceNs) * 1e-9,
-                                  static_cast<double>(t) * 1e-9, rt.waitReason);
-  }
-
-  void markWait(std::size_t i, obs::WaitReason reason) {
-    JobRt& rt = jobs_[i];
-    if (reason == rt.waitReason) return;
-    const std::int64_t t = nowNs();
-    closeWait(rt, t);
-    rt.waitSinceNs = t;
-    rt.waitReason = reason;
-  }
-
-  void closeWaitFinal(std::size_t i) {
-    JobRt& rt = jobs_[i];
-    const std::int64_t t = nowNs();
-    closeWait(rt, t);
-    rt.out.wait.totalNs = t - rt.arrivalNs;
-  }
-
-  void maybeProgress() {
-    if (cfg_.progressEvery <= 0 || !cfg_.onProgress) return;
-    if (events_ - lastProgressEvents_ < cfg_.progressEvery) return;
-    lastProgressEvents_ = events_;
-    ClusterProgress p;
-    p.events = events_;
-    p.finishedJobs = finished_;
-    p.totalJobs = static_cast<std::int32_t>(jobs_.size());
-    p.simNowSec = nowSec();
-    p.runningJobs = running_;
-    p.queuedJobs = static_cast<std::int32_t>(queue_.size());
-    cfg_.onProgress(p);
-  }
-
-  void onArrival(std::size_t i) {
-    ++events_;
-    JobRt& rt = jobs_[i];
-    rt.arrivalNs = rt.waitSinceNs = nowNs();
-    rt.waitReason = obs::WaitReason::HeadOfLine;
-    queue_.push_back(i);
-    recordState();
-    admissionScan();
-    maybeProgress();
-  }
-
-  /// Offers queued jobs to the policy strictly in arrival order; stops at
-  /// the first one that does not start.  With EASY backfill enabled, a
-  /// capacity-blocked head additionally triggers a backfill pass over the
-  /// younger queued jobs.
-  void admissionScan() {
-    while (!queue_.empty()) {
-      const std::size_t i = queue_.front();
-      const ClassProfile& profile = profileOf(i);
-      QueuedJobView qv;
-      qv.id = jobs_[i].out.id;
-      qv.waitedSec = nowSec() - jobs_[i].out.arrivalSec;
-      DecisionContext ctx;
-      const std::int32_t want = policy_.admit(qv, profile, view(), ctx);
-      if (want <= 0) { // the policy itself keeps the head queued
-        markWait(i, obs::WaitReason::PolicyHeld);
-        if (cfg_.recorder != nullptr)
-          cfg_.recorder->admitDecision(nowSec(), qv.id, want, 0, free_, false,
-                                       obs::WaitReason::PolicyHeld, ctx.rule, ctx.score,
-                                       ctx.threshold);
-        return;
-      }
-      const std::int32_t alloc = profile.clampFeasible(std::min(want, profile.maxNodes()));
-      if (alloc > free_) { // head-of-line blocked until nodes free up
-        markWait(i, obs::WaitReason::InsufficientFree);
-        if (cfg_.recorder != nullptr)
-          cfg_.recorder->admitDecision(nowSec(), qv.id, want, alloc, free_, false,
-                                       obs::WaitReason::InsufficientFree, ctx.rule, ctx.score,
-                                       ctx.threshold);
-        if (cfg_.easyBackfill) backfillScan(i, alloc);
-        return;
-      }
-      if (cfg_.recorder != nullptr)
-        cfg_.recorder->admitDecision(nowSec(), qv.id, want, alloc, free_, true,
-                                     obs::WaitReason::HeadOfLine, ctx.rule, ctx.score,
-                                     ctx.threshold);
-      queue_.pop_front();
-      startJob(i, alloc);
+  /// No index: every walk scrapes the running jobs from the full job array
+  /// and sorts them by (estimated finish, nodes).
+  struct FinishOrder {
+    explicit FinishOrder(std::size_t) {}
+    void update(std::size_t, const detail::JobRt&) {}
+    void drop(std::size_t) {}
+    template <class Visit>
+    void walk(const std::vector<detail::JobRt>& jobs, Visit&& visit) const {
+      std::vector<std::pair<double, std::int32_t>> frees;
+      for (const detail::JobRt& rt : jobs)
+        if (rt.nodes > 0 && !rt.finished) frees.emplace_back(rt.estFinishSec, rt.nodes);
+      std::sort(frees.begin(), frees.end());
+      for (const auto& [finish, nodes] : frees)
+        if (visit(finish, nodes)) return;
     }
-  }
+  };
 
-  /// EASY backfill (Lifka '95): the blocked head holds a reservation of
-  /// `headAlloc` nodes at the *shadow time* — the earliest instant enough
-  /// nodes are free assuming running jobs keep their allocations and finish
-  /// per their remaining phase profiles.  A younger job may start now only
-  /// if it cannot delay that reservation: it finishes before the shadow
-  /// time, or it fits into the `spare` nodes left over once the head
-  /// starts.
-  void backfillScan(std::size_t head, std::int32_t headAlloc) {
-    std::vector<std::pair<double, std::int32_t>> frees; // (est finish, nodes)
-    for (const JobRt& rt : jobs_)
-      if (rt.nodes > 0 && !rt.finished) frees.emplace_back(rt.estFinishSec, rt.nodes);
-    std::sort(frees.begin(), frees.end());
-    const double now = nowSec();
-    std::int32_t avail = free_;
-    double shadow = -1;
-    std::int32_t spare = 0;
-    for (const auto& [finish, nodes] : frees) {
-      avail += nodes;
-      if (avail >= headAlloc) {
-        shadow = std::max(finish, now);
-        spare = avail - headAlloc;
-        break;
-      }
-    }
-    if (shadow < 0) { // the head can never fit; nothing to reserve
-      if (cfg_.recorder != nullptr)
-        cfg_.recorder->backfillPass(now, jobs_[head].out.id, headAlloc, -1, 0, 0, 0);
-      return;
-    }
-    const std::int32_t spare0 = spare;
-
-    std::int32_t considered = 0;
-    std::int32_t startedCount = 0;
-    for (std::size_t qi = 1; qi < queue_.size();) {
-      if (cfg_.backfillDepth > 0 && considered >= cfg_.backfillDepth) {
-        // queue_[qi] is the first excluded candidate (the reference queue
-        // holds no tombstones) — the same job the optimized loop marks.
-        markWait(queue_[qi], obs::WaitReason::DepthCutoff);
-        if (cfg_.recorder != nullptr) cfg_.recorder->depthCutoff(now, jobs_[queue_[qi]].out.id);
-        break;
-      }
-      ++considered;
-      const std::size_t i = queue_[qi];
-      const ClassProfile& profile = profileOf(i);
-      QueuedJobView qv;
-      qv.id = jobs_[i].out.id;
-      qv.waitedSec = now - jobs_[i].out.arrivalSec;
-      DecisionContext ctx;
-      const std::int32_t want = policy_.admit(qv, profile, view(), ctx);
-      bool started = false;
-      if (want > 0) {
-        const std::int32_t alloc = profile.clampFeasible(std::min(want, profile.maxNodes()));
-        if (alloc <= free_) {
-          const bool finishesInTime = now + profile.at(alloc).totalSec <= shadow + 1e-9;
-          if (finishesInTime || alloc <= spare) {
-            if (cfg_.recorder != nullptr)
-              cfg_.recorder->backfillCandidate(now, qv.id, want, alloc, free_, spare, true,
-                                               obs::WaitReason::HeadOfLine, ctx.rule, ctx.score,
-                                               ctx.threshold);
-            if (!finishesInTime) spare -= alloc; // occupies part of the surplus past the shadow
-            queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(qi));
-            jobs_[i].out.backfilled = true;
-            ++startedCount;
-            startJob(i, alloc);
-            started = true;
-          } else {
-            markWait(i, obs::WaitReason::ShadowTime);
-            if (cfg_.recorder != nullptr)
-              cfg_.recorder->backfillCandidate(now, qv.id, want, alloc, free_, spare, false,
-                                               obs::WaitReason::ShadowTime, ctx.rule, ctx.score,
-                                               ctx.threshold);
-          }
-        } else {
-          markWait(i, obs::WaitReason::InsufficientFree);
-          if (cfg_.recorder != nullptr)
-            cfg_.recorder->backfillCandidate(now, qv.id, want, alloc, free_, spare, false,
-                                             obs::WaitReason::InsufficientFree, ctx.rule,
-                                             ctx.score, ctx.threshold);
-        }
-      } else {
-        markWait(i, obs::WaitReason::PolicyHeld);
-        if (cfg_.recorder != nullptr)
-          cfg_.recorder->backfillCandidate(now, qv.id, want, 0, free_, spare, false,
-                                           obs::WaitReason::PolicyHeld, ctx.rule, ctx.score,
-                                           ctx.threshold);
-      }
-      if (!started) ++qi;
-    }
-    if (cfg_.recorder != nullptr)
-      cfg_.recorder->backfillPass(now, jobs_[head].out.id, headAlloc, shadow, spare0, considered,
-                                  startedCount);
-  }
-
-  void startJob(std::size_t i, std::int32_t alloc) {
-    JobRt& rt = jobs_[i];
-    closeWaitFinal(i);
-    free_ -= alloc;
-    ++running_;
-    rt.nodes = alloc;
-    rt.out.startSec = nowSec();
-    recordUse();
-    schedulePhase(i);
-  }
-
-  /// Profiled runtime of phases [first, phases) at `nodes` — recomputed as
-  /// a tail sum on every query (the O(phases) cost the optimized loop's
-  /// suffix arrays remove).
-  double remainingSec(std::size_t i, std::int32_t first, std::int32_t nodes) const {
-    const PhaseProfile& p = profileOf(i).at(nodes);
+  /// O(phases): the tail sum, recomputed on every query.
+  static double remaining(const PhaseProfile& p, std::int32_t phase) {
     double rest = 0;
-    for (std::size_t q = static_cast<std::size_t>(first); q < p.phaseSec.size(); ++q)
+    for (std::size_t q = static_cast<std::size_t>(phase); q < p.phaseSec.size(); ++q)
       rest += p.phaseSec[q];
     return rest;
   }
-
-  void schedulePhase(std::size_t i) {
-    JobRt& rt = jobs_[i];
-    const PhaseProfile& p = profileOf(i).at(rt.nodes);
-    rt.out.allocs.push_back(rt.nodes);
-    rt.estFinishSec = nowSec() + remainingSec(i, rt.phase, rt.nodes);
-    sched_.scheduleAfter(seconds(p.phaseSec[static_cast<std::size_t>(rt.phase)]),
-                         [this, i] { onPhaseEnd(i); });
-  }
-
-  void onPhaseEnd(std::size_t i) {
-    ++events_;
-    JobRt& rt = jobs_[i];
-    const ClassProfile& profile = profileOf(i);
-    ++rt.phase;
-    if (rt.phase >= profile.phases()) {
-      free_ += rt.nodes;
-      --running_;
-      ++finished_;
-      rt.nodes = 0;
-      rt.finished = true;
-      rt.out.finishSec = nowSec();
-      recordUse();
-      admissionScan();
-      maybeProgress();
-      return;
-    }
-
-    RunningJobView rv;
-    rv.id = rt.out.id;
-    rv.nodes = rt.nodes;
-    rv.phase = rt.phase;
-    rv.phases = profile.phases();
-    rv.efficiencyNext = profile.at(rt.nodes).phaseEff[static_cast<std::size_t>(rt.phase)];
-    DecisionContext ctx;
-    std::int32_t target = profile.clampFeasible(policy_.reallocate(rv, profile, view(), ctx));
-    if (target > rt.nodes) // growth comes out of currently free nodes only
-      target = std::min(target, profile.clampFeasible(rt.nodes + free_));
-
-    if (target == rt.nodes) {
-      schedulePhase(i);
-      maybeProgress();
-      return;
-    }
-    const double bytes = profile.migrationBytes(rt.phase, rt.nodes, target);
-    if (cfg_.recorder != nullptr)
-      cfg_.recorder->reallocDecision(nowSec(), rt.out.id, rt.nodes, target, free_, bytes, ctx.rule,
-                                     ctx.score, ctx.threshold);
-    if (target < rt.nodes) {
-      free_ += rt.nodes - target; // released nodes stop computing now
-    } else {
-      free_ -= target - rt.nodes;
-    }
-    rt.nodes = target;
-    rt.out.reallocations++;
-    rt.out.migratedBytes += bytes;
-    recordUse();
-    admissionScan(); // shrink may have freed capacity for the queue
-    if (cfg_.chargeMigration) {
-      const SimDuration delay =
-          cfg_.migrationLatency + seconds(bytes / cfg_.migrationBandwidthBytesPerSec);
-      rt.out.wait.migrationDelayNs += delay.count();
-      if (cfg_.recorder != nullptr)
-        cfg_.recorder->migrationDelay(nowSec(), rt.out.id, toSeconds(delay), bytes);
-      rt.estFinishSec = nowSec() + toSeconds(delay) + remainingSec(i, rt.phase, rt.nodes);
-      sched_.scheduleAfter(delay, [this, i] { schedulePhase(i); });
-    } else {
-      schedulePhase(i);
-    }
-    maybeProgress();
-  }
-
-  const ClusterConfig& cfg_;
-  const Workload& workload_;
-  const JobProfileTable& profiles_;
-  Policy& policy_;
-
-  des::Scheduler sched_;
-  std::deque<std::size_t> queue_;
-  std::vector<JobRt> jobs_;
-  std::int32_t free_ = 0;
-  std::int32_t running_ = 0;
-  std::int32_t finished_ = 0;
-  std::int64_t events_ = 0;
-  std::int64_t lastProgressEvents_ = 0;
-  ClusterMetrics metrics_;
 };
 
 } // namespace
 
 ClusterMetrics simulateClusterReference(const ClusterConfig& cfg, const Workload& workload,
                                         const JobProfileTable& profiles, Policy& policy) {
-  return ClusterSimReference(cfg, workload, profiles, policy).run();
+  return detail::ClusterLoop<LinearScan>(cfg, workload, profiles, policy).run();
 }
 
 } // namespace dps::sched

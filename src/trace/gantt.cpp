@@ -41,22 +41,4 @@ std::string renderGantt(const Trace& trace, SimTime from, SimTime to, std::size_
   return out;
 }
 
-void writeCsv(const Trace& trace, std::ostream& os) {
-  os << "record,a,b,c,d,kind,start_us,end_us,work_us\n";
-  for (const auto& s : trace.steps()) {
-    os << "step," << s.node << ',' << s.thread.group << ',' << s.thread.index << ',' << s.op
-       << ',' << toString(s.kind) << ',' << toMicros(s.start.time_since_epoch()) << ','
-       << toMicros(s.end.time_since_epoch()) << ',' << toMicros(s.work) << '\n';
-  }
-  for (const auto& t : trace.transfers()) {
-    os << "transfer," << t.src << ',' << t.dst << ',' << t.bytes << ",,,"
-       << toMicros(t.start.time_since_epoch()) << ',' << toMicros(t.end.time_since_epoch())
-       << ",\n";
-  }
-  for (const auto& m : trace.markers()) {
-    os << "marker," << m.name << ',' << m.value << ",,,," << toMicros(m.time.time_since_epoch())
-       << ",,\n";
-  }
-}
-
 } // namespace dps::trace

@@ -1,8 +1,7 @@
 // Timeline rendering: ASCII Gantt charts (one lane per node, like the
-// paper's Fig. 2) and CSV export for external plotting.
+// paper's Fig. 2).
 #pragma once
 
-#include <ostream>
 #include <string>
 
 #include "trace/trace.hpp"
@@ -13,10 +12,5 @@ namespace dps::trace {
 /// columns.  '#' = computing, '.' = idle; lane labels are node ids.
 std::string renderGantt(const Trace& trace, SimTime from, SimTime to, std::size_t width = 100,
                         std::int32_t nodeCount = -1);
-
-/// Writes steps and transfers as CSV rows:
-///   step,node,group,thread,op,kind,start_us,end_us,work_us
-///   transfer,src,dst,bytes,start_us,end_us
-void writeCsv(const Trace& trace, std::ostream& os);
 
 } // namespace dps::trace

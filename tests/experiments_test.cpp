@@ -134,8 +134,8 @@ TEST(CalibrationTest, CalibratedPredictorStaysAccurate) {
   auto predictor = runner.predictorConfig();
   predictor.profile = applyCalibration(runner.settings().profile, fit);
   const auto cfg = tinyConfig();
-  const auto reference = runner.runOne(cfg, true, {}, 5, runner.referenceConfig(5));
-  const auto predicted = runner.runOne(cfg, false, {}, 5, predictor);
+  const auto reference = runner.runOne(cfg, {}, runner.referenceConfig(5));
+  const auto predicted = runner.runOne(cfg, {}, predictor);
   const double err = (toSeconds(predicted.makespan) - toSeconds(reference.makespan)) /
                      toSeconds(reference.makespan);
   EXPECT_LT(std::abs(err), 0.15);

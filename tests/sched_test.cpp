@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "obs/recorder.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "sched/cluster.hpp"
+#include "sched/explore.hpp"
+#include "support/fingerprint.hpp"
 
 namespace dps::sched {
 namespace {
@@ -372,6 +375,22 @@ TEST(PolicyTest, GrowEagerTriggersGrowthGrants) {
 // ---------------------------------------------------------------------------
 // Cluster event loop
 
+/// The heterogeneous mix backfill needs: long and short 2-worker Jacobi jobs
+/// beside 4-worker LU.  While a long 2-node job runs and a 4-node request
+/// blocks at the head, a short 2-node job can slip into the free half and
+/// finish before the shadow time.
+std::vector<JobClass> backfillMix() {
+  auto classes = tinyMix();
+  classes[1].name = "jacobi-long";
+  classes[1].jacobi.workers = 2;
+  classes[1].jacobi.sweeps = 96;
+  JobClass shortJob = classes[1];
+  shortJob.name = "jacobi-short";
+  shortJob.jacobi.sweeps = 4;
+  classes.push_back(shortJob);
+  return classes;
+}
+
 ClusterMetrics runTiny(Policy& policy, std::uint64_t seed = 1) {
   const auto wl = tinyWorkload(seed, 10, 2.0);
   const auto table = JobProfileTable::build(wl.cfg.classes, 4, {}, 1);
@@ -532,18 +551,8 @@ TEST(ClusterTest, EasyBackfillNeverDelaysTheBlockedHead) {
   // start of the job at the head of the queue.  Under FCFS-rigid the
   // running jobs' remaining-profile estimates are exact, so the first
   // blocked head must start at the same instant with and without backfill.
-  // A backfill window needs heterogeneous requests *and* durations: while a
-  // long 2-node job runs and a 4-node request blocks at the head, a short
-  // 2-node job can slip into the free half and finish before the shadow
-  // time.
-  auto classes = tinyMix();
-  classes[1].name = "jacobi-long";
-  classes[1].jacobi.workers = 2;
-  classes[1].jacobi.sweeps = 96;
-  JobClass shortJob = classes[1];
-  shortJob.name = "jacobi-short";
-  shortJob.jacobi.sweeps = 4;
-  classes.push_back(shortJob);
+  // A backfill window needs heterogeneous requests *and* durations.
+  const auto classes = backfillMix();
   const auto table = JobProfileTable::build(classes, 4, {}, 1);
   ClusterConfig plain;
   plain.nodes = 4;
@@ -717,14 +726,7 @@ TEST(ClusterTest, BackfillDepthBoundsTheCandidateScan) {
   // at the head.  Backfill needs heterogeneous requests: long 2-node jobs
   // leave half the machine free while a 4-node head blocks, and short
   // 2-node jobs slip in (the EasyBackfill test's setup, denser arrivals).
-  auto classes = tinyMix();
-  classes[1].name = "jacobi-long";
-  classes[1].jacobi.workers = 2;
-  classes[1].jacobi.sweeps = 96;
-  JobClass shortJob = classes[1];
-  shortJob.name = "jacobi-short";
-  shortJob.jacobi.sweeps = 4;
-  classes.push_back(shortJob);
+  const auto classes = backfillMix();
   WorkloadConfig wcfg;
   wcfg.seed = 3;
   wcfg.jobCount = 60;
@@ -750,6 +752,37 @@ TEST(ClusterTest, BackfillDepthBoundsTheCandidateScan) {
   EXPECT_LE(backfilledBounded, backfilledUnbounded);
   // A large-enough depth is exactly unbounded.
   EXPECT_EQ(run(1000).jsonString(), unbounded.jsonString());
+}
+
+TEST(ClusterTest, InvariantAuditHoldsOnASaturatedEightNodeStream) {
+  // verifyPolicy's seven invariants over a run far beyond explorer scale:
+  // 500 jobs arriving at 200/s keep the queue deep for the whole run, and
+  // the backfill mix gives EASY real candidates to start.
+  WorkloadConfig wcfg;
+  wcfg.seed = 1;
+  wcfg.jobCount = 500;
+  wcfg.arrivalRatePerSec = 200.0;
+  wcfg.classes = backfillMix();
+  const auto wl = Workload::generate(wcfg, 8);
+  const auto table = JobProfileTable::build(wcfg.classes, 8, {}, 1);
+  for (const std::string& name : policyNames()) {
+    for (const bool backfill : {false, true}) {
+      PolicyVerifyOptions opts;
+      opts.cluster.nodes = 8;
+      opts.cluster.easyBackfill = backfill;
+      auto policy = makePolicy(name);
+      const auto res = verifyPolicy(opts, wl, table, *policy);
+      const std::string label = name + (backfill ? " +backfill" : "");
+      EXPECT_TRUE(res.report.pass())
+          << label << ": " << res.report.violations.size() << " violation(s), first: "
+          << (res.report.violations.empty() ? "" : res.report.violations.front().detail);
+      EXPECT_GT(res.report.checks[static_cast<std::size_t>(Invariant::BackfillNoHeadDelay)], 0u)
+          << label;
+      if (backfill) {
+        EXPECT_GT(res.metrics.backfillFires, 0) << label;
+      }
+    }
+  }
 }
 
 TEST(ClusterTest, ProgressCallbackReportsMonotoneEventCounts) {
@@ -781,6 +814,164 @@ TEST(ClusterTest, ProgressCallbackReportsMonotoneEventCounts) {
   Equipartition p2;
   simulateCluster(quiet, wl, table, p2);
   EXPECT_FALSE(called);
+}
+
+// ---------------------------------------------------------------------------
+// Golden digests: the cluster loop's observable output, pinned by value
+
+/// Hand-written phase profiles, so the digests below pin the scheduler
+/// alone — no engine run feeds them.  "lu-like" retires state as it goes
+/// (stateShrinks) across four allocation levels, with efficiency falling
+/// below efficiency-shrink's threshold late at full width; "jacobi-like"
+/// keeps a live grid across two levels.
+JobProfileTable goldenProfiles() {
+  const auto phases = [](std::int32_t nodes, std::vector<double> sec, std::vector<double> eff) {
+    PhaseProfile p;
+    p.nodes = nodes;
+    for (const double s : sec) p.totalSec += s;
+    p.phaseSec = std::move(sec);
+    p.phaseEff = std::move(eff);
+    return p;
+  };
+  ClassProfile lu;
+  lu.name = "lu-like";
+  lu.app = AppKind::Lu;
+  lu.allocs = {1, 2, 3, 4};
+  lu.byAlloc = {phases(1, {4.0, 3.0, 2.0, 1.0}, {1.0, 1.0, 1.0, 1.0}),
+                phases(2, {2.1, 1.6, 1.1, 0.6}, {0.95, 0.94, 0.91, 0.83}),
+                phases(3, {1.5, 1.2, 0.85, 0.5}, {0.89, 0.83, 0.78, 0.67}),
+                phases(4, {1.2, 1.0, 0.8, 0.6}, {0.83, 0.75, 0.63, 0.42})};
+  lu.stateBytes = 3.2e7;
+  lu.stateShrinks = true;
+  ClassProfile jacobi;
+  jacobi.name = "jacobi-like";
+  jacobi.app = AppKind::Jacobi;
+  jacobi.allocs = {1, 2};
+  jacobi.byAlloc = {phases(1, {3.0, 3.0, 3.0}, {1.0, 1.0, 1.0}),
+                    phases(2, {1.6, 1.6, 1.6}, {0.94, 0.94, 0.94})};
+  jacobi.stateBytes = 8e6;
+  return JobProfileTable::fromProfiles({lu, jacobi});
+}
+
+/// Arrivals over goldenProfiles' two classes (the JobClass entries only
+/// steer the class draw; the table above supplies every duration).
+Workload goldenWorkload(std::uint64_t seed, std::int32_t jobCount, double rate) {
+  JobClass lu;
+  lu.name = "lu-like";
+  lu.lu.workers = 4;
+  JobClass jacobi;
+  jacobi.name = "jacobi-like";
+  jacobi.app = AppKind::Jacobi;
+  jacobi.jacobi.workers = 2;
+  WorkloadConfig cfg;
+  cfg.seed = seed;
+  cfg.jobCount = jobCount;
+  cfg.arrivalRatePerSec = rate;
+  cfg.classes = {lu, jacobi};
+  return Workload::generate(cfg, 4);
+}
+
+std::uint64_t fnv(const std::string& text) { return Fingerprint().add(text).value(); }
+
+TEST(ClusterGoldenTest, MetricsAndRecordDigestsArePinned) {
+  // One row per run: policy x backfill mode x workload.  Mode -1 is no
+  // backfill; 0 and 3 are EASY at that backfillDepth.  Seed 0 names the
+  // saturated stress workload (200 jobs at 200/s, seed 2); seeds 1-3 are
+  // 20 jobs at 0.5/s.  Digests are FNV-1a (support/fingerprint.hpp) of
+  // ClusterMetrics::jsonString() and obs::Recorder(5.0)::jsonString().  A
+  // deliberate semantic change must update this table in the same change.
+  struct Golden {
+    const char* policy;
+    std::int32_t mode;
+    std::uint64_t seed;
+    std::uint64_t metrics;
+    std::uint64_t record;
+  };
+  static constexpr Golden kGolden[] = {
+      {"fcfs-rigid", -1, 0, 0x917163540f9756f1ull, 0x19fc2041a7068ea3ull},
+      {"fcfs-rigid", -1, 1, 0x8b67fe06a577a65full, 0xfa2c91089002d641ull},
+      {"fcfs-rigid", -1, 2, 0x910a2bee6ea312faull, 0x0af8e9b976f8bf5dull},
+      {"fcfs-rigid", -1, 3, 0xce7a128b8e758038ull, 0x0e5f4ba561c7bc3bull},
+      {"fcfs-rigid", 0, 0, 0x690fed107c674f0eull, 0x9aa726f6d2142970ull},
+      {"fcfs-rigid", 0, 1, 0xcf56ce8c4013c0d9ull, 0xde26732862d5863eull},
+      {"fcfs-rigid", 0, 2, 0x205900871d8523b2ull, 0x1dfde1e994f21462ull},
+      {"fcfs-rigid", 0, 3, 0xd8edf9c596b4c012ull, 0x63af047acfc63d52ull},
+      {"fcfs-rigid", 3, 0, 0x57451a67bb857947ull, 0x5852c9dd0bc9fb50ull},
+      {"fcfs-rigid", 3, 1, 0xecd30a96fe803de4ull, 0xe221ce39399afe35ull},
+      {"fcfs-rigid", 3, 2, 0xcfb9f67d74526b2bull, 0x0a26e2a044735a99ull},
+      {"fcfs-rigid", 3, 3, 0x9378e700bc61119bull, 0x64e8e493f4e94b7full},
+      {"equipartition", -1, 0, 0x746be90850d97b5bull, 0xd90a9e3c414c7eeaull},
+      {"equipartition", -1, 1, 0xffae10bbea907e1aull, 0x6709c1652ccfd18full},
+      {"equipartition", -1, 2, 0x8316557bba2cfa04ull, 0xecd9aacf8dbd6491ull},
+      {"equipartition", -1, 3, 0xb1de7a0188bf2c5dull, 0x6659037aab3c16deull},
+      {"equipartition", 0, 0, 0x367ba42ef45c8a53ull, 0x6d81d48dfa194f6dull},
+      {"equipartition", 0, 1, 0x53db30d19db89511ull, 0xa2611dfd6303fc62ull},
+      {"equipartition", 0, 2, 0x2152a20427bbf28full, 0xc8ff94d42b08452cull},
+      {"equipartition", 0, 3, 0xe5077660b68598f3ull, 0x7e7624e2c1529e39ull},
+      {"equipartition", 3, 0, 0x2fc02e02b08119daull, 0xef1d812f71a82a32ull},
+      {"equipartition", 3, 1, 0x55dc372a2ea2a000ull, 0x4e676cfc57e8ab0bull},
+      {"equipartition", 3, 2, 0x8734a8f1056799b0ull, 0x8d5cc16b816cc916ull},
+      {"equipartition", 3, 3, 0xe5077660b68598f3ull, 0x7e7624e2c1529e39ull},
+      {"efficiency-shrink", -1, 0, 0x63b2e3faa875da2dull, 0xcb68a5033e57776eull},
+      {"efficiency-shrink", -1, 1, 0xa5d965ed4f6d7fb2ull, 0x95d4db4dcb926badull},
+      {"efficiency-shrink", -1, 2, 0x4ad0d3eee40d5a16ull, 0x55414fa04922a527ull},
+      {"efficiency-shrink", -1, 3, 0x262597545f10b6ddull, 0xe1632fcd13d49512ull},
+      {"efficiency-shrink", 0, 0, 0x8480afabb01306a7ull, 0x11e681e380ae0e91ull},
+      {"efficiency-shrink", 0, 1, 0x40e1948e7cc79d08ull, 0x8b4bc2cf67406b9aull},
+      {"efficiency-shrink", 0, 2, 0x19937aec11b4ca47ull, 0x99d2f73ad79a6a84ull},
+      {"efficiency-shrink", 0, 3, 0xf78b6b942881633cull, 0x5e3496502e953750ull},
+      {"efficiency-shrink", 3, 0, 0x8c4b62c75ec79225ull, 0x151295e85ac73d06ull},
+      {"efficiency-shrink", 3, 1, 0xe8e495b3fe1e5ea0ull, 0x7661065261a897bbull},
+      {"efficiency-shrink", 3, 2, 0xba7619869a0ebdf0ull, 0x0827bbd468096c70ull},
+      {"efficiency-shrink", 3, 3, 0xf78b6b942881633cull, 0x5e3496502e953750ull},
+      {"grow-eager", -1, 0, 0x287a2355947be044ull, 0xa07cb9b40727702eull},
+      {"grow-eager", -1, 1, 0xcf724cd0d89cf541ull, 0xf44814fb87023a48ull},
+      {"grow-eager", -1, 2, 0x9cdadf323130482eull, 0xa96da262c4e9f564ull},
+      {"grow-eager", -1, 3, 0xabf199adccc82045ull, 0x3ebcfe417d2cc16dull},
+      {"grow-eager", 0, 0, 0x41201673c2de8ce0ull, 0x8ab7c8fb3a90e0d6ull},
+      {"grow-eager", 0, 1, 0x38e83861c4488336ull, 0x69d30b33f5623551ull},
+      {"grow-eager", 0, 2, 0x9c50062d748ba587ull, 0x0b26f410b33b54d6ull},
+      {"grow-eager", 0, 3, 0xf528c48002c00d1bull, 0x26d260d444a13dbfull},
+      {"grow-eager", 3, 0, 0x48c702cb4778ced0ull, 0xce606c3e7f431ed4ull},
+      {"grow-eager", 3, 1, 0x64d4ae38eb5c1f8dull, 0x0aaf6be43eb77747ull},
+      {"grow-eager", 3, 2, 0xe621b53efb0d25deull, 0x7f22dd123d7bebdeull},
+      {"grow-eager", 3, 3, 0xf528c48002c00d1bull, 0x26d260d444a13dbfull},
+  };
+  const auto table = goldenProfiles();
+  const auto names = policyNames();
+  std::vector<Golden> actual;
+  std::int64_t reallocations = 0, backfillFires = 0;
+  for (const std::string& name : names) {
+    for (const std::int32_t mode : {-1, 0, 3}) {
+      for (const std::uint64_t seed : {0, 1, 2, 3}) {
+        const auto wl = seed == 0 ? goldenWorkload(2, 200, 200.0) : goldenWorkload(seed, 20, 0.5);
+        ClusterConfig cfg;
+        cfg.nodes = 4;
+        cfg.easyBackfill = mode >= 0;
+        cfg.backfillDepth = std::max(mode, 0);
+        obs::Recorder recorder(5.0);
+        cfg.recorder = &recorder;
+        auto policy = makePolicy(name);
+        const auto m = simulateCluster(cfg, wl, table, *policy);
+        reallocations += m.reallocations;
+        backfillFires += m.backfillFires;
+        actual.push_back(
+            Golden{name.c_str(), mode, seed, fnv(m.jsonString()), fnv(recorder.jsonString())});
+      }
+    }
+  }
+  // The table exercises what it claims to pin.
+  EXPECT_GT(reallocations, 0);
+  EXPECT_GT(backfillFires, 0);
+  ASSERT_EQ(actual.size(), std::size(kGolden));
+  for (std::size_t r = 0; r < actual.size(); ++r) {
+    const Golden& want = kGolden[r];
+    const Golden& got = actual[r];
+    EXPECT_TRUE(std::string(got.policy) == want.policy && got.mode == want.mode &&
+                got.seed == want.seed && got.metrics == want.metrics && got.record == want.record)
+        << "row " << r << " is now {\"" << got.policy << "\", " << got.mode << ", " << got.seed
+        << std::hex << std::showbase << ", " << got.metrics << "ull, " << got.record << "ull}";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <algorithm>
 
 #include "trace/efficiency.hpp"
 #include "trace/gantt.hpp"
@@ -121,19 +121,6 @@ TEST(GanttTest, RendersLanesWithActivity) {
   EXPECT_NE(out.find('#'), std::string::npos);
   // Two lanes.
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 2);
-}
-
-TEST(GanttTest, CsvContainsAllRecordKinds) {
-  Trace t;
-  t.add(step(0, at(0), milliseconds(5)));
-  t.add(TransferRecord{0, 1, 123, at(1), at(2)});
-  t.add(MarkerRecord{"iteration", 1, at(3)});
-  std::ostringstream os;
-  writeCsv(t, os);
-  const std::string csv = os.str();
-  EXPECT_NE(csv.find("step,"), std::string::npos);
-  EXPECT_NE(csv.find("transfer,"), std::string::npos);
-  EXPECT_NE(csv.find("marker,iteration"), std::string::npos);
 }
 
 } // namespace

@@ -91,6 +91,7 @@ int main(int argc, char** argv) {
   std::string policyName, jsonPath, mixName, metricsPath, tracePath, recordPath;
   bool smoke = false, backfill = false, replay = false;
   bool exactProfiles = false, progress = false;
+  sched::Workload workload;
   try {
     nodes = cli.integer("nodes", 8, "cluster size in nodes");
     policyName =
@@ -141,7 +142,7 @@ int main(int argc, char** argv) {
     }
     cli.finish();
     if (nodes < 2 || nodes > 4096) throw ConfigError("--nodes must be in [2, 4096]");
-    if (jobCount < 1 || jobCount > 100000) throw ConfigError("--job-count must be >= 1");
+    if (jobCount < 1 || jobCount > 100000) throw ConfigError("--job-count must be in [1, 100000]");
     if (jobs < 0 || jobs > 4096) throw ConfigError("--jobs must be in [0, 4096]");
     if (arrivalRate <= 0) throw ConfigError("--arrival-rate must be positive");
     if (threshold <= 0 || threshold >= 1) throw ConfigError("--threshold must be in (0, 1)");
@@ -152,19 +153,29 @@ int main(int argc, char** argv) {
     if (backfillDepth < 0) throw ConfigError("--backfill-depth must be >= 0");
     if (recordCadence < 0) throw ConfigError("--record-cadence must be >= 0");
     sched::makePolicy(policyName); // validates the name
+
+    sched::WorkloadConfig wcfg;
+    wcfg.seed = static_cast<std::uint64_t>(seed);
+    wcfg.jobCount = smoke ? 6 : static_cast<std::int32_t>(jobCount);
+    wcfg.arrivalRatePerSec = arrivalRate;
+    if (mixName == "scaled")
+      wcfg.classes = sched::Workload::scaledMix(static_cast<std::int32_t>(nodes));
+    workload = sched::Workload::generate(wcfg, static_cast<std::int32_t>(nodes));
+    // -1 (the default) disables --explain; anything else must name a job
+    // of this workload, checked before any profile build or simulation.
+    if (explainJob != -1 && std::none_of(workload.jobs.begin(), workload.jobs.end(),
+                                         [&](const sched::Job& j) { return j.id == explainJob; })) {
+      std::string msg = "--explain must name a job id of this workload (0..";
+      msg += std::to_string(workload.jobs.size() - 1);
+      msg += "), got ";
+      msg += std::to_string(explainJob);
+      throw ConfigError(msg);
+    }
   } catch (const Error& e) {
     std::fprintf(stderr, "%s\n%s", e.what(), cli.helpText().c_str());
     return 2;
   }
 
-  sched::WorkloadConfig wcfg;
-  wcfg.seed = static_cast<std::uint64_t>(seed);
-  wcfg.jobCount = smoke ? 6 : static_cast<std::int32_t>(jobCount);
-  wcfg.arrivalRatePerSec = arrivalRate;
-  if (mixName == "scaled")
-    wcfg.classes = sched::Workload::scaledMix(static_cast<std::int32_t>(nodes));
-  const auto workload =
-      sched::Workload::generate(wcfg, static_cast<std::int32_t>(nodes));
   std::printf("workload: %s\n", workload.describe().c_str());
 
   const sched::ProfileSettings settings;
