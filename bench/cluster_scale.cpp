@@ -1,17 +1,18 @@
 // Cluster event-loop scaling curve + interpolated-profile validation.
 //
-// Two claims from the "make the cluster loop fast at 10,000x today's scale"
-// push, measured and [CHECK]-asserted:
+// Two claims, measured and [CHECK]-asserted:
 //
 //   1. Event-loop throughput.  A (job-count x nodes) grid of saturated
 //      EASY-backfill runs reports wall time, events/sec and jobs/sec for
-//      the optimized simulateCluster; at the comparison point the
-//      pre-optimization loop (simulateClusterReference) runs the identical
-//      configuration and must be >= 10x slower per event — while producing
-//      bit-identical metrics JSON, so the speedup is an optimization, not a
-//      behaviour change.  Saturation matters: an idle cluster never
-//      exercises the backfill scan whose full-array rebuild was the
-//      quadratic wall.
+//      simulateCluster, the one cluster loop.  Saturation matters: an idle
+//      cluster never exercises the queue and the backfill scan.  The first
+//      point (2000 jobs / 64 nodes) is also checked for correctness at a
+//      scale the unit tests do not reach: its own decisions, re-executed on
+//      the explorer's explicit-state Machine (replayTrace of decisionTrace),
+//      must reproduce its schedule exactly, and the obs registry must
+//      restate its event, reallocation and backfill counts.  sched_test's
+//      golden digests pin the loop's outputs; this replay pins its
+//      transition semantics.
 //
 //   2. Interpolated profile tables.  The scaled mix (dense malleability
 //      levels) is profiled from anchor engine runs only; the anchor-run
@@ -22,8 +23,8 @@
 //      aggregate |makespan error| of the interpolated prediction must stay
 //      under 5%.
 //
-// JSON artifact (CLUSTER_scale.json): the grid, the baseline comparison and
-// the interpolation error block, consumed by CI assertions and the bench
+// JSON artifact (CLUSTER_scale.json): the grid, the replay check and the
+// interpolation error block, consumed by CI assertions and the bench
 // dashboard.
 #include <algorithm>
 #include <chrono>
@@ -36,6 +37,7 @@
 #include "bench_common.hpp"
 #include "obs/registry.hpp"
 #include "sched/cluster.hpp"
+#include "sched/explore.hpp"
 #include "sched/replay.hpp"
 #include "support/json.hpp"
 #include "svc/profile_cache.hpp"
@@ -84,16 +86,16 @@ int main(int argc, char** argv) {
 
   // ---------------------------------------------------------------- grid --
   // Saturated EASY-backfill runs under fcfs-rigid (the policy whose blocked
-  // head triggers backfill passes constantly — the pre-optimization hot
-  // spot).  The last point doubles as the reference-loop comparison point;
-  // it is sized so the reference finishes in CI time even under sanitizers.
+  // head triggers backfill passes constantly).  The first point is the
+  // replay-checked one; it is sized so the replay, whose cost grows roughly
+  // quadratically in the job count, finishes in CI time.
   const std::vector<GridPoint> grid =
-      args.smoke ? std::vector<GridPoint>{{2000, 64, 8.0}, {20000, 256, 30.0}, {20000, 64, 8.0}}
-                 : std::vector<GridPoint>{{10000, 64, 8.0},
+      args.smoke ? std::vector<GridPoint>{{2000, 64, 8.0}, {20000, 256, 30.0}}
+                 : std::vector<GridPoint>{{2000, 64, 8.0},
+                                          {10000, 64, 8.0},
                                           {50000, 256, 30.0},
                                           {100000, 1024, 120.0},
-                                          {100000, 4096, 480.0},
-                                          {20000, 64, 8.0}};
+                                          {100000, 4096, 480.0}};
 
   std::int32_t maxNodes = 0;
   for (const GridPoint& g : grid) maxNodes = std::max(maxNodes, g.nodes);
@@ -111,15 +113,11 @@ int main(int argc, char** argv) {
   std::ostringstream gridJson;
   JsonWriter gw(gridJson);
   gw.beginArray();
-  sched::ClusterMetrics lastOpt;
-  sched::ClusterConfig lastCfg;
-  sched::Workload lastWorkload;
-  double lastWall = 0;
-  // Every grid point records into one registry under its own prefix; the
-  // reference loop re-records the comparison point under "reference." so
-  // the two loops' observability can be compared counter-for-counter.
+  // Every grid point records into one registry under its own prefix.
   obs::Registry registry;
-  std::string comparisonPrefix;
+  sched::ClusterMetrics checked;
+  sched::ClusterConfig checkedCfg;
+  sched::Workload checkedWorkload;
   for (const GridPoint& g : grid) {
     sched::WorkloadConfig wcfg;
     wcfg.seed = 1;
@@ -131,14 +129,12 @@ int main(int argc, char** argv) {
     auto ccfg = sched::ClusterConfig::fromProfile(settings.platform, g.nodes);
     ccfg.easyBackfill = true;
     // SLURM-style bounded backfill (bf_max_job_test analogue).  Unlimited
-    // depth makes every blocked-head pass O(queue) in BOTH loops — the
-    // shared candidate walk, not this PR's target — and no production
+    // depth makes every blocked-head pass O(queue), and no production
     // scheduler runs EASY unbounded at this queue depth anyway.
     ccfg.backfillDepth = 100;
     ccfg.metrics = &registry;
     ccfg.metricsPrefix =
         "grid." + std::to_string(g.jobCount) + "x" + std::to_string(g.nodes) + ".";
-    comparisonPrefix = ccfg.metricsPrefix;
     sched::FcfsRigid policy;
     const auto start = std::chrono::steady_clock::now();
     const auto m = sched::simulateCluster(ccfg, workload, profiles, policy);
@@ -169,47 +165,57 @@ int main(int argc, char** argv) {
       gw.key("wait_attr").raw(attr.str());
     }
     gw.endObject();
-    lastOpt = m;
-    lastCfg = ccfg;
-    lastWorkload = workload;
-    lastWall = wall;
+    if (&g == &grid.front()) {
+      checked = m;
+      checkedCfg = ccfg;
+      checkedWorkload = workload;
+    }
   }
   gw.endArray();
   DPS_CHECK(gw.closed(), "unbalanced grid JSON");
   t.print(std::cout);
 
-  // ---------------------------------------------- reference-loop baseline --
-  // The pre-optimization loop on the comparison point: same config, same
-  // workload, same profiles.  Its per-event cost carries the full-array
-  // backfill rebuild and per-query tail sums, so the ratio is the measured
-  // value of this PR's hot-path work.
-  std::printf("\nrunning the pre-optimization reference loop on the comparison point "
-              "(%d jobs / %d nodes)...\n",
-              lastWorkload.cfg.jobCount, lastCfg.nodes);
-  sched::FcfsRigid refPolicy;
-  lastCfg.metricsPrefix = "reference.";
-  const auto refStart = std::chrono::steady_clock::now();
-  const auto refMetrics =
-      sched::simulateClusterReference(lastCfg, lastWorkload, profiles, refPolicy);
-  const double refWall = wallSec(refStart);
-  const double speedup = lastWall > 0 ? refWall / lastWall : 0;
-  const bool identical = refMetrics.jsonString() == lastOpt.jsonString();
-  std::printf("reference: %.2fs, optimized: %.2fs -> %.1fx\n", refWall, lastWall, speedup);
-  bench::check(identical,
-               "optimized loop bit-identical to the reference loop (full metrics JSON)");
-  // The observability layer must be loop-independent too: both loops fold
-  // the same run facts into the registry, prefix aside.
+  // ------------------------------------------------------ replay identity --
+  // The Machine re-executes the checked point's decisions: every job's
+  // start, finish, per-phase allocations, migrations and wait ticks, plus
+  // the makespan and mean slowdown, must come back bit-identical.
+  std::printf("\nreplaying the %d-job / %d-node point's decisions on the explorer's Machine...\n",
+              checkedWorkload.cfg.jobCount, checkedCfg.nodes);
+  const auto replayStart = std::chrono::steady_clock::now();
+  bool replayIdentical = false;
+  try {
+    const auto replay = sched::replayTrace(
+        checkedCfg, checkedWorkload, profiles,
+        sched::decisionTrace(checkedCfg, checkedWorkload, profiles, checked));
+    replayIdentical = replay.makespanSec == checked.makespanSec &&
+                      replay.meanSlowdown == checked.meanSlowdown &&
+                      replay.jobs.size() == checked.jobs.size();
+    for (std::size_t j = 0; replayIdentical && j < checked.jobs.size(); ++j) {
+      const sched::JobOutcome& want = checked.jobs[j];
+      const sched::JobOutcome& got = replay.jobs[j];
+      replayIdentical = got.startSec == want.startSec && got.finishSec == want.finishSec &&
+                        got.allocs == want.allocs && got.reallocations == want.reallocations &&
+                        got.migratedBytes == want.migratedBytes &&
+                        got.wait.totalNs == want.wait.totalNs &&
+                        got.wait.migrationDelayNs == want.wait.migrationDelayNs;
+    }
+  } catch (const Error& e) {
+    std::printf("replay rejected the decision trace: %s\n", e.what());
+  }
+  const double replayWall = wallSec(replayStart);
+  std::printf("replay: %.2fs\n", replayWall);
+  bench::check(replayIdentical, std::to_string(checkedWorkload.cfg.jobCount) + " jobs / " +
+                                    std::to_string(checkedCfg.nodes) +
+                                    " nodes: loop equals the Machine replay of its own decisions");
+  // The observability layer restates the run's own counts.
   const auto snap = registry.snapshot();
-  bool obsIdentical = true;
-  for (const char* key :
-       {"events_processed", "jobs_finished", "reallocations", "backfill_fires"})
-    obsIdentical = obsIdentical && snap.counter(comparisonPrefix + key) ==
-                                       snap.counter(std::string("reference.") + key);
-  bench::check(obsIdentical,
-               "optimized and reference loops record identical obs counters");
-  bench::check(speedup >= 10.0, "optimized event loop >= 10x reference throughput "
-                                "at the comparison point (got " +
-                                    Table::num(speedup, 1) + "x)");
+  const std::string& prefix = checkedCfg.metricsPrefix;
+  const bool countersMatch =
+      snap.counter(prefix + "events_processed") == static_cast<std::uint64_t>(checked.events) &&
+      snap.counter(prefix + "reallocations") == static_cast<std::uint64_t>(checked.reallocations) &&
+      snap.counter(prefix + "backfill_fires") == static_cast<std::uint64_t>(checked.backfillFires);
+  bench::check(countersMatch, "registry events_processed, reallocations and backfill_fires equal "
+                              "the metrics' own counts");
 
   // ----------------------------------------------- interpolated profiles --
   // Dense-malleability scaled mix at 48 nodes: anchors only on the engine.
@@ -296,18 +302,18 @@ int main(int argc, char** argv) {
                "got " +
                    Table::num(report.meanAbsMakespanError * 100.0, 2) + "%)");
 
-  std::ostringstream extra;
+  std::ostringstream replayJson;
   {
-    JsonWriter w(extra);
+    JsonWriter w(replayJson);
     w.beginObject()
-        .field("comparison_job_count", lastWorkload.cfg.jobCount)
-        .field("comparison_nodes", lastCfg.nodes)
-        .field("reference_wall_sec", refWall)
-        .field("optimized_wall_sec", lastWall)
-        .field("speedup", speedup)
-        .field("identical", identical)
+        .field("job_count", checkedWorkload.cfg.jobCount)
+        .field("nodes", checkedCfg.nodes)
+        .field("events", checked.events)
+        .field("replay_wall_sec", replayWall)
+        .field("replay_identical", replayIdentical)
+        .field("counters_match", countersMatch)
         .endObject();
-    DPS_CHECK(w.closed(), "unbalanced baseline JSON");
+    DPS_CHECK(w.closed(), "unbalanced replay JSON");
   }
   std::ostringstream interpJson;
   {
@@ -325,7 +331,8 @@ int main(int argc, char** argv) {
         .endObject();
     DPS_CHECK(w.closed(), "unbalanced interpolation JSON");
   }
-  const std::string extraJson = "\"grid\":" + gridJson.str() + ",\"baseline\":" + extra.str() +
+  const std::string extraJson = "\"grid\":" + gridJson.str() +
+                                ",\"replay_check\":" + replayJson.str() +
                                 ",\"interpolation\":" + interpJson.str() +
                                 ",\"metrics\":" + registry.jsonString();
   return bench::finish("cluster_scale", args.opts, nullptr, extraJson);

@@ -105,16 +105,6 @@ def section_cluster_scale(doc):
                  fmt(g.get("utilization"), 2)) for g in grid]
         lines += table(["jobs", "nodes", "wall [s]", "events", "events/s",
                         "jobs/s", "util"], rows)
-    base = doc.get("baseline") or {}
-    if base:
-        lines.append("")
-        lines.append(
-            f"Reference-loop comparison at {fmt(base.get('comparison_job_count'))} jobs / "
-            f"{fmt(base.get('comparison_nodes'))} nodes: "
-            f"**{fmt(base.get('speedup'), 1)}x** "
-            f"({fmt(base.get('reference_wall_sec'), 2)}s -> "
-            f"{fmt(base.get('optimized_wall_sec'), 2)}s), "
-            f"bit-identical: {fmt(base.get('identical'))}")
     interp = doc.get("interpolation") or {}
     if interp:
         lines.append(
@@ -238,7 +228,7 @@ def render(path, doc):
         if body and verify:
             body.append("")
         body += verify
-    elif "grid" in doc or "baseline" in doc or "interpolation" in doc:
+    elif "grid" in doc or "interpolation" in doc:
         body = section_cluster_scale(doc)
     elif "policies" in doc:
         body = section_cluster_tool(doc)

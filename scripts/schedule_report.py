@@ -17,7 +17,7 @@ Usage:
 
 Prints to stdout when --out is omitted.  Exits non-zero on a malformed
 record (missing per-job buckets, buckets not summing to the recorded
-total — the invariant both cluster loops guarantee exactly).
+total — the invariant the cluster loop guarantees exactly).
 """
 
 import argparse

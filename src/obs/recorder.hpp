@@ -7,10 +7,9 @@
 // inputs, each migration stall, plus per-job wait intervals and a
 // simulated-time timeseries of cluster gauges.  Like the metrics registry
 // and trace sink, a null recorder pointer means "disabled": instrumented
-// code checks and skips, recording never feeds back into simulation state,
-// and BOTH cluster loops (optimized and reference) feed a recorder from the
-// same semantic points — so equal recorder contents across the two loops is
-// a correctness check on the optimized hot paths, decision by decision.
+// code checks and skips, and recording never feeds back into simulation
+// state.  Golden digests of the recorder JSON pin the cluster loop
+// decision by decision.
 //
 // Wait attribution is integer arithmetic by design: intervals are measured
 // in simulated nanoseconds (the SimTime tick), so a job's per-reason

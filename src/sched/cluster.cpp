@@ -1,100 +1,498 @@
+// The cluster event loop: the whole simulation as one value type —
+// constructed, run, harvested.  Every semantic step (admission verdicts,
+// EASY backfill, wait attribution, recorder and trace emission, phase
+// boundaries, reallocation and migration) lives in ClusterLoop below, over
+// structures whose per-event cost does not grow with the job count: a
+// lazily compacted queue, an ordered estimated-finish index over the
+// running jobs, and PhaseProfile's remaining-time suffix sums.
 #include "sched/cluster.hpp"
 
+#include <algorithm>
 #include <deque>
 #include <limits>
 #include <optional>
 #include <set>
+#include <string>
 #include <tuple>
+#include <vector>
 
-#include "sched/cluster_loop.hpp"
+#include "des/scheduler.hpp"
+#include "obs/recorder.hpp"
+#include "obs/trace.hpp"
+#include "sched/observe.hpp"
+#include "support/error.hpp"
+#include "support/json.hpp"
 
 namespace dps::sched {
 
+void ClusterConfig::check(const JobProfileTable& profiles) const {
+  DPS_CHECK(nodes > 0, "cluster needs at least one node");
+  DPS_CHECK(migrationBandwidthBytesPerSec > 0, "migration bandwidth must be positive");
+  for (std::size_t c = 0; c < profiles.classCount(); ++c)
+    DPS_CHECK(profiles.of(c).maxNodes() <= nodes,
+              "job class " + profiles.of(c).name + " cannot fit the cluster");
+}
+
 namespace {
 
-/// The production structures: per-event costs independent of the total
-/// job count.
-struct Indexed {
-  /// Lazily compacted queue: a started job's entry becomes a tombstone
-  /// that the head pops on contact, so no O(queue) mid-deque erases.
-  class Queue {
-  public:
-    void push(std::size_t i) {
-      q_.push_back(i);
-      ++live_;
-    }
-    std::int32_t size() const { return live_; }
-    std::size_t head() {
-      while (q_.front() == kDead) q_.pop_front();
-      return q_.front();
-    }
-    void popHead() {
-      q_.pop_front();
-      --live_;
-    }
-    /// Cursor walk over the live entries behind head().
-    std::size_t behindHead() const { return skipDead(1); }
-    bool done(std::size_t pos) const { return pos >= q_.size(); }
-    std::size_t at(std::size_t pos) const { return q_[pos]; }
-    std::size_t skip(std::size_t pos) const { return skipDead(pos + 1); }
-    std::size_t take(std::size_t pos) {
-      q_[pos] = kDead;
-      --live_;
-      return skipDead(pos + 1);
-    }
+/// One job's run state.
+struct JobRt {
+  std::int32_t nodes = 0; // current allocation (0 = not running)
+  std::int32_t phase = 0; // next phase index
+  bool finished = false;
+  /// Profile-estimated finish assuming the current allocation holds —
+  /// the running-job knowledge EASY backfill reserves against.
+  double estFinishSec = 0;
+  /// &profile.at(nodes) while running.
+  const PhaseProfile* prof = nullptr;
+  /// Wait attribution (integer SimTime ticks, so buckets telescope to
+  /// exactly start - arrival): the tick the job arrived, the tick its
+  /// current wait interval opened, and that interval's reason.
+  std::int64_t arrivalNs = 0;
+  std::int64_t waitSinceNs = 0;
+  obs::WaitReason waitReason = obs::WaitReason::HeadOfLine;
+  JobOutcome out;
+};
 
-  private:
-    static constexpr std::size_t kDead = std::numeric_limits<std::size_t>::max();
-    std::size_t skipDead(std::size_t pos) const {
-      while (pos < q_.size() && q_[pos] == kDead) ++pos;
-      return pos;
+class ClusterLoop {
+public:
+  ClusterLoop(const ClusterConfig& cfg, const Workload& workload, const JobProfileTable& profiles,
+              Policy& policy)
+      : cfg_(cfg),
+        workload_(workload),
+        profiles_(profiles),
+        policy_(policy),
+        finishEntry_(workload.jobs.size()) {
+    cfg_.check(profiles_);
+    free_ = cfg_.nodes;
+    jobs_.resize(workload.jobs.size());
+    for (std::size_t i = 0; i < workload.jobs.size(); ++i) {
+      const ClassProfile& profile = profileOf(i);
+      JobRt& rt = jobs_[i];
+      rt.out.id = workload.jobs[i].id;
+      rt.out.klass = profile.name;
+      rt.out.arrivalSec = workload.jobs[i].arrivalSec;
+      rt.out.bestSec = profile.bestSec();
     }
-    std::deque<std::size_t> q_;
-    std::int32_t live_ = 0;
-  };
-
-  /// Ordered multiset of (estimated finish, nodes, job) over the running
-  /// jobs, maintained in O(log running) per phase event.  The job index is
-  /// a deterministic tiebreak; the (finish, nodes) order matches the
-  /// reference sort, and equal-key jobs contribute identically to the
-  /// shadow-time accumulation.
-  class FinishOrder {
-  public:
-    explicit FinishOrder(std::size_t jobs) : where_(jobs) {}
-    void update(std::size_t i, const detail::JobRt& rt) {
-      drop(i);
-      where_[i] = index_.insert(Key{rt.estFinishSec, rt.nodes, i});
-    }
-    void drop(std::size_t i) {
-      std::optional<Index::iterator>& at = where_[i];
-      if (!at) return;
-      index_.erase(*at);
-      at.reset();
-    }
-    template <class Visit>
-    void walk(const std::vector<detail::JobRt>&, Visit&& visit) const {
-      for (const auto& [finish, nodes, i] : index_)
-        if (visit(finish, nodes)) return;
-    }
-
-  private:
-    using Key = std::tuple<double, std::int32_t, std::size_t>;
-    using Index = std::multiset<Key>;
-    Index index_;
-    std::vector<std::optional<Index::iterator>> where_; // job -> its entry
-  };
-
-  /// O(1): PhaseProfile::remainSec suffix sums.
-  static double remaining(const PhaseProfile& p, std::int32_t phase) {
-    return p.remainingFrom(phase);
   }
+
+  ClusterMetrics run() {
+    if (cfg_.recorder != nullptr)
+      cfg_.recorder->beginRun(policy_.name(), cfg_.nodes, workload_.cfg.seed);
+    metrics_.timeline.push_back(UtilizationPoint{0.0, 0});
+    for (std::size_t i = 0; i < workload_.jobs.size(); ++i)
+      sched_.scheduleAt(simEpoch() + seconds(workload_.jobs[i].arrivalSec),
+                        [this, i] { onArrival(i); });
+    sched_.run();
+
+    metrics_.policy = policy_.name();
+    metrics_.nodes = cfg_.nodes;
+    metrics_.seed = workload_.cfg.seed;
+    metrics_.events = events_;
+    for (JobRt& rt : jobs_) {
+      DPS_CHECK(rt.finished, "cluster simulation quiesced with unfinished jobs");
+      metrics_.jobs.push_back(std::move(rt.out));
+    }
+    metrics_.finalize();
+    recordClusterRun(cfg_, metrics_, sched_.firedCount(), sched_.queueHighWater());
+    return std::move(metrics_);
+  }
+
+private:
+  /// A started job's queue entry: the head pops it on contact, the backfill
+  /// walk steps over it, so starting a job never erases mid-deque.
+  static constexpr std::size_t kStarted = std::numeric_limits<std::size_t>::max();
+  /// The finish index orders the running jobs by (estimated finish, nodes);
+  /// the job index is a deterministic tiebreak, and equal-key jobs
+  /// contribute identically to the shadow-time accumulation.
+  using FinishKey = std::tuple<double, std::int32_t, std::size_t>;
+  using FinishIndex = std::multiset<FinishKey>;
+
+  double nowSec() const { return toSeconds(sched_.now().time_since_epoch()); }
+  std::int64_t nowNs() const { return sched_.now().time_since_epoch().count(); }
+
+  const ClassProfile& profileOf(std::size_t i) const {
+    return profiles_.of(workload_.jobs[i].klass);
+  }
+
+  ClusterView view() const {
+    ClusterView v;
+    v.totalNodes = cfg_.nodes;
+    v.freeNodes = free_;
+    v.runningJobs = running_;
+    v.queuedJobs = queued_;
+    return v;
+  }
+
+  /// The oldest queued job, popping started entries off the front.
+  std::size_t queueHead() {
+    while (queue_.front() == kStarted) queue_.pop_front();
+    return queue_.front();
+  }
+
+  void recordUse() {
+    metrics_.recordUse(nowSec(), cfg_.nodes - free_);
+    recordState();
+  }
+
+  /// Feeds the recorder's timeseries after any cluster state change (also
+  /// called on arrivals, where only the queue depth moves).
+  void recordState() {
+    if (cfg_.recorder != nullptr)
+      cfg_.recorder->stateSample(nowSec(), cfg_.nodes - free_, free_, running_, queued_);
+  }
+
+  /// Closes job i's open wait interval at `t` (no-op when zero-length):
+  /// banks the integer-ns bucket, hands the interval to the recorder, and
+  /// emits the trace child span under the job's queued span.
+  void closeWait(JobRt& rt, std::int64_t t) {
+    if (t <= rt.waitSinceNs) return;
+    rt.out.wait.byReason[static_cast<std::size_t>(rt.waitReason)] += t - rt.waitSinceNs;
+    if (cfg_.recorder != nullptr)
+      cfg_.recorder->waitInterval(rt.out.id, static_cast<double>(rt.waitSinceNs) * 1e-9,
+                                  static_cast<double>(t) * 1e-9, rt.waitReason);
+    if (cfg_.trace != nullptr)
+      cfg_.trace->completeSpan(obs::waitReasonName(rt.waitReason), "wait",
+                               static_cast<double>(rt.waitSinceNs) * 1e-3,
+                               static_cast<double>(t - rt.waitSinceNs) * 1e-3, cfg_.tracePid,
+                               rt.out.id);
+  }
+
+  /// Re-attributes job i's wait from now on: a changed reason closes the
+  /// open interval and opens a new one; the same reason lets it run on.
+  void markWait(std::size_t i, obs::WaitReason reason) {
+    JobRt& rt = jobs_[i];
+    if (reason == rt.waitReason) return;
+    const std::int64_t t = nowNs();
+    closeWait(rt, t);
+    rt.waitSinceNs = t;
+    rt.waitReason = reason;
+  }
+
+  /// Seals job i's attribution at start: closes the last interval under
+  /// its standing reason.  Telescoping makes the invariant exact:
+  /// sum(byReason) == totalNs == start tick - arrival tick.
+  void closeWaitFinal(std::size_t i) {
+    JobRt& rt = jobs_[i];
+    const std::int64_t t = nowNs();
+    closeWait(rt, t);
+    rt.out.wait.totalNs = t - rt.arrivalNs;
+  }
+
+  /// Re-registers job i in the finish index under its current
+  /// (estFinishSec, nodes); call after either changes.  Only backfill
+  /// reads the index, so without it there is nothing to maintain.
+  void updateFinishIndex(std::size_t i) {
+    if (!cfg_.easyBackfill) return;
+    dropFinishIndex(i);
+    finishEntry_[i] = byFinish_.insert(FinishKey{jobs_[i].estFinishSec, jobs_[i].nodes, i});
+  }
+
+  void dropFinishIndex(std::size_t i) {
+    std::optional<FinishIndex::iterator>& at = finishEntry_[i];
+    if (!at) return;
+    byFinish_.erase(*at);
+    at.reset();
+  }
+
+  /// Trace emission (simulated-time microseconds, one tid per job id).
+  /// Everything below only *reads* run state — tracing on or off cannot
+  /// change a single scheduling decision.
+  double nowMicros() const { return nowSec() * 1e6; }
+
+  void traceQueuedSpan(const JobRt& rt, std::int32_t alloc) const {
+    cfg_.trace->completeSpan("queued", "queue", rt.out.arrivalSec * 1e6, rt.out.waitSec() * 1e6,
+                             cfg_.tracePid, rt.out.id,
+                             "{\"alloc\":" + std::to_string(alloc) + "}");
+  }
+
+  void traceRunSpan(const JobRt& rt) const {
+    cfg_.trace->completeSpan(rt.out.klass, "job", rt.out.startSec * 1e6,
+                             (rt.out.finishSec - rt.out.startSec) * 1e6, cfg_.tracePid, rt.out.id,
+                             "{\"reallocations\":" + std::to_string(rt.out.reallocations) +
+                                 ",\"migrated_bytes\":" + jsonDouble(rt.out.migratedBytes) +
+                                 ",\"backfilled\":" + (rt.out.backfilled ? "true" : "false") + "}");
+  }
+
+  void traceRealloc(const JobRt& rt, std::int32_t from, std::int32_t to, double bytes) const {
+    cfg_.trace->instant("realloc", "job", nowMicros(), cfg_.tracePid, rt.out.id,
+                        "{\"from\":" + std::to_string(from) + ",\"to\":" + std::to_string(to) +
+                            ",\"bytes\":" + jsonDouble(bytes) + "}");
+  }
+
+  void traceMigration(const JobRt& rt, const SimDuration& delay, double bytes) const {
+    cfg_.trace->completeSpan("migrate", "job", nowMicros(), toSeconds(delay) * 1e6, cfg_.tracePid,
+                             rt.out.id, "{\"bytes\":" + jsonDouble(bytes) + "}");
+  }
+
+  void traceBackfill(const JobRt& rt, std::int32_t alloc, double shadow,
+                     std::int32_t spare) const {
+    cfg_.trace->instant("backfill", "sched", nowMicros(), cfg_.tracePid, rt.out.id,
+                        "{\"alloc\":" + std::to_string(alloc) +
+                            ",\"shadow_sec\":" + jsonDouble(shadow) +
+                            ",\"spare\":" + std::to_string(spare) + "}");
+  }
+
+  void maybeProgress() {
+    if (cfg_.progressEvery <= 0 || !cfg_.onProgress) return;
+    if (events_ - lastProgressEvents_ < cfg_.progressEvery) return;
+    lastProgressEvents_ = events_;
+    ClusterProgress p;
+    p.events = events_;
+    p.finishedJobs = finished_;
+    p.totalJobs = static_cast<std::int32_t>(jobs_.size());
+    p.simNowSec = nowSec();
+    p.runningJobs = running_;
+    p.queuedJobs = queued_;
+    cfg_.onProgress(p);
+  }
+
+  void onArrival(std::size_t i) {
+    ++events_;
+    JobRt& rt = jobs_[i];
+    rt.arrivalNs = rt.waitSinceNs = nowNs();
+    rt.waitReason = obs::WaitReason::HeadOfLine;
+    queue_.push_back(i);
+    ++queued_;
+    recordState();
+    admissionScan();
+    maybeProgress();
+  }
+
+  /// One offer of queued job i to the policy: what it asks for, the
+  /// feasible allocation that grants (0 when the policy holds the job),
+  /// and why the job cannot start now — HeadOfLine when it can.
+  struct Offer {
+    std::int32_t want = 0;
+    std::int32_t alloc = 0;
+    obs::WaitReason held = obs::WaitReason::HeadOfLine;
+    DecisionContext ctx;
+  };
+
+  Offer offer(std::size_t i, const ClassProfile& profile) {
+    QueuedJobView qv;
+    qv.id = jobs_[i].out.id;
+    qv.waitedSec = nowSec() - jobs_[i].out.arrivalSec;
+    Offer o;
+    o.want = policy_.admit(qv, profile, view(), o.ctx);
+    if (o.want <= 0) {
+      o.held = obs::WaitReason::PolicyHeld;
+      return o;
+    }
+    o.alloc = profile.clampFeasible(std::min(o.want, profile.maxNodes()));
+    if (o.alloc > free_) o.held = obs::WaitReason::InsufficientFree;
+    return o;
+  }
+
+  /// Offers queued jobs to the policy strictly in arrival order; stops at
+  /// the first one that does not start.  With EASY backfill enabled, a
+  /// capacity-blocked head additionally triggers a backfill pass over the
+  /// younger queued jobs.
+  void admissionScan() {
+    while (queued_ > 0) {
+      const std::size_t i = queueHead();
+      const Offer o = offer(i, profileOf(i));
+      const bool starts = o.held == obs::WaitReason::HeadOfLine;
+      if (!starts) markWait(i, o.held);
+      if (cfg_.recorder != nullptr)
+        cfg_.recorder->admitDecision(nowSec(), jobs_[i].out.id, o.want, o.alloc, free_, starts,
+                                     o.held, o.ctx.rule, o.ctx.score, o.ctx.threshold);
+      if (!starts) {
+        if (o.held == obs::WaitReason::InsufficientFree && cfg_.easyBackfill)
+          backfillScan(i, o.alloc);
+        return;
+      }
+      queue_.pop_front();
+      --queued_;
+      startJob(i, o.alloc);
+    }
+  }
+
+  /// EASY backfill (Lifka '95): the blocked head holds a reservation of
+  /// `headAlloc` nodes at the *shadow time* — the earliest instant enough
+  /// nodes are free assuming running jobs keep their allocations and finish
+  /// per their remaining phase profiles.  A younger job may start now only
+  /// if it cannot delay that reservation: it finishes before the shadow
+  /// time, or it fits into the `spare` nodes left over once the head
+  /// starts.
+  void backfillScan(std::size_t head, std::int32_t headAlloc) {
+    const double now = nowSec();
+    std::int32_t avail = free_;
+    double shadow = -1;
+    std::int32_t spare = 0;
+    for (const auto& [finish, nodes, running] : byFinish_) {
+      avail += nodes;
+      if (avail < headAlloc) continue;
+      shadow = std::max(finish, now);
+      spare = avail - headAlloc;
+      break;
+    }
+    if (shadow < 0) { // the head can never fit; nothing to reserve
+      if (cfg_.recorder != nullptr)
+        cfg_.recorder->backfillPass(now, jobs_[head].out.id, headAlloc, -1, 0, 0, 0);
+      return;
+    }
+    const std::int32_t spare0 = spare;
+
+    std::int32_t considered = 0;
+    std::int32_t started = 0;
+    // The head sits at the front; walk the live entries behind it.
+    for (std::size_t pos = 1; pos < queue_.size(); ++pos) {
+      const std::size_t i = queue_[pos];
+      if (i == kStarted) continue;
+      if (cfg_.backfillDepth > 0 && considered >= cfg_.backfillDepth) {
+        // Only this first excluded candidate is re-attributed (O(1) per
+        // pass); deeper jobs stay head-of-line — the scan was never going
+        // to reach them anyway.
+        markWait(i, obs::WaitReason::DepthCutoff);
+        if (cfg_.recorder != nullptr) cfg_.recorder->depthCutoff(now, jobs_[i].out.id);
+        break;
+      }
+      ++considered;
+      const ClassProfile& profile = profileOf(i);
+      Offer o = offer(i, profile);
+      const bool finishesInTime = o.held == obs::WaitReason::HeadOfLine &&
+                                  now + profile.at(o.alloc).totalSec <= shadow + 1e-9;
+      if (o.held == obs::WaitReason::HeadOfLine && !finishesInTime && o.alloc > spare)
+        o.held = obs::WaitReason::ShadowTime;
+      const bool starts = o.held == obs::WaitReason::HeadOfLine;
+      if (!starts) markWait(i, o.held);
+      if (cfg_.recorder != nullptr)
+        cfg_.recorder->backfillCandidate(now, jobs_[i].out.id, o.want, o.alloc, free_, spare,
+                                         starts, o.held, o.ctx.rule, o.ctx.score,
+                                         o.ctx.threshold);
+      if (!starts) continue;
+      if (!finishesInTime) spare -= o.alloc; // occupies part of the surplus past the shadow
+      queue_[pos] = kStarted;
+      --queued_;
+      jobs_[i].out.backfilled = true;
+      ++started;
+      if (cfg_.trace != nullptr) traceBackfill(jobs_[i], o.alloc, shadow, spare);
+      startJob(i, o.alloc);
+    }
+    if (cfg_.recorder != nullptr)
+      cfg_.recorder->backfillPass(now, jobs_[head].out.id, headAlloc, shadow, spare0, considered,
+                                  started);
+  }
+
+  void startJob(std::size_t i, std::int32_t alloc) {
+    JobRt& rt = jobs_[i];
+    closeWaitFinal(i);
+    free_ -= alloc;
+    ++running_;
+    rt.nodes = alloc;
+    rt.prof = &profileOf(i).at(alloc);
+    rt.out.startSec = nowSec();
+    if (cfg_.trace != nullptr) traceQueuedSpan(rt, alloc);
+    recordUse();
+    schedulePhase(i);
+  }
+
+  void schedulePhase(std::size_t i) {
+    JobRt& rt = jobs_[i];
+    rt.out.allocs.push_back(rt.nodes);
+    rt.estFinishSec = nowSec() + rt.prof->remainingFrom(rt.phase);
+    updateFinishIndex(i);
+    sched_.scheduleAfter(seconds(rt.prof->phaseSec[static_cast<std::size_t>(rt.phase)]),
+                         [this, i] { onPhaseEnd(i); });
+  }
+
+  void onPhaseEnd(std::size_t i) {
+    ++events_;
+    JobRt& rt = jobs_[i];
+    const ClassProfile& profile = profileOf(i);
+    ++rt.phase;
+    if (rt.phase >= profile.phases()) {
+      free_ += rt.nodes;
+      --running_;
+      ++finished_;
+      rt.nodes = 0;
+      rt.prof = nullptr;
+      rt.finished = true;
+      rt.out.finishSec = nowSec();
+      if (cfg_.trace != nullptr) traceRunSpan(rt);
+      dropFinishIndex(i);
+      recordUse();
+      admissionScan();
+      maybeProgress();
+      return;
+    }
+
+    RunningJobView rv;
+    rv.id = rt.out.id;
+    rv.nodes = rt.nodes;
+    rv.phase = rt.phase;
+    rv.phases = profile.phases();
+    rv.efficiencyNext = rt.prof->phaseEff[static_cast<std::size_t>(rt.phase)];
+    DecisionContext ctx;
+    std::int32_t target = profile.clampFeasible(policy_.reallocate(rv, profile, view(), ctx));
+    if (target > rt.nodes) // growth comes out of currently free nodes only
+      target = std::min(target, profile.clampFeasible(rt.nodes + free_));
+
+    if (target == rt.nodes) {
+      schedulePhase(i);
+      maybeProgress();
+      return;
+    }
+    const double bytes = profile.migrationBytes(rt.phase, rt.nodes, target);
+    if (cfg_.recorder != nullptr)
+      cfg_.recorder->reallocDecision(nowSec(), rt.out.id, rt.nodes, target, free_, bytes, ctx.rule,
+                                     ctx.score, ctx.threshold);
+    if (cfg_.trace != nullptr) traceRealloc(rt, rt.nodes, target, bytes);
+    free_ += rt.nodes - target; // a shrink's released nodes stop computing now
+    rt.nodes = target;
+    rt.prof = &profile.at(target);
+    rt.out.reallocations++;
+    rt.out.migratedBytes += bytes;
+    // The admission pass below sees this job at its new allocation with
+    // its estimated finish not yet refreshed (schedulePhase refreshes it
+    // after the migration delay).
+    updateFinishIndex(i);
+    recordUse();
+    admissionScan(); // shrink may have freed capacity for the queue
+    if (cfg_.chargeMigration) {
+      const SimDuration delay = cfg_.migrationDelay(bytes);
+      rt.out.wait.migrationDelayNs += delay.count();
+      if (cfg_.recorder != nullptr)
+        cfg_.recorder->migrationDelay(nowSec(), rt.out.id, toSeconds(delay), bytes);
+      if (cfg_.trace != nullptr) traceMigration(rt, delay, bytes);
+      rt.estFinishSec = nowSec() + toSeconds(delay) + rt.prof->remainingFrom(rt.phase);
+      updateFinishIndex(i);
+      sched_.scheduleAfter(delay, [this, i] { schedulePhase(i); });
+    } else {
+      schedulePhase(i);
+    }
+    maybeProgress();
+  }
+
+  const ClusterConfig& cfg_;
+  const Workload& workload_;
+  const JobProfileTable& profiles_;
+  Policy& policy_;
+
+  des::Scheduler sched_;
+  /// Queued jobs in arrival order, started ones marked kStarted in place;
+  /// `queued_` counts the live entries.
+  std::deque<std::size_t> queue_;
+  std::int32_t queued_ = 0;
+  /// Running jobs by estimated finish (maintained only under backfill),
+  /// and each job's entry in it.
+  FinishIndex byFinish_;
+  std::vector<std::optional<FinishIndex::iterator>> finishEntry_;
+  std::vector<JobRt> jobs_;
+  std::int32_t free_ = 0;
+  std::int32_t running_ = 0;
+  std::int32_t finished_ = 0;
+  std::int64_t events_ = 0;
+  std::int64_t lastProgressEvents_ = 0;
+  ClusterMetrics metrics_;
 };
 
 } // namespace
 
 ClusterMetrics simulateCluster(const ClusterConfig& cfg, const Workload& workload,
                                const JobProfileTable& profiles, Policy& policy) {
-  return detail::ClusterLoop<Indexed>(cfg, workload, profiles, policy).run();
+  return ClusterLoop(cfg, workload, profiles, policy).run();
 }
 
 } // namespace dps::sched

@@ -20,16 +20,15 @@
 // bit-identical at any build concurrency — so a cluster run is a pure
 // function of (workload, profiles, policy, config) at any --jobs value.
 //
-// The loop is written once (cluster_loop.hpp) over three data structures
-// and instantiated twice.  simulateCluster uses indexed ones whose
-// per-event cost is O(1)/O(log n) — precomputed remaining-time suffix
-// sums, an ordered estimated-finish index over the running set for
-// backfill's shadow-time computation, a lazily compacted queue.
-// simulateClusterReference is the same loop over linear-scan structures
-// (mid-queue erases, a sort of the running jobs per blocked-head pass,
-// tail sums recomputed per query), kept as the oracle for the indexed
-// ones: tests assert bit-identical metrics and recorder contents, and
-// bench/cluster_scale measures the throughput gap.
+// There is one loop (cluster.cpp), with per-event cost independent of the
+// job count: remaining-time suffix sums, an ordered estimated-finish index
+// over the running set for backfill's shadow time, a lazily compacted
+// queue.  Two checks pin it without a second copy of it.  sched_test's
+// golden digests pin its outputs (metrics and recorder JSON), and a
+// differential test pins its transition semantics.  That test re-executes
+// each run's decisions on the explorer's explicit-state Machine
+// (replayTrace of decisionTrace, explore.hpp) and must get the identical
+// schedule back.
 #pragma once
 
 #include <cstdint>
@@ -96,12 +95,22 @@ struct ClusterConfig {
   /// Flight recorder: the full decision audit log (admit/hold verdicts
   /// with typed wait reasons, backfill passes and candidates, realloc
   /// grants with policy rationale), per-job wait intervals, and the
-  /// simulated-time timeseries.  Equal recorder contents from
-  /// simulateCluster and simulateClusterReference check the indexed data
-  /// structures decision by decision.  Null = off (zero cost); wait
+  /// simulated-time timeseries.  Its JSON digest is pinned by the golden
+  /// test decision by decision.  Null = off (zero cost); wait
   /// *attribution* is always-on integer bookkeeping either way, so metrics
   /// JSON is bit-identical with and without a recorder.
   obs::Recorder* recorder = nullptr;
+
+  /// The reconfiguration delay for moving `bytes` of state under the cost
+  /// model above; zero when chargeMigration is off.
+  SimDuration migrationDelay(double bytes) const {
+    if (!chargeMigration) return SimDuration::zero();
+    return migrationLatency + seconds(bytes / migrationBandwidthBytesPerSec);
+  }
+
+  /// Throws unless this machine can run `profiles`: at least one node, a
+  /// positive migration bandwidth, and every class fitting the cluster.
+  void check(const JobProfileTable& profiles) const;
 
   static ClusterConfig fromProfile(const net::PlatformProfile& p, std::int32_t nodes) {
     ClusterConfig cfg;
@@ -115,12 +124,5 @@ struct ClusterConfig {
 /// Runs one policy over one workload against one profile table.
 ClusterMetrics simulateCluster(const ClusterConfig& cfg, const Workload& workload,
                                const JobProfileTable& profiles, Policy& policy);
-
-/// The same event loop over linear-scan data structures (mid-queue erases,
-/// a sort per shadow-time query, per-query tail sums): the oracle and
-/// throughput baseline for simulateCluster's indexed ones.  Do not use at
-/// scale.
-ClusterMetrics simulateClusterReference(const ClusterConfig& cfg, const Workload& workload,
-                                        const JobProfileTable& profiles, Policy& policy);
 
 } // namespace dps::sched

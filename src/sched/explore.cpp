@@ -64,13 +64,10 @@ class Machine {
 public:
   Machine(const ClusterConfig& cfg, const Workload& workload, const JobProfileTable& profiles)
       : cfg_(cfg), workload_(workload) {
-    DPS_CHECK(cfg.nodes > 0, "explorer needs at least one node");
-    DPS_CHECK(cfg.migrationBandwidthBytesPerSec > 0, "migration bandwidth must be positive");
+    cfg.check(profiles);
     tabs_.reserve(profiles.classCount());
     for (std::size_t c = 0; c < profiles.classCount(); ++c) {
       const ClassProfile& cp = profiles.of(c);
-      DPS_CHECK(cp.maxNodes() <= cfg.nodes,
-                "job class " + cp.name + " cannot fit the cluster");
       ClassTab t;
       t.profile = &cp;
       t.phases = cp.phases();
@@ -116,8 +113,7 @@ public:
                                 std::int32_t to, double* bytesOut) const {
     const double bytes = tab(j).profile->migrationBytes(phase, from, to);
     if (bytesOut != nullptr) *bytesOut = bytes;
-    if (!cfg_.chargeMigration) return 0;
-    return (cfg_.migrationLatency + seconds(bytes / cfg_.migrationBandwidthBytesPerSec)).count();
+    return cfg_.migrationDelay(bytes).count();
   }
 
   /// The next instant anything happens on its own (arrival, migration end,
@@ -702,6 +698,39 @@ TraceReplay replayTrace(const ClusterConfig& cfg, const Workload& workload,
   out.makespanSec = m.makespanSec(s);
   out.meanSlowdown = m.meanSlowdown(s);
   return out;
+}
+
+std::vector<ExploreDecision> decisionTrace(const ClusterConfig& cfg, const Workload& workload,
+                                           const JobProfileTable& profiles,
+                                           const ClusterMetrics& metrics) {
+  const Machine m(cfg, workload, profiles);
+  DPS_CHECK(metrics.jobs.size() == m.jobCount(), "decision trace needs this workload's metrics");
+  std::vector<ExploreDecision> trace;
+  for (std::size_t j = 0; j < m.jobCount(); ++j) {
+    const JobOutcome& o = metrics.jobs[j];
+    DPS_CHECK(o.allocs.size() == static_cast<std::size_t>(m.tab(j).phases),
+              "job " + std::to_string(o.id) + " ran a phase count its class does not have");
+    ExploreDecision d;
+    d.timeNs = m.arrivalNs(j) + o.wait.totalNs;
+    d.job = static_cast<std::int32_t>(j);
+    d.toNodes = o.allocs[0];
+    trace.push_back(d);
+    // Walk the phase boundaries: each phase starts when the previous one
+    // ends plus, after a reallocation, the migration delay.
+    std::int64_t phaseStartNs = d.timeNs;
+    for (std::int32_t p = 1; p < m.tab(j).phases; ++p) {
+      const std::int32_t from = o.allocs[static_cast<std::size_t>(p) - 1];
+      d.timeNs = phaseStartNs + m.durNs(j, p - 1, from);
+      d.fromNodes = from;
+      d.toNodes = o.allocs[static_cast<std::size_t>(p)];
+      d.phase = p;
+      d.kind = d.toNodes == from ? ExploreDecision::Kind::Keep : ExploreDecision::Kind::Realloc;
+      trace.push_back(d);
+      phaseStartNs = d.timeNs;
+      if (d.toNodes != from) phaseStartNs += m.migrationDelayNs(j, p, from, d.toNodes, nullptr);
+    }
+  }
+  return trace;
 }
 
 // ------------------------------------------------------------ policy audit --

@@ -139,6 +139,17 @@ TraceReplay replayTrace(const ClusterConfig& cfg, const Workload& workload,
                         const JobProfileTable& profiles,
                         const std::vector<ExploreDecision>& trace);
 
+/// The decisions a finished simulateCluster run took, as a trace replayTrace
+/// can re-execute: per job, a Start at its arrival tick plus its queue wait
+/// (allocs[0]), then one Keep or Realloc per later phase (allocs[p]) at the
+/// tick the previous phase ended, timed by the Machine's own phase
+/// durations and migration delays.  replayTrace of this trace must
+/// reproduce the run's schedule exactly; it throws if a decision misses an
+/// instant or oversubscribes the machine.
+std::vector<ExploreDecision> decisionTrace(const ClusterConfig& cfg, const Workload& workload,
+                                           const JobProfileTable& profiles,
+                                           const ClusterMetrics& metrics);
+
 // --------------------------------------------------------------- verifier --
 
 /// The typed invariant taxonomy.  Space invariants are checked structurally

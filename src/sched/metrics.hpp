@@ -27,7 +27,7 @@ struct JobOutcome {
   /// Started ahead of an older blocked job under EASY backfill.
   bool backfilled = false;
   /// Queue-wait decomposition in integer simulated ns (always filled by
-  /// both cluster loops, recorder or not — so metrics JSON is identical
+  /// the cluster loop, recorder or not — so metrics JSON is identical
   /// with and without a recorder attached).
   obs::WaitAttribution wait;
 

@@ -13,8 +13,7 @@ namespace dps::sched {
 void recordClusterRun(const ClusterConfig& cfg, const ClusterMetrics& m,
                       std::uint64_t desEventsFired, std::size_t desQueueHighWater) {
   // Recorder fold: the per-job summary rows and the run seal come from the
-  // finalized metrics, so both loops hand the recorder identical rows by
-  // construction (their metrics are bit-identical).
+  // finalized metrics, so they restate the metrics JSON by construction.
   if (cfg.recorder != nullptr) {
     for (const JobOutcome& j : m.jobs)
       cfg.recorder->jobSummary(j.id, j.klass, j.arrivalSec, j.startSec, j.finishSec, j.backfilled,

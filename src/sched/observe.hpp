@@ -1,10 +1,8 @@
 // Folds one finished cluster run into an obs::Registry.
 //
-// Called by BOTH event loops (optimized and reference) with the finalized
-// metrics, so whichever loop ran, an attached registry ends up with the
-// same values — the bit-identity contract between the loops extends to
-// their observability output.  Everything here reads the result; nothing
-// feeds back into simulation state.
+// Called by the event loop with the finalized metrics, so an attached
+// registry restates the run's own counts.  Everything here reads the
+// result; nothing feeds back into simulation state.
 #pragma once
 
 #include <cstddef>

@@ -71,7 +71,7 @@ struct PhaseProfile {
   /// remainSec[i] == phaseSec[i] + phaseSec[i+1] + ... — the event loop's
   /// remaining-runtime query in O(1).  Each entry is the plain left-to-right
   /// accumulation from i, so it is bitwise identical to summing the tail on
-  /// the spot (the pre-optimization loop's behaviour).  Filled by
+  /// the spot.  Filled by
   /// finalizeRemaining(); remainingFrom() falls back to the direct sum when
   /// a hand-built profile never called it.
   std::vector<double> remainSec;

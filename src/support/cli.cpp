@@ -51,26 +51,40 @@ std::string Cli::str(const std::string& key, const std::string& def, const std::
   return lookup(key).value_or(def);
 }
 
+namespace {
+
+/// Parses all of `text` with a std::stoll/std::stod-style `parse`; an
+/// unparseable value or any unconsumed character ("8x", "1.5" as an
+/// integer) is a ConfigError.
+template <class Parse>
+auto parseWhole(const std::string& key, const std::string& text, const char* expects,
+                Parse parse) {
+  std::size_t used = 0;
+  try {
+    const auto value = parse(text, &used);
+    if (used == text.size()) return value;
+  } catch (const std::exception&) {
+    // std::invalid_argument or std::out_of_range: reported below.
+  }
+  throw ConfigError("option --" + key + " expects " + expects + ", got '" + text + "'");
+}
+
+} // namespace
+
 std::int64_t Cli::integer(const std::string& key, std::int64_t def, const std::string& help) {
   describe(key, std::to_string(def), help);
   auto v = lookup(key);
   if (!v) return def;
-  try {
-    return std::stoll(*v);
-  } catch (const std::exception&) {
-    throw ConfigError("option --" + key + " expects an integer, got '" + *v + "'");
-  }
+  return parseWhole(key, *v, "an integer",
+                    [](const std::string& s, std::size_t* used) { return std::stoll(s, used); });
 }
 
 double Cli::real(const std::string& key, double def, const std::string& help) {
   describe(key, std::to_string(def), help);
   auto v = lookup(key);
   if (!v) return def;
-  try {
-    return std::stod(*v);
-  } catch (const std::exception&) {
-    throw ConfigError("option --" + key + " expects a number, got '" + *v + "'");
-  }
+  return parseWhole(key, *v, "a number",
+                    [](const std::string& s, std::size_t* used) { return std::stod(s, used); });
 }
 
 bool Cli::flag(const std::string& key, const std::string& help) {

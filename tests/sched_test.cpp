@@ -200,8 +200,8 @@ JobClass denseLu() {
 }
 
 TEST(ProfileTableTest, RemainingFromMatchesForwardTailSumBitwise) {
-  // The event loop's O(1) suffix-sum lookup must round exactly like the
-  // pre-optimization loop's on-the-spot left-to-right tail sum.
+  // The event loop's O(1) suffix-sum lookup must round exactly like an
+  // on-the-spot left-to-right tail sum.
   PhaseProfile p;
   p.nodes = 4;
   for (int i = 1; i <= 37; ++i) p.phaseSec.push_back(1.0 / (3.0 * i) + 0.1 * i);
@@ -497,24 +497,6 @@ TEST(ClusterTest, ObservationDoesNotPerturbResults) {
   }
 }
 
-TEST(ClusterTest, ReferenceLoopRecordsTheSameRegistryContents) {
-  // Both loops fold the identical run facts through recordClusterRun, so
-  // the observability layer cannot mask an optimized-loop divergence.
-  const auto wl = tinyWorkload(3, 10, 2.0);
-  const auto table = JobProfileTable::build(wl.cfg.classes, 4, {}, 1);
-  obs::Registry optReg, refReg;
-  ClusterConfig cfg;
-  cfg.nodes = 4;
-  cfg.easyBackfill = true;
-  cfg.metricsPrefix = "c.";
-  Equipartition a, b;
-  cfg.metrics = &optReg;
-  simulateCluster(cfg, wl, table, a);
-  cfg.metrics = &refReg;
-  simulateClusterReference(cfg, wl, table, b);
-  EXPECT_EQ(optReg.jsonString(), refReg.jsonString());
-}
-
 TEST(ClusterTest, EquipartitionBeatsFcfsRigidOnTheBenchDefaultWorkload) {
   // The cluster_policies bench default point: 8 nodes, default mix, seed 1,
   // rate 0.15, 12 jobs — equipartition must win on mean slowdown.
@@ -586,38 +568,6 @@ TEST(ClusterTest, EasyBackfillNeverDelaysTheBlockedHead) {
   EXPECT_TRUE(sawBackfill);    // and backfill actually fired somewhere
 }
 
-TEST(ClusterTest, OptimizedLoopBitIdenticalToReferenceLoop) {
-  // The acceptance contract of the event-loop optimization: the production
-  // loop and the kept pre-optimization loop produce byte-identical metrics
-  // JSON — every policy, backfill on and off, and a saturated stress point
-  // where the queue and the backfill scan actually work.
-  const auto wl = tinyWorkload(1, 12, 2.0);
-  const auto table = JobProfileTable::build(wl.cfg.classes, 4, {}, 1);
-  for (const std::string& name : policyNames()) {
-    for (const bool backfill : {false, true}) {
-      ClusterConfig cfg;
-      cfg.nodes = 4;
-      cfg.easyBackfill = backfill;
-      auto a = makePolicy(name);
-      auto b = makePolicy(name);
-      EXPECT_EQ(simulateCluster(cfg, wl, table, *a).jsonString(),
-                simulateClusterReference(cfg, wl, table, *b).jsonString())
-          << name << (backfill ? " +backfill" : "");
-    }
-  }
-  const auto stress = tinyWorkload(2, 200, 200.0); // deep queue, hot backfill
-  for (const std::int32_t depth : {0, 3}) {
-    ClusterConfig cfg;
-    cfg.nodes = 4;
-    cfg.easyBackfill = true;
-    cfg.backfillDepth = depth;
-    FcfsRigid a, b;
-    EXPECT_EQ(simulateCluster(cfg, stress, table, a).jsonString(),
-              simulateClusterReference(cfg, stress, table, b).jsonString())
-        << "stress depth " << depth;
-  }
-}
-
 TEST(ClusterTest, RecorderDoesNotPerturbResults) {
   // The flight-recorder contract: attaching a recorder is a read-only tap.
   // The metrics JSON (which now carries the wait attribution, so this also
@@ -648,74 +598,29 @@ TEST(ClusterTest, RecorderDoesNotPerturbResults) {
   }
 }
 
-TEST(ClusterTest, OptimizedAndReferenceLoopsRecordEqualDecisions) {
-  // Stronger than metrics bit-identity: the two loops must narrate the SAME
-  // decision sequence — every admit verdict, backfill pass, wait interval
-  // and timeseries sample — rendered to equal recorder JSON.  This checks
-  // the optimized hot paths decision by decision, not just by outcome.
-  const auto wl = tinyWorkload(1, 12, 2.0);
-  const auto table = JobProfileTable::build(wl.cfg.classes, 4, {}, 1);
-  for (const std::string& name : policyNames()) {
-    for (const bool backfill : {false, true}) {
-      ClusterConfig cfg;
-      cfg.nodes = 4;
-      cfg.easyBackfill = backfill;
-      obs::Recorder opt(10.0), ref(10.0);
-      auto a = makePolicy(name);
-      auto b = makePolicy(name);
-      cfg.recorder = &opt;
-      simulateCluster(cfg, wl, table, *a);
-      cfg.recorder = &ref;
-      simulateClusterReference(cfg, wl, table, *b);
-      EXPECT_EQ(opt.jsonString(), ref.jsonString())
-          << name << (backfill ? " +backfill" : "");
-    }
-  }
-  // A saturated stress point where the queue is deep, backfill works, and
-  // the depth cutoff actually fires.
-  const auto stress = tinyWorkload(2, 200, 200.0);
-  for (const std::int32_t depth : {0, 3}) {
-    ClusterConfig cfg;
-    cfg.nodes = 4;
-    cfg.easyBackfill = true;
-    cfg.backfillDepth = depth;
-    obs::Recorder opt(5.0), ref(5.0);
-    FcfsRigid a, b;
-    cfg.recorder = &opt;
-    simulateCluster(cfg, stress, table, a);
-    cfg.recorder = &ref;
-    simulateClusterReference(cfg, stress, table, b);
-    EXPECT_EQ(opt.jsonString(), ref.jsonString()) << "stress depth " << depth;
-  }
-}
-
 TEST(ClusterTest, WaitAttributionBucketsSumExactlyToQueueWait) {
   // The integer-telescoping invariant: each job's per-reason buckets sum to
   // EXACTLY its recorded queue wait (start tick - arrival tick), asserted
   // as integer equality — no tolerance.  Saturated workload so the buckets
-  // are non-trivial, both loops, all policies.
+  // are non-trivial, all policies.
   const auto wl = tinyWorkload(2, 60, 200.0);
   const auto table = JobProfileTable::build(wl.cfg.classes, 4, {}, 1);
   for (const std::string& name : policyNames()) {
     ClusterConfig cfg;
     cfg.nodes = 4;
     cfg.easyBackfill = true;
-    auto p1 = makePolicy(name);
-    auto p2 = makePolicy(name);
-    const auto opt = simulateCluster(cfg, wl, table, *p1);
-    const auto ref = simulateClusterReference(cfg, wl, table, *p2);
+    auto policy = makePolicy(name);
+    const auto m = simulateCluster(cfg, wl, table, *policy);
     std::int64_t waited = 0;
-    for (const auto* m : {&opt, &ref}) {
-      for (const auto& j : m->jobs) {
-        EXPECT_EQ(j.wait.sumNs(), j.wait.totalNs) << name << " job " << j.id;
-        // The integer total restates the metrics' own double-seconds wait.
-        EXPECT_NEAR(static_cast<double>(j.wait.totalNs) * 1e-9, j.waitSec(), 1e-9)
-            << name << " job " << j.id;
-        waited += j.wait.totalNs;
-      }
-      // The run aggregate telescopes too.
-      EXPECT_EQ(m->attribution.sumNs(), m->attribution.totalNs) << name;
+    for (const auto& j : m.jobs) {
+      EXPECT_EQ(j.wait.sumNs(), j.wait.totalNs) << name << " job " << j.id;
+      // The integer total restates the metrics' own double-seconds wait.
+      EXPECT_NEAR(static_cast<double>(j.wait.totalNs) * 1e-9, j.waitSec(), 1e-9)
+          << name << " job " << j.id;
+      waited += j.wait.totalNs;
     }
+    // The run aggregate telescopes too.
+    EXPECT_EQ(m.attribution.sumNs(), m.attribution.totalNs) << name;
     EXPECT_GT(waited, 0) << name; // the invariant was exercised non-trivially
   }
 }
@@ -972,6 +877,56 @@ TEST(ClusterGoldenTest, MetricsAndRecordDigestsArePinned) {
         << "row " << r << " is now {\"" << got.policy << "\", " << got.mode << ", " << got.seed
         << std::hex << std::showbase << ", " << got.metrics << "ull, " << got.record << "ull}";
   }
+}
+
+TEST(ClusterTest, LoopEqualsMachineReplayOfItsOwnDecisions) {
+  // The loop's transition semantics against the explorer's independently
+  // written explicit-state Machine: each run's own decisions, re-executed
+  // there, must give back the identical schedule.  Every policy x backfill
+  // mode x migration charged/free, over light (20 jobs at <= 6/s) and
+  // saturated (200 jobs at 200/s, every fifth seed) workloads.
+  const auto table = goldenProfiles();
+  std::int64_t reallocations = 0, backfillFires = 0;
+  for (const std::string& name : policyNames()) {
+    for (const std::int32_t mode : {-1, 0, 3}) {
+      for (const bool charge : {true, false}) {
+        for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+          const auto wl = seed % 5 == 0 ? goldenWorkload(seed, 200, 200.0)
+                                        : goldenWorkload(seed, 20, 0.3 * static_cast<double>(seed));
+          ClusterConfig cfg;
+          cfg.nodes = 4;
+          cfg.easyBackfill = mode >= 0;
+          cfg.backfillDepth = std::max(mode, 0);
+          cfg.chargeMigration = charge;
+          auto policy = makePolicy(name);
+          const auto m = simulateCluster(cfg, wl, table, *policy);
+          reallocations += m.reallocations;
+          backfillFires += m.backfillFires;
+          const auto label = name + " mode " + std::to_string(mode) +
+                             (charge ? " charged" : " free") + " seed " + std::to_string(seed);
+          TraceReplay r;
+          ASSERT_NO_THROW(r = replayTrace(cfg, wl, table, decisionTrace(cfg, wl, table, m)))
+              << label;
+          EXPECT_EQ(r.makespanSec, m.makespanSec) << label;
+          EXPECT_EQ(r.meanSlowdown, m.meanSlowdown) << label;
+          ASSERT_EQ(r.jobs.size(), m.jobs.size()) << label;
+          for (std::size_t j = 0; j < m.jobs.size(); ++j) {
+            const JobOutcome& want = m.jobs[j];
+            const JobOutcome& got = r.jobs[j];
+            EXPECT_TRUE(got.startSec == want.startSec && got.finishSec == want.finishSec &&
+                        got.allocs == want.allocs && got.reallocations == want.reallocations &&
+                        got.migratedBytes == want.migratedBytes &&
+                        got.wait.totalNs == want.wait.totalNs &&
+                        got.wait.migrationDelayNs == want.wait.migrationDelayNs)
+                << label << " job " << want.id;
+          }
+        }
+      }
+    }
+  }
+  // The grid exercises what it claims to check.
+  EXPECT_GT(reallocations, 0);
+  EXPECT_GT(backfillFires, 0);
 }
 
 // ---------------------------------------------------------------------------

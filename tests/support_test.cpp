@@ -230,9 +230,12 @@ TEST(CliTest, UnknownOptionFailsFinish) {
 }
 
 TEST(CliTest, BadIntegerThrows) {
-  const char* argv[] = {"prog", "--n=abc"};
-  Cli cli(2, argv);
+  const char* argv[] = {"prog", "--n=abc", "--m=8x", "--k=1.5", "--rate=0.5s"};
+  Cli cli(5, argv);
   EXPECT_THROW(cli.integer("n", 0), ConfigError);
+  EXPECT_THROW(cli.integer("m", 0), ConfigError); // trailing garbage is not 8
+  EXPECT_THROW(cli.integer("k", 0), ConfigError); // nor is 1.5 an integer
+  EXPECT_THROW(cli.real("rate", 0), ConfigError);
 }
 
 TEST(CliTest, HelpRequested) {
