@@ -2,47 +2,29 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 
 #include "support/error.hpp"
 #include "support/log.hpp"
 
 namespace dps::core {
 
-namespace {
-/// Fixed per-message envelope overhead on the wire (headers, framing).
-constexpr std::size_t kEnvelopeOverhead = 64;
-} // namespace
-
 // ---------------------------------------------------------------------------
 // OpContext implementation
 // ---------------------------------------------------------------------------
 
-class SimEngine::ContextImpl final : public flow::OpContext {
+class SimEngine::ContextImpl final : public Dispatcher::Context {
 public:
-  ContextImpl(SimEngine& e, ThreadCtx& t, Activation& a) : e_(e), t_(t), a_(a) {
+  ContextImpl(SimEngine& e, ThreadCtx& t) : Context(e, t), e_(e) {
     if (measured()) stamp_ = std::chrono::steady_clock::now();
   }
 
   SimTime now() const override { return e_.sched_->now(); }
-  std::int32_t threadIndex() const override { return a_.thread.index; }
-
-  std::int32_t groupSize(flow::GroupId g) const override {
-    return static_cast<std::int32_t>(e_.threads_.at(g).size());
-  }
-
-  std::span<const std::int32_t> activeThreads(flow::GroupId g) const override {
-    return e_.activeSets_.at(g).indices();
-  }
-
-  flow::ThreadState* threadState() override { return t_.state.get(); }
 
   void post(serial::ObjectPtr obj, std::int32_t port) override {
-    DPS_CHECK(obj != nullptr, "posting null data object");
+    notePost(obj, port);
     boundary(Segment::After::Post);
-    segs_.back().post = Emission{std::move(obj), port};
-    ++posts_;
-    lastPostPort_ = port;
+    segs_.back().post = std::move(obj);
+    segs_.back().port = port;
   }
 
   void charge(SimDuration d) override {
@@ -59,16 +41,11 @@ public:
     segs_.back().markValue = value;
   }
 
-  Rng& rng() override { return t_.rng; }
-
   /// Closes the final segment and returns the collected chain.
   std::vector<Segment> take() {
     boundary(Segment::After::Nothing);
     return std::move(segs_);
   }
-
-  int posts() const { return posts_; }
-  std::int32_t lastPostPort() const { return lastPostPort_; }
 
 private:
   bool measured() const { return e_.cfg_.mode == ExecutionMode::DirectExec; }
@@ -88,13 +65,9 @@ private:
   }
 
   SimEngine& e_;
-  ThreadCtx& t_;
-  Activation& a_;
   std::vector<Segment> segs_;
   SimDuration pending_{};
   std::chrono::steady_clock::time_point stamp_{};
-  int posts_ = 0;
-  std::int32_t lastPostPort_ = -1;
 };
 
 // ---------------------------------------------------------------------------
@@ -103,16 +76,6 @@ private:
 
 SimEngine::SimEngine(SimConfig cfg) : cfg_(std::move(cfg)) {}
 SimEngine::~SimEngine() = default;
-
-SimEngine::ThreadCtx& SimEngine::thread(flow::ThreadRef ref) {
-  return threads_.at(ref.group).at(ref.index);
-}
-
-SimEngine::Activation& SimEngine::activation(std::uint64_t id) {
-  auto it = activations_.find(id);
-  DPS_CHECK(it != activations_.end(), "unknown activation");
-  return it->second;
-}
 
 SimTime SimEngine::now() const {
   DPS_CHECK(sched_ != nullptr, "now() outside a run");
@@ -123,16 +86,8 @@ RunResult SimEngine::run(const flow::Program& program) {
   DPS_CHECK(!running_, "SimEngine::run is not reentrant");
   running_ = true;
   const auto wallStart = std::chrono::steady_clock::now();
+  bind(program, cfg_.seed);
 
-  DPS_CHECK(program.graph != nullptr, "program has no graph");
-  graph_ = program.graph;
-  graph_->validate();
-  program.deployment.validateAgainst(*graph_);
-  deployment_ = &program.deployment;
-  inputs_ = &program.inputs;
-  DPS_CHECK(!program.inputs.empty(), "program has no inputs");
-
-  // --- per-run state ---
   sched_ = std::make_unique<des::Scheduler>();
   fidelityRng_.reseed(cfg_.fidelity.seed);
   nodeSpeedFactor_.assign(static_cast<std::size_t>(deployment_->nodeCount), 1.0);
@@ -173,69 +128,24 @@ RunResult SimEngine::run(const flow::Program& program) {
     cpu_->setCommActivity(node, in, out);
   });
 
-  ledger_ = flow::Ledger{};
-  activations_.clear();
-  closerByInstance_.clear();
-  tokenWaiters_.clear();
-  outputs_.clear();
-  counters_ = RunCounters{};
-  nextActivation_ = 1;
-  nextSeq_ = 1;
   trace_ = cfg_.recordTrace ? std::make_shared<trace::Trace>() : nullptr;
-
-  Rng master(cfg_.seed);
-  threads_.clear();
-  threads_.resize(graph_->groupCount());
-  activeSets_.assign(graph_->groupCount(), flow::ActiveSet{});
-  for (std::size_t g = 0; g < graph_->groupCount(); ++g) {
-    const std::int32_t n = deployment_->threadsIn(static_cast<flow::GroupId>(g));
-    activeSets_[g].reset(n);
-    threads_[g].resize(n);
-    const auto& stateFactory = graph_->group(static_cast<flow::GroupId>(g)).stateFactory;
-    for (std::int32_t i = 0; i < n; ++i) {
-      ThreadCtx& t = threads_[g][i];
-      t.ref = flow::ThreadRef{static_cast<flow::GroupId>(g), i};
-      t.node = deployment_->nodeOf(t.ref);
-      t.rng = master.fork();
-      if (stateFactory) t.state = stateFactory(i);
-    }
-  }
   recordAllocation();
 
   if (runStartHook_) runStartHook_();
-  injectInputs();
+  injectInputs(program.inputs);
   sched_->run();
-  checkQuiescence();
+  checkQuiescent();
 
   RunResult result;
   result.makespan = sched_->now().time_since_epoch();
   result.outputs = std::move(outputs_);
   result.counters = counters_;
   result.trace = trace_;
-  result.threadStates.resize(threads_.size());
-  for (std::size_t g = 0; g < threads_.size(); ++g)
-    for (auto& t : threads_[g]) result.threadStates[g].push_back(std::move(t.state));
+  result.threadStates = takeThreadStates();
   result.wallSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wallStart).count();
   running_ = false;
   return result;
-}
-
-void SimEngine::injectInputs() {
-  // Inputs are delivered to the entry op on the configured entry thread
-  // with an empty instance path, as if posted from outside the graph.
-  const flow::OpId entry = graph_->entryOp();
-  const flow::GroupId g = graph_->op(entry).group;
-  ThreadCtx& t = threads_.at(g).at(graph_->entryThread());
-  for (const auto& obj : *inputs_) {
-    flow::Envelope env;
-    env.payload = obj;
-    env.dstOp = entry;
-    env.dst = t.ref;
-    env.seq = nextSeq_++;
-    env.wireBytes = obj->wireSize() + kEnvelopeOverhead;
-    enqueue(t, Task{Task::Kind::Input, std::move(env), 0});
-  }
 }
 
 void SimEngine::enqueue(ThreadCtx& t, Task task, bool front) {
@@ -247,101 +157,16 @@ void SimEngine::enqueue(ThreadCtx& t, Task task, bool front) {
 void SimEngine::maybeDispatch(ThreadCtx& t) {
   if (t.busy || t.ready.empty()) return;
   t.busy = true;
-  Task task = std::move(t.ready.front());
+  const Task task = std::move(t.ready.front());
   t.ready.pop_front();
-  executeTask(t, std::move(task));
-}
 
-SimEngine::Activation& SimEngine::resolveInputActivation(ThreadCtx& t, const flow::Envelope& env) {
-  const flow::OpSpec& spec = graph_->op(env.dstOp);
-  if (spec.kind == flow::OpKind::Leaf || spec.kind == flow::OpKind::Split) {
-    const std::uint64_t id = nextActivation_++;
-    Activation a;
-    a.id = id;
-    a.op = env.dstOp;
-    a.thread = t.ref;
-    a.impl = spec.factory();
-    a.basePath = env.path;
-    auto [it, ok] = activations_.emplace(id, std::move(a));
-    DPS_CHECK(ok, "activation id collision");
-    return it->second;
-  }
-
-  // Merge / stream: keyed by the scope instance being closed.
-  DPS_CHECK(!env.path.empty(),
-            "object reached closer '" + spec.name + "' without an enclosing scope");
-  const flow::InstanceFrame& frame = env.path.back();
-  DPS_CHECK(graph_->closerOf(frame.opener, frame.port) == env.dstOp,
-            "object of scope opened by '" + graph_->op(frame.opener).name + "' port " +
-                std::to_string(frame.port) + " arrived at non-matching closer '" + spec.name + "'");
-  if (auto it = closerByInstance_.find(frame.instance); it != closerByInstance_.end()) {
-    Activation& a = activation(it->second);
-    DPS_CHECK(a.thread == t.ref,
-              "closer '" + spec.name + "' instance received objects on two different threads; "
-              "routing into a merge must be instance-consistent");
-    return a;
-  }
-  const std::uint64_t id = nextActivation_++;
-  Activation a;
-  a.id = id;
-  a.op = env.dstOp;
-  a.thread = t.ref;
-  a.impl = spec.factory();
-  a.basePath = env.path;
-  a.basePath.pop_back();
-  a.isCloser = true;
-  a.closingInstance = frame.instance;
-  auto [it, ok] = activations_.emplace(id, std::move(a));
-  DPS_CHECK(ok, "activation id collision");
-  closerByInstance_[frame.instance] = id;
-  return it->second;
-}
-
-void SimEngine::executeTask(ThreadCtx& t, Task task) {
-  Activation* act = nullptr;
-  std::optional<flow::InstanceFrame> absorbedFrame;
-
-  switch (task.kind) {
-    case Task::Kind::Input: {
-      act = &resolveInputActivation(t, task.env);
-      if (act->isCloser) absorbedFrame = task.env.path.back();
-      act->inFlight++;
-      break;
-    }
-    case Task::Kind::Emit:
-    case Task::Kind::Finalize:
-      act = &activation(task.act);
-      break;
-  }
-
-  ContextImpl ctx(*this, t, *act);
-  switch (task.kind) {
-    case Task::Kind::Input:
-      act->impl->onInput(ctx, *task.env.payload);
-      act->inputConsumed = true;
-      break;
-    case Task::Kind::Emit: {
-      act->emitQueued = false;
-      DPS_CHECK(act->impl->hasPending(), "emit dispatched with nothing pending");
-      const std::int32_t expectedPort = act->impl->pendingPort();
-      act->impl->emitOne(ctx);
-      DPS_CHECK(ctx.posts() == 1, "emitOne must post exactly one object");
-      DPS_CHECK(ctx.lastPostPort() == expectedPort,
-                "emitOne posted on a different port than pendingPort()");
-      break;
-    }
-    case Task::Kind::Finalize:
-      act->impl->onAllInputsDone(ctx);
-      break;
-  }
-
+  const Step step = begin(t, task);
+  ContextImpl ctx(*this, t);
+  runBody(step, task, ctx);
+  end(step, ctx);
   auto segments = std::make_shared<std::vector<Segment>>(ctx.take());
-  DPS_CHECK(!segments->empty(), "empty segment chain");
   (*segments)[0].work += cfg_.profile.perStepOverhead;
-  counters_.steps++;
-
-  runChain(std::move(segments), 0, t.ref, act->id, task.kind, absorbedFrame,
-           sched_->now());
+  runChain(std::move(segments), 0, step, sched_->now());
 }
 
 SimDuration SimEngine::stepNoise(SimDuration work, flow::NodeId node) {
@@ -351,229 +176,51 @@ SimDuration SimEngine::stepNoise(SimDuration work, flow::NodeId node) {
   return scale(work, factor);
 }
 
-void SimEngine::runChain(std::shared_ptr<std::vector<Segment>> segments, std::size_t idx,
-                         flow::ThreadRef tref, std::uint64_t actId, Task::Kind kind,
-                         std::optional<flow::InstanceFrame> absorbedFrame, SimTime chainStart) {
+void SimEngine::runChain(std::shared_ptr<std::vector<Segment>> segments, std::size_t idx, Step step,
+                         SimTime chainStart) {
+  ThreadCtx& t = thread(step.act->thread);
   if (idx == segments->size()) {
-    ThreadCtx& t = thread(tref);
-    Activation& act = activation(actId);
     if (trace_) {
       trace::StepRecord rec;
       rec.node = t.node;
-      rec.thread = tref;
-      rec.op = act.op;
-      rec.kind = kind == Task::Kind::Input     ? trace::StepKind::Input
-                 : kind == Task::Kind::Emit    ? trace::StepKind::Emit
-                                               : trace::StepKind::Finalize;
+      rec.thread = t.ref;
+      rec.op = step.act->op;
+      rec.kind = step.kind;
       rec.start = chainStart;
       rec.end = sched_->now();
       for (const auto& s : *segments) rec.work += s.work;
       trace_->add(std::move(rec));
     }
-    finishTask(t, act, kind, absorbedFrame);
+    finish(t, step);
+    maybeDispatch(t);
     return;
   }
 
   Segment& seg = (*segments)[idx];
-  const flow::NodeId node = thread(tref).node;
-  seg.work = stepNoise(seg.work, node); // settle noise into the record
-  cpu_->startStep(node, seg.work,
-                  [this, segments, idx, tref, actId, kind, absorbedFrame, chainStart] {
-                    applySegmentAction(activation(actId), (*segments)[idx]);
-                    runChain(segments, idx + 1, tref, actId, kind, absorbedFrame, chainStart);
-                  });
+  seg.work = stepNoise(seg.work, t.node); // settle noise into the record
+  cpu_->startStep(t.node, seg.work, [this, segments, idx, step, chainStart] {
+    applySegmentAction(*step.act, (*segments)[idx]);
+    runChain(segments, idx + 1, step, chainStart);
+  });
 }
 
-void SimEngine::applySegmentAction(Activation& act, const Segment& seg) {
-  switch (seg.after) {
-    case Segment::After::Nothing:
-      break;
-    case Segment::After::Post: {
-      // Routing hint: forwards inherit the consumed emission index so that
-      // round-robin routing of forwarded objects stays balanced.
-      const std::uint64_t hint = act.basePath.empty() ? 0 : act.basePath.back().emission;
-      sendObject(act, seg.post, hint);
-      break;
-    }
-    case Segment::After::Mark: {
-      if (trace_) trace_->add(trace::MarkerRecord{seg.markName, seg.markValue, sched_->now()});
-      if (markerHook_) markerHook_(seg.markName, seg.markValue, sched_->now());
-      break;
-    }
+void SimEngine::applySegmentAction(Activation& act, Segment& seg) {
+  if (seg.after == Segment::After::Post) {
+    send(act, std::move(seg.post), seg.port);
+  } else if (seg.after == Segment::After::Mark) {
+    if (trace_) trace_->add(trace::MarkerRecord{seg.markName, seg.markValue, sched_->now()});
+    if (markerHook_) markerHook_(seg.markName, seg.markValue, sched_->now());
   }
 }
 
-std::uint64_t SimEngine::scopeInstance(Activation& act, std::int32_t port) {
-  if (auto it = act.openScopes.find(port); it != act.openScopes.end()) return it->second;
-  DPS_CHECK(graph_->closerOf(act.op, port) != flow::kNoOp,
-            "op '" + graph_->op(act.op).name + "' has no scope on port " + std::to_string(port));
-  const auto fc = graph_->flowControlOf(act.op, port);
-  const std::uint64_t inst = ledger_.openInstance(act.op, fc.maxInFlight);
-  act.openScopes.emplace(port, inst);
-  return inst;
-}
-
-void SimEngine::sendObject(Activation& act, const Emission& em, std::uint64_t routeEmissionHint) {
-  const flow::OpSpec& spec = graph_->op(act.op);
-  flow::Envelope env;
-  env.payload = em.obj;
-  env.srcOp = act.op;
-  env.src = act.thread;
-  env.path = act.basePath;
-  std::uint64_t rcEmission = routeEmissionHint;
-
-  if (graph_->closerOf(act.op, em.port) != flow::kNoOp) {
-    // Opener port: the post is an emission of this activation's scope.
-    const std::uint64_t inst = scopeInstance(act, em.port);
-    DPS_CHECK(ledger_.canEmit(inst),
-              "flow-controlled port " + std::to_string(em.port) + " of '" + spec.name +
-                  "' posted without a token; emit through hasPending()/emitOne()");
-    const std::uint64_t emission = ledger_.recordEmission(inst);
-    env.path.push_back(flow::InstanceFrame{act.op, em.port, inst, emission});
-    rcEmission = emission;
-  }
-
-  counters_.messages++;
-
-  if (graph_->isOutputPort(act.op, em.port)) {
-    outputs_.push_back(em.obj);
-    return;
-  }
-
-  const auto edgeIdx = graph_->edgeAt(act.op, em.port);
-  DPS_CHECK(edgeIdx.has_value(),
-            "op '" + spec.name + "' posted on unconnected port " + std::to_string(em.port));
-  const flow::EdgeSpec& edge = graph_->edge(*edgeIdx);
-  const flow::GroupId dstGroup = graph_->op(edge.to).group;
-
-  flow::RouteContext rc;
-  rc.srcThreadIndex = act.thread.index;
-  rc.dstGroupSize = static_cast<std::int32_t>(threads_.at(dstGroup).size());
-  rc.dstActive = activeSets_.at(dstGroup).indices();
-  rc.emission = rcEmission;
-  rc.seq = nextSeq_;
-  const std::int32_t dstIdx = edge.route(rc, *em.obj);
-  DPS_CHECK(dstIdx >= 0 && dstIdx < rc.dstGroupSize,
-            "routing function returned out-of-range thread for edge into '" +
-                graph_->op(edge.to).name + "'");
-
-  env.dstOp = edge.to;
-  env.dst = flow::ThreadRef{dstGroup, dstIdx};
-  env.seq = nextSeq_++;
-  env.wireBytes = em.obj->wireSize() + kEnvelopeOverhead;
-
-  const flow::NodeId srcNode = thread(act.thread).node;
-  const flow::NodeId dstNode = deployment_->nodeOf(env.dst);
-  if (srcNode != dstNode) counters_.networkBytes += env.wireBytes;
-
+void SimEngine::transmit(flow::Envelope env, flow::NodeId src, flow::NodeId dst) {
   const SimTime sentAt = sched_->now();
-  const std::size_t wireBytes = env.wireBytes;
-  network_->send(srcNode, dstNode, wireBytes,
-                 [this, env = std::move(env), sentAt]() mutable { deliver(std::move(env), sentAt); });
-}
-
-void SimEngine::deliver(flow::Envelope env, SimTime sentAt) {
-  if (trace_) {
-    trace::TransferRecord rec;
-    rec.src = deployment_->nodeOf(env.src);
-    rec.dst = deployment_->nodeOf(env.dst);
-    rec.bytes = env.wireBytes;
-    rec.start = sentAt;
-    rec.end = sched_->now();
-    trace_->add(std::move(rec));
-  }
-  ThreadCtx& t = thread(env.dst);
-  enqueue(t, Task{Task::Kind::Input, std::move(env), 0});
-}
-
-void SimEngine::finishTask(ThreadCtx& t, Activation& act, Task::Kind kind,
-                           std::optional<flow::InstanceFrame> absorbedFrame) {
-  DPS_CHECK(act.inFlight > 0, "task accounting underflow");
-  act.inFlight--;
-
-  if (kind == Task::Kind::Input && act.isCloser) {
-    DPS_CHECK(absorbedFrame.has_value(), "closer input without frame");
-    const std::uint64_t inst = absorbedFrame->instance;
-    const bool completed = ledger_.recordAbsorb(inst);
-    if (ledger_.releaseToken(inst)) {
-      // A parked emitter may now resume.
-      if (auto it = tokenWaiters_.find(inst); it != tokenWaiters_.end()) {
-        Activation& waiter = activation(it->second);
-        tokenWaiters_.erase(it);
-        waiter.parked = false;
-        DPS_CHECK(!waiter.emitQueued, "parked activation had a queued emit");
-        waiter.emitQueued = true;
-        waiter.inFlight++;
-        enqueue(thread(waiter.thread), Task{Task::Kind::Emit, {}, waiter.id});
-      }
-    }
-    if (completed) scheduleFinalize(inst);
-  }
-
-  if (kind == Task::Kind::Finalize) {
-    act.finalized = true;
-    closerByInstance_.erase(act.closingInstance);
-    ledger_.erase(act.closingInstance);
-  }
-
-  drainOrPark(t, act);
-  maybeRetire(act); // may invalidate `act`
-  t.busy = false;
-  maybeDispatch(t);
-}
-
-void SimEngine::drainOrPark(ThreadCtx& t, Activation& act) {
-  if (act.parked || act.emitQueued || !act.impl->hasPending()) return;
-  const std::int32_t port = act.impl->pendingPort();
-  const std::uint64_t inst = scopeInstance(act, port);
-  if (ledger_.canEmit(inst)) {
-    act.emitQueued = true;
-    act.inFlight++;
-    // Front of the queue: an operation keeps emitting without being
-    // preempted by queued arrivals (paper Fig. 4: Split1, Split2 run
-    // back-to-back even though T1 is delivered in between).
-    enqueue(t, Task{Task::Kind::Emit, {}, act.id}, /*front=*/true);
-  } else {
-    act.parked = true;
-    auto [it, ok] = tokenWaiters_.emplace(inst, act.id);
-    (void)it;
-    DPS_CHECK(ok, "two emitters parked on one instance");
-  }
-}
-
-void SimEngine::maybeRetire(Activation& act) {
-  if (act.inFlight > 0 || act.parked || act.emitQueued || act.impl->hasPending()) return;
-  const flow::OpSpec& spec = graph_->op(act.op);
-  bool done = false;
-  switch (spec.kind) {
-    case flow::OpKind::Leaf:
-    case flow::OpKind::Split:
-      done = act.inputConsumed;
-      break;
-    case flow::OpKind::Merge:
-    case flow::OpKind::Stream:
-      done = act.finalized;
-      break;
-  }
-  if (!done) return;
-
-  // Close every scope this activation opened; a scope whose emissions are
-  // all absorbed already triggers its closer's finalization now.
-  for (const auto& [port, inst] : act.openScopes) {
-    (void)port;
-    if (ledger_.closeEmitter(inst)) scheduleFinalize(inst);
-  }
-  activations_.erase(act.id);
-}
-
-void SimEngine::scheduleFinalize(std::uint64_t instance) {
-  auto it = closerByInstance_.find(instance);
-  DPS_CHECK(it != closerByInstance_.end(), "completed instance has no closer activation");
-  Activation& a = activation(it->second);
-  DPS_CHECK(!a.finalizeQueued, "instance finalized twice");
-  a.finalizeQueued = true;
-  a.inFlight++;
-  enqueue(thread(a.thread), Task{Task::Kind::Finalize, {}, a.id});
+  const std::size_t bytes = env.wireBytes;
+  network_->send(src, dst, bytes, [this, env = std::move(env), src, dst, sentAt]() mutable {
+    if (trace_) trace_->add(trace::TransferRecord{src, dst, env.wireBytes, sentAt, sched_->now()});
+    ThreadCtx& t = thread(env.dst);
+    enqueue(t, Task{flow::StepKind::Input, std::move(env), 0}, false);
+  });
 }
 
 void SimEngine::deactivateThread(flow::GroupId group, std::int32_t index) {
@@ -621,25 +268,6 @@ void SimEngine::injectTransfer(flow::NodeId src, flow::NodeId dst, std::size_t b
     if (onDone) onDone();
   });
   if (src != dst) counters_.networkBytes += bytes;
-}
-
-void SimEngine::checkQuiescence() {
-  if (activations_.empty() && ledger_.liveInstances() == 0 && tokenWaiters_.empty()) return;
-  std::ostringstream os;
-  os << "deadlock: simulation quiesced with unfinished work:";
-  std::size_t listed = 0;
-  for (const auto& [id, act] : activations_) {
-    (void)id;
-    if (listed++ >= 8) {
-      os << " ...";
-      break;
-    }
-    os << " [op '" << graph_->op(act.op).name << "' thread " << act.thread.group << ':'
-       << act.thread.index << (act.parked ? " PARKED" : "")
-       << (act.isCloser ? " closer" : "") << " inFlight=" << act.inFlight << ']';
-  }
-  os << " liveInstances=" << ledger_.liveInstances() << " waiters=" << tokenWaiters_.size();
-  throw Error(os.str());
 }
 
 } // namespace dps::core

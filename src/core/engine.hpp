@@ -9,10 +9,13 @@
 // equivalent of the paper's simulator-thread/execution-thread alternation
 // (Fig. 3/4) — while steps overlap freely in *virtual* time.
 //
-// The engine owns:
-//   * a StarNetwork (latency + equal-share bandwidth, §4),
-//   * a CpuModel (even CPU sharing, communication CPU overhead, §4),
-//   * the split/merge instance ledger and flow-control tokens (§2),
+// The DPS runtime itself — activations, split/merge instances, flow-control
+// tokens, routing, retirement, deadlock detection — is flow::Dispatcher,
+// the same code rt::RuntimeEngine runs for real.  This engine adds:
+//   * a StarNetwork (latency + equal-share bandwidth, §4) that carries
+//     routed envelopes,
+//   * a CpuModel (even CPU sharing, communication CPU overhead, §4) that
+//     times each body's segment chain,
 //   * dynamic allocation state (thread activation per group, §6/§8),
 //   * trace recording for dynamic-efficiency analysis (§8).
 //
@@ -21,28 +24,22 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/cpu_model.hpp"
 #include "core/result.hpp"
 #include "des/scheduler.hpp"
-#include "flow/active_set.hpp"
-#include "flow/envelope.hpp"
-#include "flow/graph.hpp"
-#include "flow/ledger.hpp"
+#include "flow/dispatch.hpp"
 #include "net/network.hpp"
 #include "support/rng.hpp"
 
 namespace dps::core {
 
-class SimEngine {
+class SimEngine : private flow::Dispatcher {
 public:
   explicit SimEngine(SimConfig cfg);
   ~SimEngine();
@@ -90,84 +87,30 @@ public:
   const SimConfig& config() const { return cfg_; }
 
 private:
-  // --- body execution ---
-  struct Emission {
-    serial::ObjectPtr obj;
-    std::int32_t port = 0;
-  };
+  /// A body splits into segments at each post and marker; each segment's
+  /// work runs on the CPU model before its action applies.
   struct Segment {
     SimDuration work{};
     enum class After : std::uint8_t { Nothing, Post, Mark } after = After::Nothing;
-    Emission post;
-    std::string markName;
+    serial::ObjectPtr post; // After::Post
+    std::int32_t port = 0;
+    std::string markName;   // After::Mark
     std::int64_t markValue = 0;
-  };
-
-  struct Task {
-    enum class Kind : std::uint8_t { Input, Emit, Finalize } kind = Kind::Input;
-    flow::Envelope env;       // Input
-    std::uint64_t act = 0;    // Emit / Finalize
-  };
-
-  struct Activation {
-    std::uint64_t id = 0;
-    flow::OpId op = flow::kNoOp;
-    flow::ThreadRef thread;
-    std::unique_ptr<flow::Operation> impl;
-    flow::InstancePath basePath;
-    /// Opener scopes: port -> ledger instance (opened lazily on first use).
-    std::map<std::int32_t, std::uint64_t> openScopes;
-    /// Closer state: the scope instance this activation is collecting.
-    std::uint64_t closingInstance = 0;
-    bool isCloser = false;
-    bool inputConsumed = false; // leaf/split: the triggering input was processed
-    bool finalized = false;     // closer: onAllInputsDone completed
-    bool finalizeQueued = false;
-    bool parked = false;        // waiting for a flow-control token
-    /// At most one Emit task may be queued per activation; otherwise a
-    /// token-release wake racing with an input's drain enqueues two and
-    /// the second finds no token.
-    bool emitQueued = false;
-    std::uint32_t inFlight = 0; // queued or running tasks
-  };
-
-  struct ThreadCtx {
-    flow::ThreadRef ref;
-    flow::NodeId node = -1;
-    std::deque<Task> ready;
-    bool busy = false;
-    std::unique_ptr<flow::ThreadState> state;
-    Rng rng;
   };
 
   class ContextImpl; // OpContext implementation (defined in engine.cpp)
   friend class ContextImpl;
 
-  ThreadCtx& thread(flow::ThreadRef ref);
-  Activation& activation(std::uint64_t id);
-
-  void injectInputs();
-  void enqueue(ThreadCtx& t, Task task, bool front = false);
+  void enqueue(ThreadCtx& t, Task task, bool front) override;
+  void transmit(flow::Envelope env, flow::NodeId src, flow::NodeId dst) override;
+  /// Runs the body of `t`'s next task inline unless `t` is busy.
   void maybeDispatch(ThreadCtx& t);
-  void executeTask(ThreadCtx& t, Task task);
-  Activation& resolveInputActivation(ThreadCtx& t, const flow::Envelope& env);
-  /// Runs segment `idx` of the current chain; continues via CPU-model
-  /// completions until all segments are done, then finishes the task.
-  void runChain(std::shared_ptr<std::vector<Segment>> segments, std::size_t idx,
-                flow::ThreadRef tref, std::uint64_t actId, Task::Kind kind,
-                std::optional<flow::InstanceFrame> absorbedFrame, SimTime chainStart);
-  void finishTask(ThreadCtx& t, Activation& act, Task::Kind kind,
-                  std::optional<flow::InstanceFrame> absorbedFrame);
-  void applySegmentAction(Activation& act, const Segment& seg);
-
-  void sendObject(Activation& act, const Emission& em, std::uint64_t routeEmissionHint);
-  void deliver(flow::Envelope env, SimTime sentAt);
-  void drainOrPark(ThreadCtx& t, Activation& act);
-  void maybeRetire(Activation& act);
-  void scheduleFinalize(std::uint64_t instance);
-  std::uint64_t scopeInstance(Activation& act, std::int32_t port);
+  /// Runs segment `idx` of the step's chain; continues via CPU-model
+  /// completions until all segments are done, then finishes the step.
+  void runChain(std::shared_ptr<std::vector<Segment>> segments, std::size_t idx, Step step,
+                SimTime chainStart);
+  void applySegmentAction(Activation& act, Segment& seg);
   void recordAllocation();
-  void checkQuiescence();
 
   SimDuration stepNoise(SimDuration work, flow::NodeId node);
 
@@ -175,26 +118,13 @@ private:
   MarkerHook markerHook_;
   RunStartHook runStartHook_;
 
-  // --- per-run state ---
-  const flow::FlowGraph* graph_ = nullptr;
-  const flow::Deployment* deployment_ = nullptr;
-  const std::vector<serial::ObjectPtr>* inputs_ = nullptr;
+  // --- per-run state (the DPS runtime's lives in flow::Dispatcher) ---
   std::unique_ptr<des::Scheduler> sched_;
   std::unique_ptr<net::StarNetwork> network_;
   std::unique_ptr<CpuModel> cpu_;
-  flow::Ledger ledger_;
-  std::vector<std::vector<ThreadCtx>> threads_; // [group][index]
-  std::vector<flow::ActiveSet> activeSets_;     // [group]
-  std::unordered_map<std::uint64_t, Activation> activations_;
-  std::unordered_map<std::uint64_t, std::uint64_t> closerByInstance_;
-  std::unordered_map<std::uint64_t, std::uint64_t> tokenWaiters_; // instance -> activation
-  std::vector<serial::ObjectPtr> outputs_;
-  RunCounters counters_;
   std::shared_ptr<trace::Trace> trace_;
   Rng fidelityRng_;
   std::vector<double> nodeSpeedFactor_;
-  std::uint64_t nextActivation_ = 1;
-  std::uint64_t nextSeq_ = 1;
   std::int32_t allocatedNodes_ = 0;
   bool running_ = false;
 };

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "flow/dispatch.hpp"
 #include "flow/operation.hpp"
 #include "serial/object.hpp"
 #include "support/time.hpp"
@@ -12,12 +13,7 @@
 
 namespace dps::core {
 
-struct RunCounters {
-  std::uint64_t steps = 0;        // atomic steps executed
-  std::uint64_t messages = 0;     // data objects posted (incl. same-node)
-  std::uint64_t networkBytes = 0; // wire bytes crossing the network
-  std::uint64_t kernelsSkipped = 0; // informational (PDEXEC)
-};
+using flow::RunCounters;
 
 struct RunResult {
   /// Predicted (sim engine) or elapsed (runtime engine) application time.

@@ -15,6 +15,13 @@ using OpId = std::int32_t;
 
 constexpr OpId kNoOp = -1;
 
+/// Kind of an atomic step (paper §3): which Operation entry point ran.
+enum class StepKind : std::uint8_t {
+  Input,    // onInput — leaf compute, split intake, merge/stream absorb
+  Emit,     // emitOne — split/stream emission
+  Finalize, // onAllInputsDone — merge aggregation / stream flush
+};
+
 /// A logical DPS thread: (group, index-within-group).  DPS threads are a
 /// logical execution environment; deployment maps each to a compute node.
 struct ThreadRef {

@@ -1,8 +1,9 @@
 // Split/merge instance bookkeeping and flow-control token accounting.
 //
-// Engine-agnostic: both the discrete-event simulator and the OS-thread
-// runtime drive this ledger (the runtime under its dispatch lock).  It
-// answers the two questions the DPS runtime must answer:
+// Engine-agnostic: flow::Dispatcher, the dispatch code both the
+// discrete-event simulator and the OS-thread runtime run, is its only
+// client (the runtime calls it under its dispatch lock).  It answers the
+// two questions the DPS runtime must answer:
 //
 //   1. *Merge completion* — a merge instance completes when its opener has
 //      finished emitting AND every emission has been absorbed (paper §2:

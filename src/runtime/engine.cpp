@@ -1,8 +1,6 @@
 #include "runtime/engine.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <sstream>
+#include <thread>
 
 #include "support/error.hpp"
 
@@ -12,51 +10,30 @@ namespace dps::rt {
 // OpContext: collects posts/markers during a body; applied under the lock.
 // ---------------------------------------------------------------------------
 
-class RuntimeEngine::ContextImpl final : public flow::OpContext {
+class RuntimeEngine::ContextImpl final : public Dispatcher::Context {
 public:
-  // Holds no Activation reference: the activation map may rehash while the
-  // body runs on another thread, so only stable data is captured.
-  ContextImpl(RuntimeEngine& e, ThreadCtx& t, flow::ThreadRef ref) : e_(e), t_(t), ref_(ref) {}
+  ContextImpl(RuntimeEngine& e, ThreadCtx& t) : Context(e, t), runStart_(e.runStart_) {}
 
   SimTime now() const override {
-    const auto d = std::chrono::steady_clock::now() - e_.runStart_;
+    const auto d = std::chrono::steady_clock::now() - runStart_;
     return simEpoch() + std::chrono::duration_cast<SimDuration>(d);
   }
-  std::int32_t threadIndex() const override { return ref_.index; }
-  std::int32_t groupSize(flow::GroupId g) const override {
-    return static_cast<std::int32_t>(e_.threads_.at(g).size());
-  }
-  std::span<const std::int32_t> activeThreads(flow::GroupId g) const override {
-    // Safe without the lock for our usage: allocation changes happen in
-    // marker hooks, which the runtime engine serializes with dispatch.
-    return e_.activeSets_.at(g).indices();
-  }
-  flow::ThreadState* threadState() override { return t_.state.get(); }
   void post(serial::ObjectPtr obj, std::int32_t port) override {
-    DPS_CHECK(obj != nullptr, "posting null data object");
-    posts_.emplace_back(std::move(obj), port);
-    lastPostPort_ = port;
+    notePost(obj, port);
+    posts.emplace_back(std::move(obj), port);
   }
   void charge(SimDuration) override {} // modeled time is meaningless here
   bool executeKernels() const override { return true; }
   bool allocatePayloads() const override { return true; }
   void marker(std::string_view name, std::int64_t value) override {
-    markers_.emplace_back(std::string(name), value);
+    markers.emplace_back(std::string(name), value);
   }
-  Rng& rng() override { return t_.rng; }
 
-  std::vector<std::pair<serial::ObjectPtr, std::int32_t>> takePosts() { return std::move(posts_); }
-  std::vector<std::pair<std::string, std::int64_t>> takeMarkers() { return std::move(markers_); }
-  int posts() const { return static_cast<int>(posts_.size()); }
-  std::int32_t lastPostPort() const { return lastPostPort_; }
+  std::vector<std::pair<serial::ObjectPtr, std::int32_t>> posts;
+  std::vector<std::pair<std::string, std::int64_t>> markers;
 
 private:
-  RuntimeEngine& e_;
-  ThreadCtx& t_;
-  flow::ThreadRef ref_;
-  std::vector<std::pair<serial::ObjectPtr, std::int32_t>> posts_;
-  std::vector<std::pair<std::string, std::int64_t>> markers_;
-  std::int32_t lastPostPort_ = -1;
+  std::chrono::steady_clock::time_point runStart_;
 };
 
 // ---------------------------------------------------------------------------
@@ -64,79 +41,25 @@ private:
 RuntimeEngine::RuntimeEngine(RuntimeConfig cfg) : cfg_(std::move(cfg)) {}
 RuntimeEngine::~RuntimeEngine() = default;
 
-RuntimeEngine::ThreadCtx& RuntimeEngine::thread(flow::ThreadRef ref) {
-  return threads_.at(ref.group).at(ref.index);
-}
-
-RuntimeEngine::Activation& RuntimeEngine::activation(std::uint64_t id) {
-  auto it = activations_.find(id);
-  DPS_CHECK(it != activations_.end(), "unknown activation");
-  return it->second;
-}
-
 core::RunResult RuntimeEngine::run(const flow::Program& program) {
-  DPS_CHECK(program.graph != nullptr, "program has no graph");
-  graph_ = program.graph;
-  graph_->validate();
-  program.deployment.validateAgainst(*graph_);
-  deployment_ = &program.deployment;
-  DPS_CHECK(!program.inputs.empty(), "program has no inputs");
-
-  ledger_ = flow::Ledger{};
-  activations_.clear();
-  closerByInstance_.clear();
-  tokenWaiters_.clear();
-  outputs_.clear();
-  counters_ = core::RunCounters{};
+  bind(program, cfg_.seed);
   trace_ = cfg_.recordTrace ? std::make_shared<trace::Trace>() : nullptr;
-  nextActivation_ = 1;
-  nextSeq_ = 1;
   outstanding_ = 0;
   shuttingDown_ = false;
-
-  Rng master(cfg_.seed);
-  threads_.clear();
-  threads_.resize(graph_->groupCount());
-  activeSets_.assign(graph_->groupCount(), flow::ActiveSet{});
-  nodeThreads_.assign(static_cast<std::size_t>(deployment_->nodeCount), {});
-  for (std::size_t g = 0; g < graph_->groupCount(); ++g) {
-    const std::int32_t n = deployment_->threadsIn(static_cast<flow::GroupId>(g));
-    activeSets_[g].reset(n);
-    threads_[g].resize(n);
-    const auto& stateFactory = graph_->group(static_cast<flow::GroupId>(g)).stateFactory;
-    for (std::int32_t i = 0; i < n; ++i) {
-      ThreadCtx& t = threads_[g][i];
-      t.ref = flow::ThreadRef{static_cast<flow::GroupId>(g), i};
-      t.node = deployment_->nodeOf(t.ref);
-      t.rng = master.fork();
-      if (stateFactory) t.state = stateFactory(i);
-      nodeThreads_[t.node].push_back(t.ref);
-    }
-  }
-
-  std::vector<std::condition_variable> cvs(static_cast<std::size_t>(deployment_->nodeCount));
-  nodeCv_.swap(cvs);
-
+  const auto nodes = static_cast<std::size_t>(deployment_->nodeCount);
+  nodeThreads_.assign(nodes, {});
+  for (auto& group : threads_)
+    for (ThreadCtx& t : group) nodeThreads_[t.node].push_back(&t);
+  nodeCv_ = std::vector<std::condition_variable>(nodes);
   runStart_ = std::chrono::steady_clock::now();
 
   // Inject inputs, then start one worker per node.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const flow::OpId entry = graph_->entryOp();
-    ThreadCtx& t = threads_.at(graph_->op(entry).group).at(graph_->entryThread());
-    for (const auto& obj : program.inputs) {
-      flow::Envelope env;
-      env.payload = obj;
-      env.dstOp = entry;
-      env.dst = t.ref;
-      env.seq = nextSeq_++;
-      t.ready.push_back(Task{Task::Kind::Input, std::move(env), 0});
-      ++outstanding_;
-    }
+    injectInputs(program.inputs);
   }
-
   std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(deployment_->nodeCount));
+  workers.reserve(nodes);
   for (flow::NodeId n = 0; n < deployment_->nodeCount; ++n)
     workers.emplace_back([this, n] { workerLoop(n); });
 
@@ -148,8 +71,10 @@ core::RunResult RuntimeEngine::run(const flow::Program& program) {
   }
   for (auto& cv : nodeCv_) cv.notify_all();
   for (auto& w : workers) w.join();
-
-  checkQuiescent();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    checkQuiescent();
+  }
 
   core::RunResult result;
   result.makespan = std::chrono::duration_cast<SimDuration>(
@@ -157,327 +82,71 @@ core::RunResult RuntimeEngine::run(const flow::Program& program) {
   result.outputs = std::move(outputs_);
   result.counters = counters_;
   result.trace = trace_;
-  result.threadStates.resize(threads_.size());
-  for (std::size_t g = 0; g < threads_.size(); ++g)
-    for (auto& t : threads_[g]) result.threadStates[g].push_back(std::move(t.state));
+  result.threadStates = takeThreadStates();
   result.wallSeconds = toSeconds(result.makespan);
   return result;
 }
 
-void RuntimeEngine::checkQuiescent() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (activations_.empty() && ledger_.liveInstances() == 0 && tokenWaiters_.empty()) return;
-  std::ostringstream os;
-  os << "deadlock: runtime quiesced with unfinished work: activations=" << activations_.size()
-     << " liveInstances=" << ledger_.liveInstances() << " waiters=" << tokenWaiters_.size();
-  throw Error(os.str());
+void RuntimeEngine::enqueue(ThreadCtx& t, Task task, bool front) {
+  if (front) t.ready.push_front(std::move(task));
+  else t.ready.push_back(std::move(task));
+  ++outstanding_;
+  nodeCv_[t.node].notify_one();
 }
 
-void RuntimeEngine::noteWorkQueued(flow::NodeId node) { nodeCv_[node].notify_one(); }
+void RuntimeEngine::transmit(flow::Envelope env, flow::NodeId, flow::NodeId) {
+  ThreadCtx& t = thread(env.dst);
+  enqueue(t, Task{flow::StepKind::Input, std::move(env), 0}, false);
+}
 
-std::optional<std::pair<flow::ThreadRef, RuntimeEngine::Task>> RuntimeEngine::pickTask(
-    flow::NodeId node) {
-  for (flow::ThreadRef ref : nodeThreads_[node]) {
-    ThreadCtx& t = thread(ref);
-    if (t.busy || t.ready.empty()) continue;
-    Task task = std::move(t.ready.front());
-    t.ready.pop_front();
-    t.busy = true;
-    return std::make_pair(ref, std::move(task));
+RuntimeEngine::ThreadCtx* RuntimeEngine::pickTask(flow::NodeId node, Task& task) {
+  for (ThreadCtx* t : nodeThreads_[node]) {
+    if (t->busy || t->ready.empty()) continue;
+    task = std::move(t->ready.front());
+    t->ready.pop_front();
+    t->busy = true;
+    return t;
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 void RuntimeEngine::workerLoop(flow::NodeId node) {
   std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    auto picked = pickTask(node);
-    if (!picked) {
-      if (shuttingDown_) return;
-      nodeCv_[node].wait(lock, [&] { return shuttingDown_ || pickReady(node); });
-      if (shuttingDown_) return;
+  while (!shuttingDown_) {
+    Task task;
+    ThreadCtx* t = pickTask(node, task);
+    if (t == nullptr) {
+      nodeCv_[node].wait(lock);
       continue;
     }
-    auto& [ref, task] = *picked;
-    ThreadCtx& t = thread(ref);
-
-    Activation* act = nullptr;
-    std::optional<flow::InstanceFrame> absorbedFrame;
-    switch (task.kind) {
-      case Task::Kind::Input:
-        act = &resolveInputActivation(t, task.env);
-        if (act->isCloser) absorbedFrame = task.env.path.back();
-        act->inFlight++;
-        break;
-      case Task::Kind::Emit:
-      case Task::Kind::Finalize:
-        act = &activation(task.act);
-        break;
-    }
-    const std::uint64_t actId = act->id;
-    flow::Operation* impl = act->impl.get(); // stable: owned by unique_ptr
-
-    ContextImpl ctx(*this, t, ref);
-    std::int32_t expectedPort = -1;
-    if (task.kind == Task::Kind::Emit) {
-      act->emitQueued = false;
-      DPS_CHECK(impl->hasPending(), "emit dispatched with nothing pending");
-      expectedPort = impl->pendingPort();
-    }
+    const Step step = begin(*t, task);
+    ContextImpl ctx(*this, *t);
 
     // Run the body WITHOUT the lock: this is where real kernels execute
     // concurrently across nodes.
     lock.unlock();
     const SimTime bodyStart = ctx.now();
-    switch (task.kind) {
-      case Task::Kind::Input:
-        impl->onInput(ctx, *task.env.payload);
-        break;
-      case Task::Kind::Emit:
-        impl->emitOne(ctx);
-        break;
-      case Task::Kind::Finalize:
-        impl->onAllInputsDone(ctx);
-        break;
-    }
+    runBody(step, task, ctx);
     lock.lock();
 
-    Activation& actRef = activation(actId); // revalidate after relock
-    if (task.kind == Task::Kind::Input) actRef.inputConsumed = true;
-    if (task.kind == Task::Kind::Emit) {
-      DPS_CHECK(ctx.posts() == 1, "emitOne must post exactly one object");
-      DPS_CHECK(ctx.lastPostPort() == expectedPort,
-                "emitOne posted on a different port than pendingPort()");
-    }
-    counters_.steps++;
+    end(step, ctx);
     if (trace_) {
-      trace::StepRecord rec;
-      rec.node = node;
-      rec.thread = ref;
-      rec.op = actRef.op;
-      rec.kind = task.kind == Task::Kind::Input     ? trace::StepKind::Input
-                 : task.kind == Task::Kind::Emit    ? trace::StepKind::Emit
-                                                    : trace::StepKind::Finalize;
-      rec.start = bodyStart;
-      rec.end = ctx.now();
-      rec.work = rec.end - rec.start;
-      trace_->add(std::move(rec));
+      const SimTime bodyEnd = ctx.now();
+      trace_->add(trace::StepRecord{node, t->ref, step.act->op, step.kind, bodyStart, bodyEnd,
+                                    bodyEnd - bodyStart});
     }
-    finishTask(t, actRef, task.kind, absorbedFrame, ctx.takePosts(), ctx.takeMarkers());
-  }
-}
-
-bool RuntimeEngine::pickReady(flow::NodeId node) {
-  for (flow::ThreadRef ref : nodeThreads_[node]) {
-    ThreadCtx& t = thread(ref);
-    if (!t.busy && !t.ready.empty()) return true;
-  }
-  return false;
-}
-
-RuntimeEngine::Activation& RuntimeEngine::resolveInputActivation(ThreadCtx& t,
-                                                                 const flow::Envelope& env) {
-  const flow::OpSpec& spec = graph_->op(env.dstOp);
-  if (spec.kind == flow::OpKind::Leaf || spec.kind == flow::OpKind::Split) {
-    const std::uint64_t id = nextActivation_++;
-    Activation a;
-    a.id = id;
-    a.op = env.dstOp;
-    a.thread = t.ref;
-    a.impl = spec.factory();
-    a.basePath = env.path;
-    return activations_.emplace(id, std::move(a)).first->second;
-  }
-  DPS_CHECK(!env.path.empty(),
-            "object reached closer '" + spec.name + "' without an enclosing scope");
-  const flow::InstanceFrame& frame = env.path.back();
-  DPS_CHECK(graph_->closerOf(frame.opener, frame.port) == env.dstOp,
-            "object arrived at non-matching closer '" + spec.name + "'");
-  if (auto it = closerByInstance_.find(frame.instance); it != closerByInstance_.end()) {
-    Activation& a = activation(it->second);
-    DPS_CHECK(a.thread == t.ref, "closer instance received objects on two threads");
-    return a;
-  }
-  const std::uint64_t id = nextActivation_++;
-  Activation a;
-  a.id = id;
-  a.op = env.dstOp;
-  a.thread = t.ref;
-  a.impl = spec.factory();
-  a.basePath = env.path;
-  a.basePath.pop_back();
-  a.isCloser = true;
-  a.closingInstance = frame.instance;
-  closerByInstance_[frame.instance] = id;
-  return activations_.emplace(id, std::move(a)).first->second;
-}
-
-std::uint64_t RuntimeEngine::scopeInstance(Activation& act, std::int32_t port) {
-  if (auto it = act.openScopes.find(port); it != act.openScopes.end()) return it->second;
-  DPS_CHECK(graph_->closerOf(act.op, port) != flow::kNoOp,
-            "op '" + graph_->op(act.op).name + "' has no scope on port " + std::to_string(port));
-  const auto fc = graph_->flowControlOf(act.op, port);
-  const std::uint64_t inst = ledger_.openInstance(act.op, fc.maxInFlight);
-  act.openScopes.emplace(port, inst);
-  return inst;
-}
-
-void RuntimeEngine::sendObject(Activation& act, serial::ObjectPtr obj, std::int32_t port) {
-  const flow::OpSpec& spec = graph_->op(act.op);
-  flow::Envelope env;
-  env.payload = obj;
-  env.srcOp = act.op;
-  env.src = act.thread;
-  env.path = act.basePath;
-  std::uint64_t rcEmission = act.basePath.empty() ? 0 : act.basePath.back().emission;
-
-  if (graph_->closerOf(act.op, port) != flow::kNoOp) {
-    const std::uint64_t inst = scopeInstance(act, port);
-    DPS_CHECK(ledger_.canEmit(inst),
-              "flow-controlled port posted without a token; use hasPending()/emitOne()");
-    const std::uint64_t emission = ledger_.recordEmission(inst);
-    env.path.push_back(flow::InstanceFrame{act.op, port, inst, emission});
-    rcEmission = emission;
-  }
-
-  counters_.messages++;
-
-  if (graph_->isOutputPort(act.op, port)) {
-    outputs_.push_back(std::move(obj));
-    return;
-  }
-
-  const auto edgeIdx = graph_->edgeAt(act.op, port);
-  DPS_CHECK(edgeIdx.has_value(),
-            "op '" + spec.name + "' posted on unconnected port " + std::to_string(port));
-  const flow::EdgeSpec& edge = graph_->edge(*edgeIdx);
-  const flow::GroupId dstGroup = graph_->op(edge.to).group;
-
-  flow::RouteContext rc;
-  rc.srcThreadIndex = act.thread.index;
-  rc.dstGroupSize = static_cast<std::int32_t>(threads_.at(dstGroup).size());
-  rc.dstActive = activeSets_.at(dstGroup).indices();
-  rc.emission = rcEmission;
-  rc.seq = nextSeq_;
-  const std::int32_t dstIdx = edge.route(rc, *obj);
-  DPS_CHECK(dstIdx >= 0 && dstIdx < rc.dstGroupSize, "routing out of range");
-
-  env.dstOp = edge.to;
-  env.dst = flow::ThreadRef{dstGroup, dstIdx};
-  env.seq = nextSeq_++;
-  env.wireBytes = obj->wireSize() + 64;
-  const flow::NodeId dstNode = deployment_->nodeOf(env.dst);
-  if (dstNode != thread(act.thread).node) counters_.networkBytes += env.wireBytes;
-
-  ThreadCtx& dst = thread(env.dst);
-  dst.ready.push_back(Task{Task::Kind::Input, std::move(env), 0});
-  ++outstanding_;
-  noteWorkQueued(dstNode);
-}
-
-void RuntimeEngine::finishTask(ThreadCtx& t, Activation& act, Task::Kind kind,
-                               std::optional<flow::InstanceFrame> absorbedFrame,
-                               std::vector<std::pair<serial::ObjectPtr, std::int32_t>> posts,
-                               std::vector<std::pair<std::string, std::int64_t>> markers) {
-  // Route collected posts first (they belong to the completed step).
-  for (auto& [obj, port] : posts) sendObject(act, std::move(obj), port);
-  for (auto& [name, value] : markers) {
-    if (trace_) {
-      const auto d = std::chrono::steady_clock::now() - runStart_;
-      trace_->add(trace::MarkerRecord{name, value,
-                                      simEpoch() + std::chrono::duration_cast<SimDuration>(d)});
+    // Route the collected posts first: they belong to the completed step.
+    for (auto& [obj, port] : ctx.posts) send(*step.act, std::move(obj), port);
+    for (auto& [name, value] : ctx.markers) {
+      if (trace_) trace_->add(trace::MarkerRecord{name, value, ctx.now()});
+      if (cfg_.markerHook) cfg_.markerHook(name, value);
     }
-    if (cfg_.markerHook) cfg_.markerHook(name, value);
+    finish(*t, step);
+    // The only waiter on this node's condvar is this worker, so only the
+    // run's completion needs a wake-up here.
+    DPS_CHECK(outstanding_ > 0, "outstanding work underflow");
+    if (--outstanding_ == 0) doneCv_.notify_all();
   }
-
-  DPS_CHECK(act.inFlight > 0, "task accounting underflow");
-  act.inFlight--;
-
-  if (kind == Task::Kind::Input && act.isCloser) {
-    DPS_CHECK(absorbedFrame.has_value(), "closer input without frame");
-    const std::uint64_t inst = absorbedFrame->instance;
-    const bool completed = ledger_.recordAbsorb(inst);
-    if (ledger_.releaseToken(inst)) {
-      if (auto it = tokenWaiters_.find(inst); it != tokenWaiters_.end()) {
-        Activation& waiter = activation(it->second);
-        tokenWaiters_.erase(it);
-        waiter.parked = false;
-        DPS_CHECK(!waiter.emitQueued, "parked activation had a queued emit");
-        waiter.emitQueued = true;
-        waiter.inFlight++;
-        ThreadCtx& wt = thread(waiter.thread);
-        wt.ready.push_back(Task{Task::Kind::Emit, {}, waiter.id});
-        ++outstanding_;
-        noteWorkQueued(wt.node);
-      }
-    }
-    if (completed) scheduleFinalize(inst);
-  }
-
-  if (kind == Task::Kind::Finalize) {
-    act.finalized = true;
-    closerByInstance_.erase(act.closingInstance);
-    ledger_.erase(act.closingInstance);
-  }
-
-  drainOrPark(t, act);
-  maybeRetire(act);
-  t.busy = false;
-
-  DPS_CHECK(outstanding_ > 0, "outstanding work underflow");
-  --outstanding_;
-  if (outstanding_ == 0) doneCv_.notify_all();
-  else noteWorkQueued(t.node);
-}
-
-void RuntimeEngine::drainOrPark(ThreadCtx& t, Activation& act) {
-  if (act.parked || act.emitQueued || !act.impl->hasPending()) return;
-  const std::int32_t port = act.impl->pendingPort();
-  const std::uint64_t inst = scopeInstance(act, port);
-  if (ledger_.canEmit(inst)) {
-    act.emitQueued = true;
-    act.inFlight++;
-    t.ready.push_front(Task{Task::Kind::Emit, {}, act.id});
-    ++outstanding_;
-  } else {
-    act.parked = true;
-    DPS_CHECK(tokenWaiters_.emplace(inst, act.id).second, "two emitters parked on one instance");
-  }
-}
-
-void RuntimeEngine::maybeRetire(Activation& act) {
-  if (act.inFlight > 0 || act.parked || act.emitQueued || act.impl->hasPending()) return;
-  const flow::OpSpec& spec = graph_->op(act.op);
-  bool done = false;
-  switch (spec.kind) {
-    case flow::OpKind::Leaf:
-    case flow::OpKind::Split:
-      done = act.inputConsumed;
-      break;
-    case flow::OpKind::Merge:
-    case flow::OpKind::Stream:
-      done = act.finalized;
-      break;
-  }
-  if (!done) return;
-  for (const auto& [port, inst] : act.openScopes) {
-    (void)port;
-    if (ledger_.closeEmitter(inst)) scheduleFinalize(inst);
-  }
-  activations_.erase(act.id);
-}
-
-void RuntimeEngine::scheduleFinalize(std::uint64_t instance) {
-  auto it = closerByInstance_.find(instance);
-  DPS_CHECK(it != closerByInstance_.end(), "completed instance has no closer activation");
-  Activation& a = activation(it->second);
-  DPS_CHECK(!a.finalizeQueued, "instance finalized twice");
-  a.finalizeQueued = true;
-  a.inFlight++;
-  ThreadCtx& t = thread(a.thread);
-  t.ready.push_back(Task{Task::Kind::Finalize, {}, a.id});
-  ++outstanding_;
-  noteWorkQueued(t.node);
 }
 
 } // namespace dps::rt

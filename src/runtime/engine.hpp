@@ -4,35 +4,30 @@
 // simulator from the same source ("activating a compilation flag", §3).
 // This engine is the "real" side: operations execute on OS worker threads
 // (one per virtual node), data objects move through in-memory queues, and
-// kernels always run.  It shares the programming model, the instance
-// ledger, flow control and routing with the simulator, so a program that
-// runs here produces byte-identical application results to a DirectExec
-// simulation — the cross-validation used by the integration tests.
+// kernels always run.  The DPS runtime itself — activations, the instance
+// ledger, flow control, routing, retirement, deadlock detection — is
+// flow::Dispatcher, the same code core::SimEngine drives under its virtual
+// clock, so a program that runs here produces byte-identical application
+// results to a DirectExec simulation — the cross-validation used by the
+// integration tests.
 //
-// Concurrency model: a single dispatch mutex guards all bookkeeping
-// (queues, ledger, activations); operation bodies run outside the lock.
-// This is deliberately coarse — correctness first; the simulator is the
-// performance-measurement instrument, not this engine.
+// Concurrency model: a single dispatch mutex guards all bookkeeping (the
+// ready queues and every Dispatcher call); operation bodies run outside the
+// lock.  This is deliberately coarse — correctness first; the simulator is
+// the performance-measurement instrument, not this engine.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <thread>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "core/result.hpp"
-#include "flow/active_set.hpp"
-#include "flow/envelope.hpp"
-#include "flow/graph.hpp"
-#include "flow/ledger.hpp"
-#include "support/rng.hpp"
+#include "flow/dispatch.hpp"
 
 namespace dps::rt {
 
@@ -44,7 +39,7 @@ struct RuntimeConfig {
   bool recordTrace = false;
 };
 
-class RuntimeEngine {
+class RuntimeEngine : private flow::Dispatcher {
 public:
   explicit RuntimeEngine(RuntimeConfig cfg = {});
   ~RuntimeEngine();
@@ -56,63 +51,17 @@ public:
   core::RunResult run(const flow::Program& program);
 
 private:
-  struct Task {
-    enum class Kind : std::uint8_t { Input, Emit, Finalize } kind = Kind::Input;
-    flow::Envelope env;
-    std::uint64_t act = 0;
-  };
-
-  struct Activation {
-    std::uint64_t id = 0;
-    flow::OpId op = flow::kNoOp;
-    flow::ThreadRef thread;
-    std::unique_ptr<flow::Operation> impl;
-    flow::InstancePath basePath;
-    std::map<std::int32_t, std::uint64_t> openScopes;
-    std::uint64_t closingInstance = 0;
-    bool isCloser = false;
-    bool inputConsumed = false;
-    bool finalized = false;
-    bool finalizeQueued = false;
-    bool parked = false;
-    /// At most one Emit task queued per activation (see SimEngine note).
-    bool emitQueued = false;
-    std::uint32_t inFlight = 0;
-  };
-
-  struct ThreadCtx {
-    flow::ThreadRef ref;
-    flow::NodeId node = -1;
-    std::deque<Task> ready;
-    bool busy = false;
-    std::unique_ptr<flow::ThreadState> state;
-    Rng rng;
-  };
-
   class ContextImpl;
   friend class ContextImpl;
 
   void workerLoop(flow::NodeId node);
-  /// Picks a runnable task on `node` (lock held); nullopt if none.
-  std::optional<std::pair<flow::ThreadRef, Task>> pickTask(flow::NodeId node);
-  /// True if any thread on `node` has runnable work (lock held).
-  bool pickReady(flow::NodeId node);
-  Activation& resolveInputActivation(ThreadCtx& t, const flow::Envelope& env);
-  Activation& activation(std::uint64_t id);
-  ThreadCtx& thread(flow::ThreadRef ref);
-  /// Post-processing after a body ran (lock held): route posts, fire
-  /// markers, bookkeeping, wake-ups.
-  void finishTask(ThreadCtx& t, Activation& act, Task::Kind kind,
-                  std::optional<flow::InstanceFrame> absorbedFrame,
-                  std::vector<std::pair<serial::ObjectPtr, std::int32_t>> posts,
-                  std::vector<std::pair<std::string, std::int64_t>> markers);
-  void sendObject(Activation& act, serial::ObjectPtr obj, std::int32_t port);
-  void drainOrPark(ThreadCtx& t, Activation& act);
-  void maybeRetire(Activation& act);
-  void scheduleFinalize(std::uint64_t instance);
-  std::uint64_t scopeInstance(Activation& act, std::int32_t port);
-  void noteWorkQueued(flow::NodeId node);
-  void checkQuiescent();
+  /// Pops a runnable task on `node` into `task` and marks its thread busy
+  /// (lock held); null if none.
+  ThreadCtx* pickTask(flow::NodeId node, Task& task);
+  /// Both hooks run under the lock: queue the task, count it outstanding
+  /// and wake the destination node's worker.
+  void enqueue(ThreadCtx& t, Task task, bool front) override;
+  void transmit(flow::Envelope env, flow::NodeId src, flow::NodeId dst) override;
 
   RuntimeConfig cfg_;
 
@@ -122,20 +71,8 @@ private:
   bool shuttingDown_ = false;
   std::uint64_t outstanding_ = 0; // queued tasks + running bodies
 
-  const flow::FlowGraph* graph_ = nullptr;
-  const flow::Deployment* deployment_ = nullptr;
-  flow::Ledger ledger_;
-  std::vector<std::vector<ThreadCtx>> threads_;
-  std::vector<std::vector<flow::ThreadRef>> nodeThreads_; // node -> thread refs
-  std::vector<flow::ActiveSet> activeSets_;
-  std::unordered_map<std::uint64_t, Activation> activations_;
-  std::unordered_map<std::uint64_t, std::uint64_t> closerByInstance_;
-  std::unordered_map<std::uint64_t, std::uint64_t> tokenWaiters_;
-  std::vector<serial::ObjectPtr> outputs_;
-  core::RunCounters counters_;
+  std::vector<std::vector<ThreadCtx*>> nodeThreads_; // node -> its threads
   std::shared_ptr<trace::Trace> trace_;
-  std::uint64_t nextActivation_ = 1;
-  std::uint64_t nextSeq_ = 1;
   std::chrono::steady_clock::time_point runStart_{};
 };
 

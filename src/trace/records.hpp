@@ -15,11 +15,7 @@
 
 namespace dps::trace {
 
-enum class StepKind : std::uint8_t {
-  Input,    // onInput — leaf compute, split intake, merge/stream absorb
-  Emit,     // emitOne — split/stream emission
-  Finalize, // onAllInputsDone — merge aggregation / stream flush
-};
+using flow::StepKind;
 
 const char* toString(StepKind k);
 

@@ -2,6 +2,8 @@
 // detection, determinism, markers and dynamic allocation.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/engine.hpp"
 #include "net/profile.hpp"
 #include "test_graphs.hpp"
@@ -153,7 +155,16 @@ TEST(EngineTest, DeadlockDetectedAtQuiescence) {
   spec.workers = 2;
   auto b = buildBrokenFanout(spec);
   SimEngine engine(analyticConfig());
-  EXPECT_THROW(engine.run(program(b, spreadDeployment(b))), Error);
+  // The graph validates, so the run reaches the quiescence check, which
+  // must name the merge left waiting for the dropped item.
+  try {
+    engine.run(program(b, spreadDeployment(b)));
+    FAIL() << "expected a deadlock error";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_EQ(msg.rfind("deadlock", 0), 0u) << msg;
+    EXPECT_NE(msg.find("'merge'"), std::string::npos) << msg;
+  }
 }
 
 TEST(EngineTest, MarkersReachHookInVirtualTimeOrder) {

@@ -3,6 +3,8 @@
 // applications run identically).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/engine.hpp"
 #include "lu/app.hpp"
 #include "net/profile.hpp"
@@ -58,7 +60,16 @@ TEST(RuntimeTest, DeadlockDetected) {
   spec.workers = 2;
   auto b = buildBrokenFanout(spec);
   RuntimeEngine engine;
-  EXPECT_THROW(engine.run(program(b, spreadDeployment(b))), Error);
+  // The graph validates, so the run reaches the quiescence check, which
+  // must name the merge left waiting for the dropped item.
+  try {
+    engine.run(program(b, spreadDeployment(b)));
+    FAIL() << "expected a deadlock error";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_EQ(msg.rfind("deadlock", 0), 0u) << msg;
+    EXPECT_NE(msg.find("'merge'"), std::string::npos) << msg;
+  }
 }
 
 TEST(RuntimeTest, MarkersReachHook) {
@@ -129,6 +140,16 @@ TEST(RuntimeCrossValidationTest, LuFactorizationMatchesSimulatorExactly) {
     }
     return cols;
   };
+  // Both engines drive the same dispatch code, so they count the same
+  // steps and messages.  networkBytes is not compared: each stream
+  // emission goes round-robin to a worker, and which request a given
+  // emission carries depends on the order results reach the stream.  On
+  // real threads that order varies, so whether a multiplication result
+  // must cross nodes to its column's owner varies with it (here 34171 or
+  // 36645 bytes from run to run).
+  EXPECT_EQ(rtResult.counters.steps, simResult.counters.steps);
+  EXPECT_EQ(rtResult.counters.messages, simResult.counters.messages);
+
   const auto rtCols = gather(rtResult, rb.workersGroup);
   const auto simCols = gather(simResult, sb.workersGroup);
   ASSERT_EQ(rtCols.size(), simCols.size());
@@ -157,6 +178,16 @@ TEST(RuntimeCrossValidationTest, PipelinedLuAlsoMatches) {
   rp.inputs = rb.inputs;
   auto rtResult = rtEngine.run(rp);
   EXPECT_LT(lu::verifyLu(cfg, rtResult, rb.workersGroup), 1e-10);
+
+  core::SimConfig sc;
+  sc.profile = net::commodityGigabit();
+  sc.mode = core::ExecutionMode::DirectExec;
+  core::SimEngine simEngine(sc);
+  lu::LuBuild sb = lu::buildLu(cfg, model, true);
+  auto simResult = lu::runLu(simEngine, sb);
+  EXPECT_EQ(rtResult.counters.steps, simResult.counters.steps);
+  EXPECT_EQ(rtResult.counters.messages, simResult.counters.messages);
+  // networkBytes varies run to run on real threads; see the test above.
 }
 
 } // namespace

@@ -40,11 +40,12 @@ private:
   FanoutSpec spec_;
 };
 
-/// Leaf that drops its result into a program output instead of the merge.
+/// Leaf that forwards even-valued items to the merge and drops odd ones.
 class LeakyLeaf final : public flow::Operation {
 public:
   void onInput(flow::OpContext& ctx, const serial::ObjectBase& in) override {
     const auto& item = dynamic_cast<const Item&>(in);
+    if (item.value % 2 != 0) return;
     auto out = std::make_shared<Item>();
     out->value = item.value;
     ctx.post(std::move(out), 0);
@@ -118,7 +119,7 @@ FanoutBuild buildBrokenFanout(FanoutSpec spec) {
   g.setEntry(split, 0);
   g.connect(split, 0, leaf, flow::roundRobinActive());
   g.pair(split, 0, merge);
-  g.connectOutput(leaf, 0); // results leak to the output, never the merge
+  g.connect(leaf, 0, merge, flow::routeTo(0));
   g.connectOutput(merge, 0);
 
   auto start = std::make_shared<Item>();

@@ -62,9 +62,10 @@ struct FanoutBuild {
 /// negligible wall durations) under DirectExec and the runtime engine.
 FanoutBuild buildFanout(FanoutSpec spec);
 
-/// Like buildFanout but the leaf posts into the void (a second output port)
-/// instead of the merge, so the split/merge scope never completes: engines
-/// must detect the deadlock at quiescence.
+/// Like buildFanout but the leaf drops odd-valued items instead of passing
+/// them to the merge (jobs >= 2 drops at least one), so the split/merge
+/// scope never completes: engines must detect the deadlock at quiescence
+/// and name the stuck merge.
 FanoutBuild buildBrokenFanout(FanoutSpec spec);
 
 /// Deployment with the master on node 0 and worker i on node 1 + i.
