@@ -1,13 +1,17 @@
 // sched::explore — the exhaustive schedule-space oracle and invariant
 // verifier: known-optimal workloads, dedup/prune soundness, policy audits,
-// and the mutant counterexample loop.
+// the mutant counterexample loop, and the replay's rejection of malformed
+// traces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <stdexcept>
 
 #include "obs/recorder.hpp"
 #include "sched/cluster.hpp"
 #include "sched/explore.hpp"
+#include "support/error.hpp"
 #include "svc/profile_cache.hpp"
 
 namespace dps::sched {
@@ -281,6 +285,103 @@ TEST(ExploreVerifierTest, ShippedPoliciesStayUnderTheDerivedStarvationBound) {
     for (const JobOutcome& j : metrics.jobs)
       EXPECT_LE(j.waitSec(), bound) << name << " job " << j.id;
   }
+}
+
+/// Replays `trace` and expects the machine to refuse it with `text`.
+void expectRejected(const EngineSetup& setup, const Workload& wl,
+                    const std::vector<ExploreDecision>& trace, const std::string& text) {
+  try {
+    replayTrace(setup.cfg, wl, setup.profiles, trace);
+    ADD_FAILURE() << "replay accepted a trace it must reject with: " << text;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(text), std::string::npos) << e.what();
+  }
+}
+
+// A real run's decision trace, corrupted six ways; each corruption must be
+// caught by the replay check written for it, not by some later symptom.
+TEST(ExploreReplayTest, ReplayRejectsMalformedTraces) {
+  const EngineSetup setup;
+  const auto wl = setup.workload(3, 6);
+  Equipartition policy;
+  const auto m = simulateCluster(setup.cfg, wl, setup.profiles, policy);
+  const auto good = decisionTrace(setup.cfg, wl, setup.profiles, m);
+  ASSERT_NO_THROW(replayTrace(setup.cfg, wl, setup.profiles, good));
+  using Kind = ExploreDecision::Kind;
+  const auto find = [&good](const std::function<bool(const ExploreDecision&)>& pred) {
+    const auto it = std::find_if(good.begin(), good.end(), pred);
+    if (it == good.end()) throw std::logic_error("the run has no decision to corrupt");
+    return static_cast<std::size_t>(it - good.begin());
+  };
+  const auto arrivalNs = [&wl](std::int32_t j) {
+    return seconds(wl.jobs[static_cast<std::size_t>(j)].arrivalSec).count();
+  };
+
+  auto bad = good;
+  bad.erase(bad.begin() + static_cast<std::ptrdiff_t>(
+                              find([](const ExploreDecision& d) { return d.kind == Kind::Keep; })));
+  expectRejected(setup, wl, bad, "trace misses a boundary decision");
+
+  bad = good;
+  bad.push_back(good[good.size() / 2]);
+  expectRejected(setup, wl, bad, "trace has two decisions for one (instant, job)");
+
+  bad = good;
+  bad[find([](const ExploreDecision& d) { return d.kind == Kind::Start; })].kind = Kind::Keep;
+  expectRejected(setup, wl, bad, "trace has a non-start decision for a queued job");
+
+  // A start at an instant where another job holds nodes, widened to the
+  // whole machine.
+  const auto overlaps = [&m](const ExploreDecision& d) {
+    const double t = static_cast<double>(d.timeNs) * 1e-9;
+    return d.kind == Kind::Start &&
+           std::any_of(m.jobs.begin(), m.jobs.end(), [&](const JobOutcome& o) {
+             return o.id != d.job && o.startSec <= t && t < o.finishSec;
+           });
+  };
+  bad = good;
+  bad[find(overlaps)].toNodes = setup.cfg.nodes;
+  expectRejected(setup, wl, bad, "trace oversubscribes the cluster");
+
+  bad = good;
+  ExploreDecision late = good.back();
+  late.timeNs += seconds(1e3).count();
+  bad.push_back(late);
+  expectRejected(setup, wl, bad, "trace has decisions the machine never reached");
+
+  bad = good;
+  const std::size_t early = find([&](const ExploreDecision& d) {
+    return d.kind == Kind::Start && arrivalNs(d.job) > 0;
+  });
+  bad[early].timeNs = arrivalNs(bad[early].job) - 1;
+  expectRejected(setup, wl, bad, "trace stalls");
+}
+
+// Three hand-placed jobs: job 2 starts before the older job 1.  Without
+// the backfilled flag that is an illegal overtake; with it the audit passes.
+TEST(ExploreVerifierTest, AuditFlagsAnUnbackfilledOvertake) {
+  const auto profiles = unitProfiles();
+  const auto wl = unitWorkload(3);
+  ClusterMetrics m;
+  m.nodes = 2;
+  for (const double start : {0.0, 5.0, 1.0}) {
+    JobOutcome o;
+    o.id = static_cast<std::int32_t>(m.jobs.size());
+    o.startSec = start;
+    o.finishSec = start + 10;
+    o.allocs = {1, 1};
+    o.wait.totalNs = seconds(start).count();
+    o.wait.byReason[static_cast<std::size_t>(obs::WaitReason::HeadOfLine)] = o.wait.totalNs;
+    m.jobs.push_back(o);
+  }
+  const obs::Recorder empty;
+  const auto rep = auditRecord(m, empty, wl, profiles, 1e9);
+  ASSERT_EQ(rep.violations.size(), 1u);
+  EXPECT_EQ(rep.violations[0].invariant, Invariant::BackfillNoHeadDelay);
+  EXPECT_EQ(rep.violations[0].job, 2);
+
+  m.jobs[2].backfilled = true;
+  EXPECT_TRUE(auditRecord(m, empty, wl, profiles, 1e9).pass());
 }
 
 TEST(ExploreApiTest, FromProfilesRoundTripsHandBuiltTables) {
