@@ -5,14 +5,14 @@
 //   1. Event-loop throughput.  A (job-count x nodes) grid of saturated
 //      EASY-backfill runs reports wall time, events/sec and jobs/sec for
 //      simulateCluster, the one cluster loop.  Saturation matters: an idle
-//      cluster never exercises the queue and the backfill scan.  The first
-//      point (2000 jobs / 64 nodes) is also checked for correctness at a
-//      scale the unit tests do not reach: its own decisions, re-executed on
-//      the explorer's explicit-state Machine (replayTrace of decisionTrace),
-//      must reproduce its schedule exactly, and the obs registry must
-//      restate its event, reallocation and backfill counts.  sched_test's
-//      golden digests pin the loop's outputs; this replay pins its
-//      transition semantics.
+//      cluster never exercises the queue and the backfill scan.  Every
+//      point is also checked at a scale the unit tests do not reach: its
+//      own decisions, re-executed by replayTrace (decisionTrace, linear in
+//      the job count), must reproduce its schedule exactly, and the obs
+//      registry must restate its event, reallocation and backfill counts.
+//      Points of at most kAuditMaxJobs jobs run once more under
+//      verifyPolicy: the flight record must pass all seven invariants, and
+//      the recorded run's metrics must equal the timed run's.
 //
 //   2. Interpolated profile tables.  The scaled mix (dense malleability
 //      levels) is profiled from anchor engine runs only; the anchor-run
@@ -23,9 +23,9 @@
 //      aggregate |makespan error| of the interpolated prediction must stay
 //      under 5%.
 //
-// JSON artifact (CLUSTER_scale.json): the grid, the replay check and the
-// interpolation error block, consumed by CI assertions and the bench
-// dashboard.
+// JSON artifact (CLUSTER_scale.json): the grid (each point with its replay
+// and audit verdicts and wall times) and the interpolation error block,
+// read by the bench dashboard and history scripts.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -72,6 +72,27 @@ private:
   std::vector<std::int32_t> byJob_;
 };
 
+/// The largest grid point audited: a 20000-job flight record holds ~4M
+/// decisions and peaks near 0.6 GB.
+constexpr std::int32_t kAuditMaxJobs = 20000;
+
+/// The run's schedule, job by job, against its replay.
+bool sameSchedule(const sched::ClusterMetrics& m, const sched::TraceReplay& r) {
+  if (r.makespanSec != m.makespanSec || r.meanSlowdown != m.meanSlowdown ||
+      r.jobs.size() != m.jobs.size())
+    return false;
+  for (std::size_t j = 0; j < m.jobs.size(); ++j) {
+    const sched::JobOutcome& want = m.jobs[j];
+    const sched::JobOutcome& got = r.jobs[j];
+    if (got.startSec != want.startSec || got.finishSec != want.finishSec ||
+        got.allocs != want.allocs || got.reallocations != want.reallocations ||
+        got.migratedBytes != want.migratedBytes || got.wait.totalNs != want.wait.totalNs ||
+        got.wait.migrationDelayNs != want.wait.migrationDelayNs)
+      return false;
+  }
+  return true;
+}
+
 struct GridPoint {
   std::int32_t jobCount;
   std::int32_t nodes;
@@ -86,9 +107,7 @@ int main(int argc, char** argv) {
 
   // ---------------------------------------------------------------- grid --
   // Saturated EASY-backfill runs under fcfs-rigid (the policy whose blocked
-  // head triggers backfill passes constantly).  The first point is the
-  // replay-checked one; it is sized so the replay, whose cost grows roughly
-  // quadratically in the job count, finishes in CI time.
+  // head triggers backfill passes constantly).
   const std::vector<GridPoint> grid =
       args.smoke ? std::vector<GridPoint>{{2000, 64, 8.0}, {20000, 256, 30.0}}
                  : std::vector<GridPoint>{{2000, 64, 8.0},
@@ -115,9 +134,6 @@ int main(int argc, char** argv) {
   gw.beginArray();
   // Every grid point records into one registry under its own prefix.
   obs::Registry registry;
-  sched::ClusterMetrics checked;
-  sched::ClusterConfig checkedCfg;
-  sched::Workload checkedWorkload;
   for (const GridPoint& g : grid) {
     sched::WorkloadConfig wcfg;
     wcfg.seed = 1;
@@ -144,9 +160,55 @@ int main(int argc, char** argv) {
     t.row({std::to_string(g.jobCount), std::to_string(g.nodes), Table::num(g.rate, 1),
            Table::num(wall, 2), std::to_string(m.events), Table::num(evPerSec, 0),
            Table::num(jobsPerSec, 0), Table::num(m.meanSlowdown, 2)});
-    bench::check(m.utilization > 0.5,
-                 std::to_string(g.jobCount) + " jobs / " + std::to_string(g.nodes) +
-                     " nodes: grid point is actually saturated (utilization > 50%)");
+    const std::string tag =
+        std::to_string(g.jobCount) + " jobs / " + std::to_string(g.nodes) + " nodes: ";
+    bench::check(m.utilization > 0.5, tag + "grid point is actually saturated (utilization > 50%)");
+    bench::check(wall > 0 && evPerSec > 0, tag + "wall time and events/s are positive");
+
+    // The Machine re-executes the point's decisions: every job's start,
+    // finish, per-phase allocations, migrations and wait ticks, plus the
+    // makespan and mean slowdown, must come back bit-identical.
+    const auto replayStart = std::chrono::steady_clock::now();
+    bool replayIdentical = false;
+    try {
+      replayIdentical = sameSchedule(
+          m, sched::replayTrace(ccfg, workload, profiles,
+                                sched::decisionTrace(ccfg, workload, profiles, m)));
+    } catch (const Error& e) {
+      std::printf("replay rejected the decision trace: %s\n", e.what());
+    }
+    const double replayWall = wallSec(replayStart);
+    std::printf("%sreplay of its own decisions: %.2fs\n", tag.c_str(), replayWall);
+    bench::check(replayIdentical, tag + "loop equals the Machine replay of its own decisions");
+    // The observability layer restates the run's own counts.
+    const auto snap = registry.snapshot();
+    const std::string& prefix = ccfg.metricsPrefix;
+    bench::check(
+        snap.counter(prefix + "events_processed") == static_cast<std::uint64_t>(m.events) &&
+            snap.counter(prefix + "reallocations") == static_cast<std::uint64_t>(m.reallocations) &&
+            snap.counter(prefix + "backfill_fires") == static_cast<std::uint64_t>(m.backfillFires),
+        tag + "registry events_processed, reallocations and backfill_fires equal the metrics' "
+              "own counts");
+
+    // The same run again with a flight recorder, audited against the seven
+    // invariants under the workload-derived starvation bound.
+    const bool audited = g.jobCount <= kAuditMaxJobs;
+    sched::VerifyReport audit;
+    double auditWall = 0;
+    if (audited) {
+      sched::PolicyVerifyOptions vopts;
+      vopts.cluster = ccfg;
+      sched::FcfsRigid again;
+      const auto auditStart = std::chrono::steady_clock::now();
+      const auto res = sched::verifyPolicy(vopts, workload, profiles, again);
+      auditWall = wallSec(auditStart);
+      std::printf("%sflight-recorded run and audit: %.2fs\n", tag.c_str(), auditWall);
+      audit = res.report;
+      bench::check(audit.pass(), tag + "the flight record passes all seven invariants (" +
+                                     std::to_string(audit.totalChecks()) + " checks)");
+      bench::check(res.metrics.jsonString() == m.jsonString(),
+                   tag + "the audited run's metrics equal the timed run's");
+    }
     gw.beginObject()
         .field("job_count", g.jobCount)
         .field("nodes", g.nodes)
@@ -158,64 +220,23 @@ int main(int argc, char** argv) {
         .field("jobs_per_sec", jobsPerSec)
         .field("makespan_sec", m.makespanSec)
         .field("utilization", m.utilization)
-        .field("mean_slowdown", m.meanSlowdown);
+        .field("mean_slowdown", m.meanSlowdown)
+        .field("replay_identical", replayIdentical)
+        .field("replay_wall_sec", replayWall);
+    if (audited)
+      gw.field("audit_pass", audit.pass())
+          .field("audit_checks", audit.totalChecks())
+          .field("audit_wall_sec", auditWall);
     {
       std::ostringstream attr;
       m.writeAttributionJson(attr);
       gw.key("wait_attr").raw(attr.str());
     }
     gw.endObject();
-    if (&g == &grid.front()) {
-      checked = m;
-      checkedCfg = ccfg;
-      checkedWorkload = workload;
-    }
   }
   gw.endArray();
   DPS_CHECK(gw.closed(), "unbalanced grid JSON");
   t.print(std::cout);
-
-  // ------------------------------------------------------ replay identity --
-  // The Machine re-executes the checked point's decisions: every job's
-  // start, finish, per-phase allocations, migrations and wait ticks, plus
-  // the makespan and mean slowdown, must come back bit-identical.
-  std::printf("\nreplaying the %d-job / %d-node point's decisions on the explorer's Machine...\n",
-              checkedWorkload.cfg.jobCount, checkedCfg.nodes);
-  const auto replayStart = std::chrono::steady_clock::now();
-  bool replayIdentical = false;
-  try {
-    const auto replay = sched::replayTrace(
-        checkedCfg, checkedWorkload, profiles,
-        sched::decisionTrace(checkedCfg, checkedWorkload, profiles, checked));
-    replayIdentical = replay.makespanSec == checked.makespanSec &&
-                      replay.meanSlowdown == checked.meanSlowdown &&
-                      replay.jobs.size() == checked.jobs.size();
-    for (std::size_t j = 0; replayIdentical && j < checked.jobs.size(); ++j) {
-      const sched::JobOutcome& want = checked.jobs[j];
-      const sched::JobOutcome& got = replay.jobs[j];
-      replayIdentical = got.startSec == want.startSec && got.finishSec == want.finishSec &&
-                        got.allocs == want.allocs && got.reallocations == want.reallocations &&
-                        got.migratedBytes == want.migratedBytes &&
-                        got.wait.totalNs == want.wait.totalNs &&
-                        got.wait.migrationDelayNs == want.wait.migrationDelayNs;
-    }
-  } catch (const Error& e) {
-    std::printf("replay rejected the decision trace: %s\n", e.what());
-  }
-  const double replayWall = wallSec(replayStart);
-  std::printf("replay: %.2fs\n", replayWall);
-  bench::check(replayIdentical, std::to_string(checkedWorkload.cfg.jobCount) + " jobs / " +
-                                    std::to_string(checkedCfg.nodes) +
-                                    " nodes: loop equals the Machine replay of its own decisions");
-  // The observability layer restates the run's own counts.
-  const auto snap = registry.snapshot();
-  const std::string& prefix = checkedCfg.metricsPrefix;
-  const bool countersMatch =
-      snap.counter(prefix + "events_processed") == static_cast<std::uint64_t>(checked.events) &&
-      snap.counter(prefix + "reallocations") == static_cast<std::uint64_t>(checked.reallocations) &&
-      snap.counter(prefix + "backfill_fires") == static_cast<std::uint64_t>(checked.backfillFires);
-  bench::check(countersMatch, "registry events_processed, reallocations and backfill_fires equal "
-                              "the metrics' own counts");
 
   // ----------------------------------------------- interpolated profiles --
   // Dense-malleability scaled mix at 48 nodes: anchors only on the engine.
@@ -302,19 +323,6 @@ int main(int argc, char** argv) {
                "got " +
                    Table::num(report.meanAbsMakespanError * 100.0, 2) + "%)");
 
-  std::ostringstream replayJson;
-  {
-    JsonWriter w(replayJson);
-    w.beginObject()
-        .field("job_count", checkedWorkload.cfg.jobCount)
-        .field("nodes", checkedCfg.nodes)
-        .field("events", checked.events)
-        .field("replay_wall_sec", replayWall)
-        .field("replay_identical", replayIdentical)
-        .field("counters_match", countersMatch)
-        .endObject();
-    DPS_CHECK(w.closed(), "unbalanced replay JSON");
-  }
   std::ostringstream interpJson;
   {
     JsonWriter w(interpJson);
@@ -332,7 +340,6 @@ int main(int argc, char** argv) {
     DPS_CHECK(w.closed(), "unbalanced interpolation JSON");
   }
   const std::string extraJson = "\"grid\":" + gridJson.str() +
-                                ",\"replay_check\":" + replayJson.str() +
                                 ",\"interpolation\":" + interpJson.str() +
                                 ",\"metrics\":" + registry.jsonString();
   return bench::finish("cluster_scale", args.opts, nullptr, extraJson);

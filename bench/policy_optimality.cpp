@@ -147,6 +147,15 @@ int main(int argc, char** argv) {
   t.row({"(best per seed)", Table::num(meanBestMk, 1), Table::num(meanBestSl, 1)});
   t.print(std::cout);
 
+  std::vector<std::string> labels;
+  for (const PolicyCfg& pc : cfgs) labels.push_back(pc.label);
+  std::sort(labels.begin(), labels.end());
+  bench::check(labels == std::vector<std::string>{"efficiency-shrink", "equipartition",
+                                                  "fcfs-easy", "fcfs-rigid", "grow-eager"},
+               "scores the five policy configurations");
+  for (std::size_t i = 0; i < cfgs.size(); ++i)
+    bench::check(meanMk[i] > 0 && meanMk[i] <= 100.0 + 1e-9,
+                 cfgs[i].label + ": makespan percentage of optimal is in (0, 100]");
   bench::check(meanBestMk > 0 && meanBestMk <= 100.0 + 1e-9,
                "best-policy makespan percentage is in (0, 100]");
   bench::check(meanBestSl > 0 && meanBestSl <= 100.0 + 1e-9,

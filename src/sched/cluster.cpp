@@ -1,10 +1,11 @@
 // The cluster event loop: the whole simulation as one value type —
-// constructed, run, harvested.  Every semantic step (admission verdicts,
-// EASY backfill, wait attribution, recorder and trace emission, phase
-// boundaries, reallocation and migration) lives in ClusterLoop below, over
-// structures whose per-event cost does not grow with the job count: a
-// lazily compacted queue, an ordered estimated-finish index over the
-// running jobs, and PhaseProfile's remaining-time suffix sums.
+// constructed, run, harvested.  Job state and its transitions belong to
+// the Machine (machine.hpp); ClusterLoop fires one transition per DES
+// event and posts the next at the tick it set.  What it adds: the policy
+// driver (admission verdicts, EASY backfill, boundary targets), wait
+// attribution, the recorder and trace taps, and two accelerators whose
+// per-event cost does not grow with the job count — a lazily compacted
+// queue and an ordered estimated-finish index over the running jobs.
 #include "sched/cluster.hpp"
 
 #include <algorithm>
@@ -14,11 +15,13 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "des/scheduler.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
+#include "sched/machine.hpp"
 #include "sched/observe.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
@@ -35,20 +38,14 @@ void ClusterConfig::check(const JobProfileTable& profiles) const {
 
 namespace {
 
-/// One job's run state.
+/// What the loop keeps per job beside the Machine's JobState.
 struct JobRt {
-  std::int32_t nodes = 0; // current allocation (0 = not running)
-  std::int32_t phase = 0; // next phase index
-  bool finished = false;
   /// Profile-estimated finish assuming the current allocation holds —
   /// the running-job knowledge EASY backfill reserves against.
   double estFinishSec = 0;
-  /// &profile.at(nodes) while running.
-  const PhaseProfile* prof = nullptr;
   /// Wait attribution (integer SimTime ticks, so buckets telescope to
-  /// exactly start - arrival): the tick the job arrived, the tick its
-  /// current wait interval opened, and that interval's reason.
-  std::int64_t arrivalNs = 0;
+  /// exactly start - arrival): the tick the job's current wait interval
+  /// opened, and that interval's reason.
   std::int64_t waitSinceNs = 0;
   obs::WaitReason waitReason = obs::WaitReason::HeadOfLine;
   JobOutcome out;
@@ -60,39 +57,28 @@ public:
               Policy& policy)
       : cfg_(cfg),
         workload_(workload),
-        profiles_(profiles),
         policy_(policy),
+        m_(cfg, workload, profiles),
+        st_(m_.initial()),
         finishEntry_(workload.jobs.size()) {
-    cfg_.check(profiles_);
-    free_ = cfg_.nodes;
     jobs_.resize(workload.jobs.size());
-    for (std::size_t i = 0; i < workload.jobs.size(); ++i) {
-      const ClassProfile& profile = profileOf(i);
-      JobRt& rt = jobs_[i];
-      rt.out.id = workload.jobs[i].id;
-      rt.out.klass = profile.name;
-      rt.out.arrivalSec = workload.jobs[i].arrivalSec;
-      rt.out.bestSec = profile.bestSec();
-    }
+    for (std::size_t i = 0; i < jobs_.size(); ++i) jobs_[i].out = m_.outcome(i);
   }
 
   ClusterMetrics run() {
     if (cfg_.recorder != nullptr)
       cfg_.recorder->beginRun(policy_.name(), cfg_.nodes, workload_.cfg.seed);
     metrics_.timeline.push_back(UtilizationPoint{0.0, 0});
-    for (std::size_t i = 0; i < workload_.jobs.size(); ++i)
-      sched_.scheduleAt(simEpoch() + seconds(workload_.jobs[i].arrivalSec),
-                        [this, i] { onArrival(i); });
+    for (std::size_t i = 0; i < jobs_.size(); ++i)
+      post(m_.arrivalNs(i), [this, i] { onArrival(i); });
     sched_.run();
 
     metrics_.policy = policy_.name();
     metrics_.nodes = cfg_.nodes;
     metrics_.seed = workload_.cfg.seed;
     metrics_.events = events_;
-    for (JobRt& rt : jobs_) {
-      DPS_CHECK(rt.finished, "cluster simulation quiesced with unfinished jobs");
-      metrics_.jobs.push_back(std::move(rt.out));
-    }
+    DPS_CHECK(m_.allFinished(st_), "cluster simulation quiesced with unfinished jobs");
+    for (JobRt& rt : jobs_) metrics_.jobs.push_back(std::move(rt.out));
     metrics_.finalize();
     recordClusterRun(cfg_, metrics_, sched_.firedCount(), sched_.queueHighWater());
     return std::move(metrics_);
@@ -109,18 +95,23 @@ private:
   using FinishIndex = std::multiset<FinishKey>;
 
   double nowSec() const { return toSeconds(sched_.now().time_since_epoch()); }
-  std::int64_t nowNs() const { return sched_.now().time_since_epoch().count(); }
 
-  const ClassProfile& profileOf(std::size_t i) const {
-    return profiles_.of(workload_.jobs[i].klass);
+  /// Brings the Machine's clock to the firing event's tick.
+  void sync() { st_.nowNs = sched_.now().time_since_epoch().count(); }
+
+  /// Posts `action` at the absolute tick a transition set.
+  void post(std::int64_t ns, des::Scheduler::Action action) {
+    sched_.scheduleAt(simEpoch() + nanoseconds(ns), std::move(action));
   }
+
+  const ClassProfile& profileOf(std::size_t i) const { return *m_.tab(i).profile; }
 
   ClusterView view() const {
     ClusterView v;
     v.totalNodes = cfg_.nodes;
-    v.freeNodes = free_;
-    v.runningJobs = running_;
-    v.queuedJobs = queued_;
+    v.freeNodes = st_.free;
+    v.runningJobs = st_.running;
+    v.queuedJobs = st_.queued;
     return v;
   }
 
@@ -131,7 +122,7 @@ private:
   }
 
   void recordUse() {
-    metrics_.recordUse(nowSec(), cfg_.nodes - free_);
+    metrics_.recordUse(nowSec(), cfg_.nodes - st_.free);
     recordState();
   }
 
@@ -139,7 +130,8 @@ private:
   /// called on arrivals, where only the queue depth moves).
   void recordState() {
     if (cfg_.recorder != nullptr)
-      cfg_.recorder->stateSample(nowSec(), cfg_.nodes - free_, free_, running_, queued_);
+      cfg_.recorder->stateSample(nowSec(), cfg_.nodes - st_.free, st_.free, st_.running,
+                                 st_.queued);
   }
 
   /// Closes job i's open wait interval at `t` (no-op when zero-length):
@@ -163,9 +155,8 @@ private:
   void markWait(std::size_t i, obs::WaitReason reason) {
     JobRt& rt = jobs_[i];
     if (reason == rt.waitReason) return;
-    const std::int64_t t = nowNs();
-    closeWait(rt, t);
-    rt.waitSinceNs = t;
+    closeWait(rt, st_.nowNs);
+    rt.waitSinceNs = st_.nowNs;
     rt.waitReason = reason;
   }
 
@@ -174,9 +165,8 @@ private:
   /// sum(byReason) == totalNs == start tick - arrival tick.
   void closeWaitFinal(std::size_t i) {
     JobRt& rt = jobs_[i];
-    const std::int64_t t = nowNs();
-    closeWait(rt, t);
-    rt.out.wait.totalNs = t - rt.arrivalNs;
+    closeWait(rt, st_.nowNs);
+    rt.out.wait.totalNs = st_.nowNs - m_.arrivalNs(i);
   }
 
   /// Re-registers job i in the finish index under its current
@@ -185,7 +175,7 @@ private:
   void updateFinishIndex(std::size_t i) {
     if (!cfg_.easyBackfill) return;
     dropFinishIndex(i);
-    finishEntry_[i] = byFinish_.insert(FinishKey{jobs_[i].estFinishSec, jobs_[i].nodes, i});
+    finishEntry_[i] = byFinish_.insert(FinishKey{jobs_[i].estFinishSec, st_.jobs[i].alloc, i});
   }
 
   void dropFinishIndex(std::size_t i) {
@@ -239,21 +229,20 @@ private:
     lastProgressEvents_ = events_;
     ClusterProgress p;
     p.events = events_;
-    p.finishedJobs = finished_;
+    p.finishedJobs = static_cast<std::int32_t>(st_.finished);
     p.totalJobs = static_cast<std::int32_t>(jobs_.size());
     p.simNowSec = nowSec();
-    p.runningJobs = running_;
-    p.queuedJobs = queued_;
+    p.runningJobs = st_.running;
+    p.queuedJobs = st_.queued;
     cfg_.onProgress(p);
   }
 
   void onArrival(std::size_t i) {
     ++events_;
-    JobRt& rt = jobs_[i];
-    rt.arrivalNs = rt.waitSinceNs = nowNs();
-    rt.waitReason = obs::WaitReason::HeadOfLine;
+    sync();
+    m_.arrive(st_, i);
+    jobs_[i].waitSinceNs = st_.nowNs;
     queue_.push_back(i);
-    ++queued_;
     recordState();
     admissionScan();
     maybeProgress();
@@ -280,7 +269,7 @@ private:
       return o;
     }
     o.alloc = profile.clampFeasible(std::min(o.want, profile.maxNodes()));
-    if (o.alloc > free_) o.held = obs::WaitReason::InsufficientFree;
+    if (o.alloc > st_.free) o.held = obs::WaitReason::InsufficientFree;
     return o;
   }
 
@@ -289,13 +278,13 @@ private:
   /// capacity-blocked head additionally triggers a backfill pass over the
   /// younger queued jobs.
   void admissionScan() {
-    while (queued_ > 0) {
+    while (st_.queued > 0) {
       const std::size_t i = queueHead();
       const Offer o = offer(i, profileOf(i));
       const bool starts = o.held == obs::WaitReason::HeadOfLine;
       if (!starts) markWait(i, o.held);
       if (cfg_.recorder != nullptr)
-        cfg_.recorder->admitDecision(nowSec(), jobs_[i].out.id, o.want, o.alloc, free_, starts,
+        cfg_.recorder->admitDecision(nowSec(), jobs_[i].out.id, o.want, o.alloc, st_.free, starts,
                                      o.held, o.ctx.rule, o.ctx.score, o.ctx.threshold);
       if (!starts) {
         if (o.held == obs::WaitReason::InsufficientFree && cfg_.easyBackfill)
@@ -303,7 +292,6 @@ private:
         return;
       }
       queue_.pop_front();
-      --queued_;
       startJob(i, o.alloc);
     }
   }
@@ -317,7 +305,7 @@ private:
   /// starts.
   void backfillScan(std::size_t head, std::int32_t headAlloc) {
     const double now = nowSec();
-    std::int32_t avail = free_;
+    std::int32_t avail = st_.free;
     double shadow = -1;
     std::int32_t spare = 0;
     for (const auto& [finish, nodes, running] : byFinish_) {
@@ -358,13 +346,12 @@ private:
       const bool starts = o.held == obs::WaitReason::HeadOfLine;
       if (!starts) markWait(i, o.held);
       if (cfg_.recorder != nullptr)
-        cfg_.recorder->backfillCandidate(now, jobs_[i].out.id, o.want, o.alloc, free_, spare,
+        cfg_.recorder->backfillCandidate(now, jobs_[i].out.id, o.want, o.alloc, st_.free, spare,
                                          starts, o.held, o.ctx.rule, o.ctx.score,
                                          o.ctx.threshold);
       if (!starts) continue;
       if (!finishesInTime) spare -= o.alloc; // occupies part of the surplus past the shadow
       queue_[pos] = kStarted;
-      --queued_;
       jobs_[i].out.backfilled = true;
       ++started;
       if (cfg_.trace != nullptr) traceBackfill(jobs_[i], o.alloc, shadow, spare);
@@ -378,37 +365,35 @@ private:
   void startJob(std::size_t i, std::int32_t alloc) {
     JobRt& rt = jobs_[i];
     closeWaitFinal(i);
-    free_ -= alloc;
-    ++running_;
-    rt.nodes = alloc;
-    rt.prof = &profileOf(i).at(alloc);
+    m_.applyStart(st_, i, alloc);
     rt.out.startSec = nowSec();
     if (cfg_.trace != nullptr) traceQueuedSpan(rt, alloc);
     recordUse();
-    schedulePhase(i);
+    beginPhase(i);
   }
 
-  void schedulePhase(std::size_t i) {
+  /// Job i's next phase began: banks its allocation, refreshes its
+  /// estimated finish and posts the phase end the Machine set.
+  void beginPhase(std::size_t i) {
+    const JobState& js = st_.jobs[i];
     JobRt& rt = jobs_[i];
-    rt.out.allocs.push_back(rt.nodes);
-    rt.estFinishSec = nowSec() + rt.prof->remainingFrom(rt.phase);
+    rt.out.allocs.push_back(js.alloc);
+    rt.estFinishSec = nowSec() + profileOf(i).at(js.alloc).remainingFrom(js.phase);
     updateFinishIndex(i);
-    sched_.scheduleAfter(seconds(rt.prof->phaseSec[static_cast<std::size_t>(rt.phase)]),
-                         [this, i] { onPhaseEnd(i); });
+    post(js.nextNs, [this, i] { onPhaseEnd(i); });
+  }
+
+  void onMigrationEnd(std::size_t i) {
+    sync();
+    m_.endMigration(st_, i);
+    beginPhase(i);
   }
 
   void onPhaseEnd(std::size_t i) {
     ++events_;
+    sync();
     JobRt& rt = jobs_[i];
-    const ClassProfile& profile = profileOf(i);
-    ++rt.phase;
-    if (rt.phase >= profile.phases()) {
-      free_ += rt.nodes;
-      --running_;
-      ++finished_;
-      rt.nodes = 0;
-      rt.prof = nullptr;
-      rt.finished = true;
+    if (m_.endPhase(st_, i)) {
       rt.out.finishSec = nowSec();
       if (cfg_.trace != nullptr) traceRunSpan(rt);
       dropFinishIndex(i);
@@ -418,71 +403,70 @@ private:
       return;
     }
 
+    const JobState& js = st_.jobs[i];
+    const std::int32_t from = js.alloc;
+    const std::int32_t free = st_.free;
+    const ClassProfile& profile = profileOf(i);
     RunningJobView rv;
     rv.id = rt.out.id;
-    rv.nodes = rt.nodes;
-    rv.phase = rt.phase;
+    rv.nodes = from;
+    rv.phase = js.phase;
     rv.phases = profile.phases();
-    rv.efficiencyNext = rt.prof->phaseEff[static_cast<std::size_t>(rt.phase)];
+    rv.efficiencyNext = profile.at(from).phaseEff[static_cast<std::size_t>(js.phase)];
     DecisionContext ctx;
     std::int32_t target = profile.clampFeasible(policy_.reallocate(rv, profile, view(), ctx));
-    if (target > rt.nodes) // growth comes out of currently free nodes only
-      target = std::min(target, profile.clampFeasible(rt.nodes + free_));
+    if (target > from) // growth comes out of currently free nodes only
+      target = std::min(target, profile.clampFeasible(from + free));
 
-    if (target == rt.nodes) {
-      schedulePhase(i);
-      maybeProgress();
-      return;
+    double bytes = 0;
+    std::int64_t delayNs = 0;
+    m_.applyBoundary(st_, i, target, &bytes, &delayNs);
+    if (target != from) {
+      if (cfg_.recorder != nullptr)
+        cfg_.recorder->reallocDecision(nowSec(), rt.out.id, from, target, free, bytes, ctx.rule,
+                                       ctx.score, ctx.threshold);
+      if (cfg_.trace != nullptr) traceRealloc(rt, from, target, bytes);
+      rt.out.reallocations++;
+      rt.out.migratedBytes += bytes;
+      // The admission pass below sees this job at its new allocation with
+      // its estimated finish not yet refreshed (beginPhase refreshes it
+      // after the migration delay).
+      updateFinishIndex(i);
+      recordUse();
+      admissionScan(); // shrink may have freed capacity for the queue
     }
-    const double bytes = profile.migrationBytes(rt.phase, rt.nodes, target);
-    if (cfg_.recorder != nullptr)
-      cfg_.recorder->reallocDecision(nowSec(), rt.out.id, rt.nodes, target, free_, bytes, ctx.rule,
-                                     ctx.score, ctx.threshold);
-    if (cfg_.trace != nullptr) traceRealloc(rt, rt.nodes, target, bytes);
-    free_ += rt.nodes - target; // a shrink's released nodes stop computing now
-    rt.nodes = target;
-    rt.prof = &profile.at(target);
-    rt.out.reallocations++;
-    rt.out.migratedBytes += bytes;
-    // The admission pass below sees this job at its new allocation with
-    // its estimated finish not yet refreshed (schedulePhase refreshes it
-    // after the migration delay).
-    updateFinishIndex(i);
-    recordUse();
-    admissionScan(); // shrink may have freed capacity for the queue
-    if (cfg_.chargeMigration) {
-      const SimDuration delay = cfg_.migrationDelay(bytes);
-      rt.out.wait.migrationDelayNs += delay.count();
+    if (js.st == JobSt::Migrating) {
+      const SimDuration delay = nanoseconds(delayNs);
+      rt.out.wait.migrationDelayNs += delayNs;
       if (cfg_.recorder != nullptr)
         cfg_.recorder->migrationDelay(nowSec(), rt.out.id, toSeconds(delay), bytes);
       if (cfg_.trace != nullptr) traceMigration(rt, delay, bytes);
-      rt.estFinishSec = nowSec() + toSeconds(delay) + rt.prof->remainingFrom(rt.phase);
+      rt.estFinishSec =
+          nowSec() + toSeconds(delay) + profile.at(target).remainingFrom(js.phase);
       updateFinishIndex(i);
-      sched_.scheduleAfter(delay, [this, i] { schedulePhase(i); });
+      post(js.nextNs, [this, i] { onMigrationEnd(i); });
     } else {
-      schedulePhase(i);
+      beginPhase(i);
     }
     maybeProgress();
   }
 
   const ClusterConfig& cfg_;
   const Workload& workload_;
-  const JobProfileTable& profiles_;
   Policy& policy_;
+  /// Every job's transitions go through the Machine, on `st_`.
+  const Machine m_;
+  MachineState st_;
 
   des::Scheduler sched_;
   /// Queued jobs in arrival order, started ones marked kStarted in place;
-  /// `queued_` counts the live entries.
+  /// st_.queued counts the live entries.
   std::deque<std::size_t> queue_;
-  std::int32_t queued_ = 0;
   /// Running jobs by estimated finish (maintained only under backfill),
   /// and each job's entry in it.
   FinishIndex byFinish_;
   std::vector<std::optional<FinishIndex::iterator>> finishEntry_;
   std::vector<JobRt> jobs_;
-  std::int32_t free_ = 0;
-  std::int32_t running_ = 0;
-  std::int32_t finished_ = 0;
   std::int64_t events_ = 0;
   std::int64_t lastProgressEvents_ = 0;
   ClusterMetrics metrics_;

@@ -20,15 +20,11 @@
 // bit-identical at any build concurrency — so a cluster run is a pure
 // function of (workload, profiles, policy, config) at any --jobs value.
 //
-// There is one loop (cluster.cpp), with per-event cost independent of the
-// job count: remaining-time suffix sums, an ordered estimated-finish index
-// over the running set for backfill's shadow time, a lazily compacted
-// queue.  Two checks pin it without a second copy of it.  sched_test's
-// golden digests pin its outputs (metrics and recorder JSON), and a
-// differential test pins its transition semantics.  That test re-executes
-// each run's decisions on the explorer's explicit-state Machine
-// (replayTrace of decisionTrace, explore.hpp) and must get the identical
-// schedule back.
+// The transitions are written once, in sched::Machine (machine.hpp),
+// which the loop (cluster.cpp) and the explorer both drive.  sched_test's
+// golden digests pin the loop's outputs (metrics and recorder JSON), and
+// replaying each run's own decisions (replayTrace of decisionTrace,
+// explore.hpp) must give back the identical schedule.
 #pragma once
 
 #include <cstdint>

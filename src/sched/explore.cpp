@@ -4,307 +4,19 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <queue>
 #include <unordered_set>
 #include <utility>
 
 #include "obs/recorder.hpp"
 #include "support/error.hpp"
-#include "support/fingerprint.hpp"
 
 namespace dps::sched {
 
 namespace {
 
-constexpr std::int64_t kNoEvent = std::numeric_limits<std::int64_t>::max();
 constexpr std::size_t kMaxViolations = 8;
 constexpr double kEps = 1e-9;
-
-/// Matches toSeconds(SimDuration) for a raw nanosecond count.
-double nsToSec(std::int64_t ns) { return static_cast<double>(ns) * 1e-9; }
-
-enum class JobSt : std::uint8_t { Pending, Queued, Running, Migrating, Boundary, Finished };
-
-/// One job's slot of the instant machine.  `phase` is the currently
-/// executing phase while Running, and the *next* phase to run while
-/// Migrating or at a Boundary; `nextNs` is the phase end (Running) or the
-/// migration end (Migrating).
-struct JobState {
-  JobSt st = JobSt::Pending;
-  std::int32_t alloc = 0;
-  std::int32_t phase = 0;
-  std::int64_t nextNs = 0;
-  std::int64_t startNs = -1;
-  std::int64_t finishNs = -1;
-};
-
-struct State {
-  std::int64_t nowNs = 0;
-  std::int32_t free = 0;
-  std::vector<JobState> jobs;
-};
-
-/// Per-class integer-nanosecond tables, quantized exactly as the event loop
-/// quantizes: phase durations through seconds(), so explorer finish times
-/// land on the same ticks simulateCluster produces.
-struct ClassTab {
-  const ClassProfile* profile = nullptr;
-  std::int32_t phases = 0;
-  std::vector<std::vector<std::int64_t>> durNs; ///< [alloc level][phase]
-  /// minRemainNs[p] = sum_{q >= p} min_level durNs[level][q] — the
-  /// admissible remaining-time bound (migration delays ignored).
-  std::vector<std::int64_t> minRemainNs;
-  double bestSec = 0;
-};
-
-/// The deterministic instant machine the search and the replay share: the
-/// cluster loop's semantics (admission, phase boundaries, shrink-frees-now,
-/// migration delays) re-expressed as explicit state + decision application,
-/// with event processing factored out of decision enumeration.
-class Machine {
-public:
-  Machine(const ClusterConfig& cfg, const Workload& workload, const JobProfileTable& profiles)
-      : cfg_(cfg), workload_(workload) {
-    cfg.check(profiles);
-    tabs_.reserve(profiles.classCount());
-    for (std::size_t c = 0; c < profiles.classCount(); ++c) {
-      const ClassProfile& cp = profiles.of(c);
-      ClassTab t;
-      t.profile = &cp;
-      t.phases = cp.phases();
-      t.bestSec = cp.bestSec();
-      t.durNs.resize(cp.allocs.size());
-      for (std::size_t lvl = 0; lvl < cp.allocs.size(); ++lvl) {
-        t.durNs[lvl].reserve(static_cast<std::size_t>(t.phases));
-        for (double sec : cp.byAlloc[lvl].phaseSec)
-          t.durNs[lvl].push_back(seconds(sec).count());
-      }
-      t.minRemainNs.assign(static_cast<std::size_t>(t.phases) + 1, 0);
-      for (std::int32_t p = t.phases - 1; p >= 0; --p) {
-        std::int64_t best = kNoEvent;
-        for (const auto& lvl : t.durNs) best = std::min(best, lvl[static_cast<std::size_t>(p)]);
-        t.minRemainNs[static_cast<std::size_t>(p)] =
-            t.minRemainNs[static_cast<std::size_t>(p) + 1] + best;
-      }
-      tabs_.push_back(std::move(t));
-    }
-    arrivalNs_.reserve(workload.jobs.size());
-    for (const Job& j : workload.jobs) arrivalNs_.push_back(seconds(j.arrivalSec).count());
-  }
-
-  std::int32_t nodes() const { return cfg_.nodes; }
-  std::size_t jobCount() const { return workload_.jobs.size(); }
-  std::int64_t arrivalNs(std::size_t j) const { return arrivalNs_[j]; }
-  double arrivalSec(std::size_t j) const { return workload_.jobs[j].arrivalSec; }
-  const ClassTab& tab(std::size_t j) const { return tabs_[workload_.jobs[j].klass]; }
-
-  State initial() const {
-    State s;
-    s.free = cfg_.nodes;
-    s.jobs.resize(workload_.jobs.size());
-    return s;
-  }
-
-  std::int64_t durNs(std::size_t j, std::int32_t phase, std::int32_t alloc) const {
-    const ClassTab& t = tab(j);
-    return t.durNs[level(t, alloc)][static_cast<std::size_t>(phase)];
-  }
-
-  std::int64_t migrationDelayNs(std::size_t j, std::int32_t phase, std::int32_t from,
-                                std::int32_t to, double* bytesOut) const {
-    const double bytes = tab(j).profile->migrationBytes(phase, from, to);
-    if (bytesOut != nullptr) *bytesOut = bytes;
-    return cfg_.migrationDelay(bytes).count();
-  }
-
-  /// The next instant anything happens on its own (arrival, migration end,
-  /// phase end); kNoEvent when every unfinished job is held in the queue —
-  /// a dead branch, since nothing will ever wake the machine again.
-  std::int64_t nextEventNs(const State& s) const {
-    std::int64_t t = kNoEvent;
-    for (std::size_t j = 0; j < s.jobs.size(); ++j) {
-      const JobState& js = s.jobs[j];
-      if (js.st == JobSt::Pending)
-        t = std::min(t, arrivalNs_[j]);
-      else if (js.st == JobSt::Running || js.st == JobSt::Migrating)
-        t = std::min(t, js.nextNs);
-    }
-    return t;
-  }
-
-  /// Advances the clock to `t` and fires everything due: arrivals queue,
-  /// migration ends begin their phase, phase ends finish the job or leave
-  /// it at a Boundary awaiting a decision.
-  void advance(State& s, std::int64_t t) const {
-    s.nowNs = t;
-    for (std::size_t j = 0; j < s.jobs.size(); ++j) {
-      JobState& js = s.jobs[j];
-      switch (js.st) {
-      case JobSt::Pending:
-        if (arrivalNs_[j] <= t) js.st = JobSt::Queued;
-        break;
-      case JobSt::Migrating:
-        if (js.nextNs == t) {
-          js.st = JobSt::Running;
-          js.nextNs = t + durNs(j, js.phase, js.alloc);
-        }
-        break;
-      case JobSt::Running:
-        if (js.nextNs == t) {
-          ++js.phase;
-          if (js.phase >= tab(j).phases) {
-            s.free += js.alloc;
-            js.alloc = 0;
-            js.st = JobSt::Finished;
-            js.finishNs = t;
-          } else {
-            js.st = JobSt::Boundary;
-          }
-        }
-        break;
-      default:
-        break;
-      }
-    }
-  }
-
-  ExploreDecision applyStart(State& s, std::size_t j, std::int32_t alloc) const {
-    JobState& js = s.jobs[j];
-    js.st = JobSt::Running;
-    js.alloc = alloc;
-    js.phase = 0;
-    js.startNs = s.nowNs;
-    js.nextNs = s.nowNs + durNs(j, 0, alloc);
-    s.free -= alloc;
-    ExploreDecision d;
-    d.timeNs = s.nowNs;
-    d.job = static_cast<std::int32_t>(j);
-    d.kind = ExploreDecision::Kind::Start;
-    d.toNodes = alloc;
-    return d;
-  }
-
-  /// Applies one boundary decision; shrink frees nodes immediately while
-  /// grow debits them (free may go negative mid-cascade — the joint
-  /// combination is only kept if the instant ends with free >= 0).
-  ExploreDecision applyBoundary(State& s, std::size_t j, std::int32_t target,
-                                double* bytesOut = nullptr,
-                                std::int64_t* delayOut = nullptr) const {
-    JobState& js = s.jobs[j];
-    const std::int32_t from = js.alloc;
-    ExploreDecision d;
-    d.timeNs = s.nowNs;
-    d.job = static_cast<std::int32_t>(j);
-    d.fromNodes = from;
-    d.toNodes = target;
-    d.phase = js.phase;
-    if (target == from) {
-      js.st = JobSt::Running;
-      js.nextNs = s.nowNs + durNs(j, js.phase, from);
-      d.kind = ExploreDecision::Kind::Keep;
-      if (bytesOut != nullptr) *bytesOut = 0;
-      if (delayOut != nullptr) *delayOut = 0;
-      return d;
-    }
-    const std::int64_t delay = migrationDelayNs(j, js.phase, from, target, bytesOut);
-    if (delayOut != nullptr) *delayOut = delay;
-    s.free += from - target;
-    js.alloc = target;
-    if (delay > 0) {
-      js.st = JobSt::Migrating;
-      js.nextNs = s.nowNs + delay;
-    } else {
-      js.st = JobSt::Running;
-      js.nextNs = s.nowNs + durNs(j, js.phase, target);
-    }
-    d.kind = ExploreDecision::Kind::Realloc;
-    return d;
-  }
-
-  bool allFinished(const State& s) const {
-    return std::all_of(s.jobs.begin(), s.jobs.end(),
-                       [](const JobState& js) { return js.st == JobSt::Finished; });
-  }
-
-  /// Admissible earliest-possible finish: ignores migration delays and lets
-  /// every remaining phase run at its per-phase fastest allocation.
-  std::int64_t earliestFinishNs(const State& s, std::size_t j) const {
-    const JobState& js = s.jobs[j];
-    const ClassTab& t = tab(j);
-    switch (js.st) {
-    case JobSt::Finished:
-      return js.finishNs;
-    case JobSt::Pending:
-      return arrivalNs_[j] + t.minRemainNs[0];
-    case JobSt::Queued:
-      return std::max(s.nowNs, arrivalNs_[j]) + t.minRemainNs[0];
-    case JobSt::Boundary:
-      return s.nowNs + t.minRemainNs[static_cast<std::size_t>(js.phase)];
-    case JobSt::Migrating:
-      return js.nextNs + t.minRemainNs[static_cast<std::size_t>(js.phase)];
-    case JobSt::Running:
-      return js.nextNs + t.minRemainNs[static_cast<std::size_t>(js.phase) + 1];
-    }
-    return kNoEvent;
-  }
-
-  double makespanSec(const State& s) const {
-    std::int64_t last = 0;
-    for (const JobState& js : s.jobs) last = std::max(last, js.finishNs);
-    return nsToSec(last);
-  }
-
-  double meanSlowdown(const State& s) const {
-    double sum = 0;
-    for (std::size_t j = 0; j < s.jobs.size(); ++j)
-      sum += (nsToSec(s.jobs[j].finishNs) - arrivalSec(j)) / tab(j).bestSec;
-    return sum / static_cast<double>(s.jobs.size());
-  }
-
-  double lowerBound(const State& s, ExploreObjective obj) const {
-    if (obj == ExploreObjective::Makespan) {
-      std::int64_t lb = 0;
-      for (std::size_t j = 0; j < s.jobs.size(); ++j)
-        lb = std::max(lb, earliestFinishNs(s, j));
-      return nsToSec(lb);
-    }
-    double sum = 0;
-    for (std::size_t j = 0; j < s.jobs.size(); ++j)
-      sum += (nsToSec(earliestFinishNs(s, j)) - arrivalSec(j)) / tab(j).bestSec;
-    return sum / static_cast<double>(s.jobs.size());
-  }
-
-  /// FNV-1a over the complete search-relevant state.  Two states with equal
-  /// fingerprint fields have identical reachable futures *and* identical
-  /// already-banked objective contributions, so collapsing them is sound
-  /// for both objectives.
-  std::uint64_t hash(const State& s) const {
-    Fingerprint f;
-    f.add(s.nowNs).add(s.free);
-    for (const JobState& js : s.jobs) {
-      f.add(static_cast<std::int64_t>(js.st))
-          .add(js.alloc)
-          .add(js.phase)
-          .add(js.nextNs)
-          .add(js.startNs)
-          .add(js.finishNs);
-    }
-    return f.value();
-  }
-
-private:
-  static std::size_t level(const ClassTab& t, std::int32_t alloc) {
-    const auto& a = t.profile->allocs;
-    const auto it = std::lower_bound(a.begin(), a.end(), alloc);
-    DPS_CHECK(it != a.end() && *it == alloc,
-              "allocation " + std::to_string(alloc) + " not feasible for " + t.profile->name);
-    return static_cast<std::size_t>(it - a.begin());
-  }
-
-  const ClusterConfig& cfg_;
-  const Workload& workload_;
-  std::vector<ClassTab> tabs_;
-  std::vector<std::int64_t> arrivalNs_;
-};
 
 /// The depth-first search driver.  Oracle mode runs branch-and-bound for
 /// the optimal schedule; Verify mode disables pruning (it could hide
@@ -329,6 +41,41 @@ public:
   const std::vector<ExploreDecision>& bestTrace() const { return bestTrace_; }
 
 private:
+  /// Admissible earliest-possible finish: ignores migration delays and lets
+  /// every remaining phase run at its per-phase fastest allocation.
+  std::int64_t earliestFinishNs(const MachineState& s, std::size_t j) const {
+    const JobState& js = s.jobs[j];
+    const ClassTab& t = m_.tab(j);
+    switch (js.st) {
+    case JobSt::Finished:
+      return js.finishNs;
+    case JobSt::Pending:
+      return m_.arrivalNs(j) + t.minRemainNs[0];
+    case JobSt::Queued:
+      return std::max(s.nowNs, m_.arrivalNs(j)) + t.minRemainNs[0];
+    case JobSt::Boundary:
+      return s.nowNs + t.minRemainNs[static_cast<std::size_t>(js.phase)];
+    case JobSt::Migrating:
+      return js.nextNs + t.minRemainNs[static_cast<std::size_t>(js.phase)];
+    case JobSt::Running:
+      return js.nextNs + t.minRemainNs[static_cast<std::size_t>(js.phase) + 1];
+    }
+    return kNoEvent;
+  }
+
+  double lowerBound(const MachineState& s) const {
+    if (obj_ == ExploreObjective::Makespan) {
+      std::int64_t lb = 0;
+      for (std::size_t j = 0; j < s.jobs.size(); ++j)
+        lb = std::max(lb, earliestFinishNs(s, j));
+      return nsToSec(lb);
+    }
+    double sum = 0;
+    for (std::size_t j = 0; j < s.jobs.size(); ++j)
+      sum += (nsToSec(earliestFinishNs(s, j)) - m_.arrivalSec(j)) / m_.tab(j).bestSec;
+    return sum / static_cast<double>(s.jobs.size());
+  }
+
   bool stop() const {
     if (!stats_.complete) return true;
     return mode_ == Mode::Verify && report_->violations.size() >= kMaxViolations;
@@ -336,7 +83,7 @@ private:
 
   /// Advances through bookkeeping instants until a decision opens (or the
   /// schedule completes / the branch dies), then forks the joint decision.
-  void dfs(State s) {
+  void dfs(MachineState s) {
     if (stop()) return;
     std::vector<std::size_t> boundary;
     std::vector<std::size_t> queued;
@@ -363,8 +110,8 @@ private:
 
   /// Forks every feasible target for boundary job k, then k+1, ...; the
   /// combination survives only if the instant ends with free >= 0.
-  void branchBoundary(const State& s, const std::vector<std::size_t>& boundary, std::size_t k,
-                      const std::vector<std::size_t>& queued) {
+  void branchBoundary(const MachineState& s, const std::vector<std::size_t>& boundary,
+                      std::size_t k, const std::vector<std::size_t>& queued) {
     if (stop()) return;
     if (k == boundary.size()) {
       if (s.free < 0) return; // joint grow oversubscribed: unreachable
@@ -373,7 +120,7 @@ private:
     }
     const std::size_t j = boundary[k];
     for (const std::int32_t target : m_.tab(j).profile->allocs) {
-      State child = s;
+      MachineState child = s;
       path_.push_back(m_.applyBoundary(child, j, target));
       branchBoundary(child, boundary, k + 1, queued);
       path_.pop_back();
@@ -382,7 +129,7 @@ private:
 
   /// Forks hold-or-start(alloc) for queued job k; starts debit the free
   /// nodes remaining after the boundary cascade and earlier starts.
-  void branchQueued(const State& s, const std::vector<std::size_t>& queued, std::size_t k) {
+  void branchQueued(const MachineState& s, const std::vector<std::size_t>& queued, std::size_t k) {
     if (stop()) return;
     if (k == queued.size()) {
       instantDone(s);
@@ -392,7 +139,7 @@ private:
     branchQueued(s, queued, k + 1); // hold
     for (const std::int32_t alloc : m_.tab(j).profile->allocs) {
       if (alloc > s.free) continue;
-      State child = s;
+      MachineState child = s;
       path_.push_back(m_.applyStart(child, j, alloc));
       branchQueued(child, queued, k + 1);
       path_.pop_back();
@@ -403,7 +150,7 @@ private:
   /// Pruned states are NOT marked seen — a later revisit under a smaller
   /// incumbent prunes at least as much, so skipping the insert costs only
   /// a recomputation, never completeness.
-  void instantDone(const State& s) {
+  void instantDone(const MachineState& s) {
     if (mode_ == Mode::Verify) checkInstant(s);
     std::uint64_t h = 0;
     if (limits_.dedup) {
@@ -414,7 +161,7 @@ private:
       }
     }
     if (limits_.prune) {
-      const double lb = m_.lowerBound(s, obj_);
+      const double lb = lowerBound(s);
       if ((found_ && lb >= best_) ||
           (limits_.upperBound > 0 && lb > limits_.upperBound + kEps)) {
         ++stats_.branchesPruned;
@@ -430,7 +177,7 @@ private:
     dfs(s);
   }
 
-  void complete(const State& s) {
+  void complete(const MachineState& s) {
     ++stats_.schedulesSeen;
     if (mode_ == Mode::Verify) return;
     const double mk = m_.makespanSec(s);
@@ -458,7 +205,7 @@ private:
     report_->violations.push_back(std::move(v));
   }
 
-  void checkInstant(const State& s) {
+  void checkInstant(const MachineState& s) {
     VerifyReport& rep = *report_;
     const double now = nsToSec(s.nowNs);
 
@@ -629,32 +376,40 @@ TraceReplay replayTrace(const ClusterConfig& cfg, const Workload& workload,
               "trace has two decisions for one (instant, job)");
 
   TraceReplay out;
-  out.jobs.resize(m.jobCount());
-  for (std::size_t j = 0; j < m.jobCount(); ++j) {
-    JobOutcome& o = out.jobs[j];
-    o.id = workload.jobs[j].id;
-    o.klass = m.tab(j).profile->name;
-    o.arrivalSec = workload.jobs[j].arrivalSec;
-    o.bestSec = m.tab(j).bestSec;
-  }
+  out.jobs.reserve(m.jobCount());
+  for (std::size_t j = 0; j < m.jobCount(); ++j) out.jobs.push_back(m.outcome(j));
 
-  State s = m.initial();
+  // Each job has at most one pending event: its arrival, phase end or
+  // migration end, keyed (tick, job) so an instant fires in job order.
+  using Event = std::pair<std::int64_t, std::size_t>;
+  std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
+  for (std::size_t j = 0; j < m.jobCount(); ++j) events.emplace(m.arrivalNs(j), j);
+  MachineState s = m.initial();
   std::size_t consumed = 0;
-  std::vector<JobSt> before(m.jobCount());
+  std::vector<std::size_t> boundary;
   while (!m.allFinished(s)) {
-    const std::int64_t t = m.nextEventNs(s);
-    DPS_CHECK(t != kNoEvent, "trace stalls: every unfinished job held with nothing pending");
-    for (std::size_t j = 0; j < m.jobCount(); ++j) before[j] = s.jobs[j].st;
-    m.advance(s, t);
-    for (std::size_t j = 0; j < m.jobCount(); ++j) {
-      // A migration that just completed begins its phase at this instant.
-      if (before[j] == JobSt::Migrating && s.jobs[j].st == JobSt::Running)
+    DPS_CHECK(!events.empty(), "trace stalls: every unfinished job held with nothing pending");
+    const std::int64_t t = s.nowNs = events.top().first;
+    boundary.clear();
+    for (; !events.empty() && events.top().first == t; events.pop()) {
+      const std::size_t j = events.top().second;
+      switch (s.jobs[j].st) {
+      case JobSt::Pending:
+        m.arrive(s, j);
+        break;
+      case JobSt::Migrating: // the phase after the migration begins now
+        m.endMigration(s, j);
         out.jobs[j].allocs.push_back(s.jobs[j].alloc);
-      if (before[j] != JobSt::Finished && s.jobs[j].st == JobSt::Finished)
-        out.jobs[j].finishSec = nsToSec(s.jobs[j].finishNs);
+        events.emplace(s.jobs[j].nextNs, j);
+        break;
+      default:
+        if (m.endPhase(s, j))
+          out.jobs[j].finishSec = nsToSec(t);
+        else
+          boundary.push_back(j);
+      }
     }
-    for (std::size_t j = 0; j < m.jobCount(); ++j) {
-      if (s.jobs[j].st != JobSt::Boundary) continue;
+    for (const std::size_t j : boundary) {
       const auto it = byKey.find({t, static_cast<std::int32_t>(j)});
       DPS_CHECK(it != byKey.end(), "trace misses a boundary decision for job " +
                                        std::to_string(j) + " at t=" + std::to_string(t) + "ns");
@@ -664,25 +419,26 @@ TraceReplay replayTrace(const ClusterConfig& cfg, const Workload& workload,
       double bytes = 0;
       std::int64_t delay = 0;
       m.applyBoundary(s, j, d.toNodes, &bytes, &delay);
+      events.emplace(s.jobs[j].nextNs, j);
       ++consumed;
+      JobOutcome& o = out.jobs[j];
       if (d.toNodes != d.fromNodes) {
-        JobOutcome& o = out.jobs[j];
         ++o.reallocations;
         o.migratedBytes += bytes;
         o.wait.migrationDelayNs += delay;
-        if (delay == 0) o.allocs.push_back(d.toNodes); // phase began immediately
-      } else {
-        out.jobs[j].allocs.push_back(d.toNodes);
       }
+      if (s.jobs[j].st == JobSt::Running) o.allocs.push_back(d.toNodes); // phase began now
     }
-    for (std::size_t j = 0; j < m.jobCount(); ++j) {
-      if (s.jobs[j].st != JobSt::Queued) continue;
-      const auto it = byKey.find({t, static_cast<std::int32_t>(j)});
-      if (it == byKey.end()) continue; // held at this instant
+    // Starts: the trace's decisions at this instant for queued jobs.
+    for (auto it = byKey.lower_bound({t, std::numeric_limits<std::int32_t>::min()});
+         it != byKey.end() && it->first.first == t; ++it) {
+      const auto j = static_cast<std::size_t>(it->first.second);
+      if (j >= m.jobCount() || s.jobs[j].st != JobSt::Queued) continue;
       const ExploreDecision& d = it->second;
       DPS_CHECK(d.kind == ExploreDecision::Kind::Start,
                 "trace has a non-start decision for a queued job");
       m.applyStart(s, j, d.toNodes);
+      events.emplace(s.jobs[j].nextNs, j);
       ++consumed;
       JobOutcome& o = out.jobs[j];
       o.startSec = nsToSec(t);
@@ -802,17 +558,17 @@ VerifyReport auditRecord(const ClusterMetrics& metrics, const obs::Recorder& rec
                std::to_string(starvationBoundSec) + "s");
   }
 
-  // Arrival order is the workload order; a later job starting strictly
-  // earlier than an older one must carry the backfilled flag.
-  for (std::size_t i = 0; i + 1 < metrics.jobs.size(); ++i) {
-    for (std::size_t j = i + 1; j < metrics.jobs.size(); ++j) {
-      bump(Invariant::BackfillNoHeadDelay);
-      if (metrics.jobs[j].startSec < metrics.jobs[i].startSec - kEps &&
-          !metrics.jobs[j].backfilled)
-        fail(Invariant::BackfillNoHeadDelay, metrics.jobs[j].id, metrics.jobs[j].startSec,
-             "job " + std::to_string(metrics.jobs[j].id) + " overtook job " +
-                 std::to_string(metrics.jobs[i].id) + " without backfilling");
-    }
+  // Arrival order is the workload order; a job starting strictly earlier
+  // than any older one (here: the older one that started last) must carry
+  // the backfilled flag.
+  for (std::size_t j = 1, last = 0; j < metrics.jobs.size(); ++j) {
+    const JobOutcome& o = metrics.jobs[j];
+    bump(Invariant::BackfillNoHeadDelay);
+    if (o.startSec < metrics.jobs[last].startSec - kEps && !o.backfilled)
+      fail(Invariant::BackfillNoHeadDelay, o.id, o.startSec,
+           "job " + std::to_string(o.id) + " overtook job " +
+               std::to_string(metrics.jobs[last].id) + " without backfilling");
+    if (o.startSec > metrics.jobs[last].startSec) last = j;
   }
 
   for (const UtilizationPoint& p : metrics.timeline) {
@@ -889,8 +645,8 @@ PolicyVerifyResult verifyPolicy(const PolicyVerifyOptions& opts, const Workload&
   const double bound = opts.starvationBoundSec > 0 ? opts.starvationBoundSec
                                                    : derivedStarvationBound(workload, profiles);
   r.report = auditRecord(r.metrics, rec, workload, profiles, bound);
-  r.recordJson = rec.jsonString();
   if (!r.report.pass()) {
+    r.recordJson = rec.jsonString();
     const std::int32_t job = r.report.violations.front().job;
     if (job >= 0) r.explainText = rec.explain(job);
   }

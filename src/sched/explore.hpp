@@ -12,19 +12,17 @@
 // states with an FNV-1a fingerprint (support/fingerprint.hpp) so the search
 // visits each reachable cluster state once.
 //
-// Decision model.  The explorer advances an "instant machine" that mirrors
-// simulateCluster's integer-nanosecond arithmetic exactly (the same
-// seconds() quantization for phase durations, arrivals, and migration
-// delays), so its schedule objectives are bit-comparable with the event
-// loop's metrics.  At every instant where at least one decision is open, it
-// enumerates the *joint* decision: each running job at a boundary picks any
-// feasible target allocation (keep, shrink, or grow), then each queued job
-// either starts at any feasible allocation that fits the remaining free
-// nodes or keeps waiting.  Joint enumeration makes the reachable set a
-// superset of what any Policy can induce through the sequential event loop
-// (equal-time DES events fire in *some* order; the explorer covers every
-// order's outcome), which is exactly what an oracle needs: no policy can
-// beat the optimum found here.
+// Decision model.  The explorer advances the same sched::Machine whose
+// transitions simulateCluster fires (machine.hpp), so its schedule
+// objectives are bit-comparable with the event loop's metrics.  At every
+// instant where at least one decision is open, it enumerates the *joint*
+// decision: each running job at a boundary picks any feasible target
+// allocation (keep, shrink, or grow), then each queued job either starts
+// at any feasible allocation that fits the remaining free nodes or waits.
+// Joint enumeration makes the reachable set a superset of what any Policy
+// can induce through the sequential event loop (equal-time DES events fire
+// in *some* order; the explorer covers every order's outcome), which is
+// exactly what an oracle needs: no policy can beat the optimum found here.
 //
 // Two consumers:
 //   * oracle (exploreOptimal) — branch-and-bound for the true optimal
@@ -48,6 +46,7 @@
 #include <vector>
 
 #include "sched/cluster.hpp"
+#include "sched/machine.hpp"
 #include "sched/metrics.hpp"
 #include "sched/policy.hpp"
 #include "sched/profile.hpp"
@@ -63,23 +62,6 @@ namespace dps::sched {
 enum class ExploreObjective : std::uint8_t { Makespan, MeanSlowdown };
 const char* exploreObjectiveName(ExploreObjective o);
 
-/// One edge of a schedule: what a job did at one instant.  Holds are
-/// implicit (a queued job with no Start decision at an instant waited), so
-/// a trace lists exactly the actions that shape the schedule.
-struct ExploreDecision {
-  enum class Kind : std::uint8_t {
-    Start,   ///< queued -> running at `toNodes`
-    Keep,    ///< phase boundary, allocation kept at `toNodes`
-    Realloc, ///< phase boundary, `fromNodes` -> `toNodes` (migration charged)
-  };
-  std::int64_t timeNs = 0;
-  std::int32_t job = -1;
-  Kind kind = Kind::Start;
-  std::int32_t fromNodes = 0;
-  std::int32_t toNodes = 0;
-  /// 0-based phase the decision applies to (0 for Start).
-  std::int32_t phase = 0;
-};
 const char* exploreDecisionKindName(ExploreDecision::Kind k);
 
 /// Search effort counters.
@@ -130,11 +112,11 @@ struct TraceReplay {
   std::vector<JobOutcome> jobs; ///< workload order; wait attributed PolicyHeld
 };
 
-/// Deterministically re-executes a decision trace through the instant
-/// machine.  Replaying ExploreResult::trace reproduces the search's
-/// objective bit-for-bit — the oracle's self-validation.  Throws
-/// support::Error on a trace the machine cannot follow (wrong instant,
-/// infeasible allocation, negative free nodes).
+/// Deterministically re-executes a decision trace on the Machine, in
+/// O(D log D) for D decisions.  Replaying ExploreResult::trace reproduces
+/// the search's objective bit-for-bit — the oracle's self-validation.
+/// Throws support::Error on a trace the machine cannot follow (wrong
+/// instant, infeasible allocation, negative free nodes).
 TraceReplay replayTrace(const ClusterConfig& cfg, const Workload& workload,
                         const JobProfileTable& profiles,
                         const std::vector<ExploreDecision>& trace);
@@ -214,11 +196,11 @@ struct PolicyVerifyOptions {
   double starvationBoundSec = 0;
 };
 
-/// One policy run's verdict: the audit report, the run's metrics, and the
-/// flight record — which *is* the counterexample when the audit fails
+/// One policy run's verdict: the audit report, the run's metrics, and,
+/// when the audit fails, the flight record JSON — the counterexample
 /// (re-running simulateCluster with a fresh recorder reproduces it
 /// byte-for-byte; `explainText` carries the recorder's causal narrative
-/// for the first violating job).
+/// for the first violating job).  A passing run renders no record.
 struct PolicyVerifyResult {
   VerifyReport report;
   ClusterMetrics metrics;
