@@ -113,7 +113,7 @@ TEST(NetworkFuzz, DeterministicAcrossIdenticalRuns) {
     cfg.latency = microseconds(80);
     cfg.bytesPerSec = 5e6;
     net::StarNetwork net(sched, cfg, 4);
-    std::int64_t checksum = 0;
+    std::uint64_t checksum = 0;
     for (int i = 0; i < 200; ++i) {
       const auto src = static_cast<net::NodeIndex>(rng.below(4));
       const auto dst = static_cast<net::NodeIndex>((src + 1 + rng.below(3)) % 4);
