@@ -5,8 +5,10 @@
 // Scheduler hot-path history: the queue moved from std::priority_queue
 // (whose top() forces a per-event Entry copy and whose storage cannot be
 // pre-reserved) to an explicit reserved std::vector heap with move-only
-// push/pop; BM_SchedulerThroughput and BM_SchedulerReuse are the
-// before/after yardsticks for that path.
+// push/pop, then to an indexed heap over pooled action slots that cancels
+// and reschedules in place; BM_SchedulerThroughput and BM_SchedulerReuse
+// are the yardsticks for the schedule/fire path, BM_NetworkFairShare for
+// the replan (reschedule) path.
 #include <benchmark/benchmark.h>
 
 #include <atomic>

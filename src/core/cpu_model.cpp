@@ -12,19 +12,16 @@ CpuModel::CpuModel(des::Scheduler& sched, Config cfg, std::int32_t nodeCount)
   DPS_CHECK(cfg_.minAvailable > 0.0, "minAvailable must be positive");
 }
 
-double CpuModel::availableCpu(flow::NodeId node) const {
-  const Node& n = nodes_.at(node);
+double CpuModel::available(const Node& n) const {
   if (!cfg_.commOverhead) return 1.0;
   const double used = n.activeIn * cfg_.cpuPerIncoming + n.activeOut * cfg_.cpuPerOutgoing;
   return std::max(cfg_.minAvailable, 1.0 - used);
 }
 
+double CpuModel::availableCpu(flow::NodeId node) const { return available(nodes_.at(node)); }
+
 double CpuModel::stepRate(const Node& n) const {
-  double avail = 1.0;
-  if (cfg_.commOverhead) {
-    const double used = n.activeIn * cfg_.cpuPerIncoming + n.activeOut * cfg_.cpuPerOutgoing;
-    avail = std::max(cfg_.minAvailable, 1.0 - used);
-  }
+  const double avail = available(n);
   if (cfg_.sharing) {
     const int k = std::max<std::size_t>(1, n.running.size());
     return avail / k;
@@ -71,9 +68,9 @@ void CpuModel::replanNode(flow::NodeId node) {
     }
     s.lastUpdate = now;
     s.rate = rate;
-    if (s.completion.pending()) sched_.cancel(s.completion);
-    s.completion = sched_.scheduleAfter(seconds(s.remainingWork / rate),
-                                        [this, h] { finish(h); });
+    const SimTime at = now + seconds(s.remainingWork / rate);
+    if (!sched_.rescheduleAt(s.completion, at))
+      s.completion = sched_.scheduleAt(at, [this, h] { finish(h); });
   }
 }
 

@@ -62,7 +62,10 @@ private:
     std::vector<StepHandle> running;
   };
 
+  /// Moves every running step's completion to its new rate.
   void replanNode(flow::NodeId node);
+  /// CPU fraction left to computation after communication overhead.
+  double available(const Node& n) const;
   double stepRate(const Node& n) const;
   void finish(StepHandle h);
 

@@ -140,6 +140,7 @@ RunResult SimEngine::run(const flow::Program& program) {
   result.makespan = sched_->now().time_since_epoch();
   result.outputs = std::move(outputs_);
   result.counters = counters_;
+  result.scheduler = sched_->stats();
   result.trace = trace_;
   result.threadStates = takeThreadStates();
   result.wallSeconds =

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "des/scheduler.hpp"
 #include "flow/dispatch.hpp"
 #include "flow/operation.hpp"
 #include "serial/object.hpp"
@@ -21,6 +22,10 @@ struct RunResult {
   /// Objects posted to program output ports, in completion order.
   std::vector<serial::ObjectPtr> outputs;
   RunCounters counters;
+  /// The simulator's event accounting (scheduled, cancelled, rescheduled,
+  /// fired, queue high-water); all zero for the runtime engine.  Kept out
+  /// of `counters`, so golden digests of those do not see it.
+  des::SchedulerStats scheduler;
   /// Full execution trace; null when trace recording is disabled.
   std::shared_ptr<trace::Trace> trace;
   /// Thread states harvested after the run ([group][thread]); lets callers

@@ -1,60 +1,69 @@
 // Deterministic discrete-event scheduler.
 //
 // The kernel under both the paper-model simulator and the high-fidelity
-// reference executor.  Events at equal timestamps fire in scheduling order
-// (FIFO), which makes every simulation a pure function of its inputs.
+// reference executor.  Events fire in (time, sequence) order, where every
+// schedule and every reschedule draws the next sequence number, so events at
+// equal timestamps fire in the order they were last (re)scheduled (FIFO).
+// That makes every simulation a pure function of its inputs.
 //
-// Cancellation uses lazy deletion: cancel() empties the stored action, pop
-// skips dead entries.  This keeps the queue a plain binary heap (O(log n)
-// schedule/pop), the right trade-off because cancellations are rare (only
-// re-planned transfer completions) while schedules are massive.
+// The queue is an indexed binary min-heap.  Heap nodes are small
+// {at, seq, slot} records; each event's action lives in a pooled slot (a
+// vector with a free list) that records the event's current heap position.
+// An EventId names a slot plus the slot's generation, so a handle outlives
+// its event safely: once the event fires or is cancelled, or the slot is
+// reused, the handle is dead.  Cancel removes the heap node in O(log n) and
+// never leaves a tombstone, so the heap holds exactly the pending events.
 //
-// Hot-path layout: a plain std::vector binary heap of 32-byte entries with
-// capacity reserved up-front.  Actions are taken by value and moved — never
-// copied — into a single shared slot per event; popping moves entries out of
-// the heap (std::priority_queue::top() forces a copy and its underlying
-// vector cannot be pre-reserved or reused across reset()).  The action stays
-// out-of-line deliberately: a 64-byte entry with the std::function inlined
-// makes every sift move heavier and measured ~25% slower on the micro_infra
-// event-throughput bench at 100k queued events.
+// The simulator's resource models (net::StarNetwork, core::CpuModel) move a
+// completion every time a neighbour's share changes: most scheduled events
+// are moved many times before they fire.  rescheduleAt() does that in place
+// in O(log n).  Its contract: rescheduleAt(id, at) leaves the queue in
+// exactly the (at, seq) order that cancel(id) followed by scheduleAt(at,
+// same action) would, because it gives the event a fresh sequence number.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "support/time.hpp"
 
 namespace dps::des {
 
-/// Opaque handle to a scheduled event; cancel through Scheduler::cancel.
+/// Handle to a scheduled event; query and cancel it through the Scheduler.
+/// A default-constructed handle never names a pending event.
 class EventId {
 public:
   EventId() = default;
-  /// True while the event is still pending.
-  bool pending() const {
-    auto sp = action_.lock();
-    return sp && *sp;
-  }
 
 private:
   friend class Scheduler;
-  explicit EventId(std::weak_ptr<std::function<void()>> a) : action_(std::move(a)) {}
-  std::weak_ptr<std::function<void()>> action_;
+  EventId(std::uint32_t slot, std::uint32_t generation) : slot_(slot), generation_(generation) {}
+  std::uint32_t slot_ = 0;
+  std::uint32_t generation_ = 0; // live slots never carry generation 0
+};
+
+/// Per-run event accounting.
+struct SchedulerStats {
+  std::uint64_t scheduled = 0;
+  std::uint64_t cancelled = 0;
+  std::uint64_t rescheduled = 0;
+  std::uint64_t fired = 0;
+  /// Most events ever pending at once (queue-depth high-water mark).
+  std::size_t queueHighWater = 0;
 };
 
 class Scheduler {
 public:
   using Action = std::function<void()>;
 
-  /// `reserveCapacity` pre-sizes the event heap (amortizes away vector
-  /// growth during the schedule-heavy start of a simulation).
+  /// `reserveCapacity` pre-sizes the heap and the slot pool (amortizes away
+  /// vector growth during the schedule-heavy start of a simulation).
   explicit Scheduler(std::size_t reserveCapacity = kDefaultReserve);
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Grows the heap's reserved capacity (never shrinks).
+  /// Grows the reserved capacity (never shrinks).
   void reserve(std::size_t capacity);
 
   SimTime now() const { return now_; }
@@ -67,6 +76,13 @@ public:
   /// Cancels a pending event.  Returns false if it already fired / was
   /// cancelled.  Safe to call from inside event handlers.
   bool cancel(EventId id);
+  /// Moves a pending event to `at` (>= now) with a fresh sequence number,
+  /// exactly as cancel + scheduleAt of the same action would order it.
+  /// Returns false (and does nothing) if the event is not pending; the
+  /// event that is currently firing is no longer pending.
+  bool rescheduleAt(EventId id, SimTime at);
+  /// True while the event is still pending.
+  bool pending(EventId id) const;
 
   /// Runs until the queue is empty.  Returns the number of events fired.
   std::size_t run();
@@ -76,39 +92,54 @@ public:
   /// Fires exactly one event if any is pending; returns whether one fired.
   bool step();
 
-  bool empty() const { return liveCount_ == 0; }
-  std::size_t pendingCount() const { return liveCount_; }
-  std::uint64_t firedCount() const { return fired_; }
-  /// Most live events ever pending at once (queue-depth high-water mark).
-  std::size_t queueHighWater() const { return highWater_; }
+  bool empty() const { return heap_.empty(); }
+  std::size_t pendingCount() const { return heap_.size(); }
+  std::uint64_t firedCount() const { return stats_.fired; }
+  /// Most events ever pending at once (queue-depth high-water mark).
+  std::size_t queueHighWater() const { return stats_.queueHighWater; }
+  /// Counts since construction or the last reset().
+  const SchedulerStats& stats() const { return stats_; }
 
-  /// Resets clock and queue; handles from before reset are invalidated.
+  /// Resets clock, queue and counts; handles from before reset are dead.
   void reset();
 
 private:
   static constexpr std::size_t kDefaultReserve = 1024;
+  static constexpr std::uint32_t kNotQueued = UINT32_MAX;
 
-  struct Entry {
+  struct Node {
     SimTime at;
     std::uint64_t seq;
-    std::shared_ptr<Action> action; // *action empty <=> cancelled
+    std::uint32_t slot;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq; // FIFO among equal timestamps
-    }
+  struct Slot {
+    Action action;
+    std::uint32_t heapPos = kNotQueued; // kNotQueued <=> free
+    std::uint32_t generation = 0;
   };
 
-  /// Pops the next live entry (moved into `out`); returns false if none.
-  bool popLive(Entry& out);
+  static bool earlier(const Node& a, const Node& b) {
+    if (a.at != b.at) return a.at < b.at;
+    return a.seq < b.seq; // FIFO among equal timestamps
+  }
+  /// Slot index of the pending event `id` names, or kNotQueued.
+  std::uint32_t liveSlot(EventId id) const;
+  void place(std::size_t pos, const Node& n);
+  void siftUp(std::size_t pos);
+  void siftDown(std::size_t pos);
+  /// Restores the heap property around a node whose key changed.
+  void resift(std::size_t pos);
+  /// Removes the heap node at `pos`, keeping the heap property.
+  void removeAt(std::size_t pos);
+  /// Pops the earliest event, frees its slot and runs its action.
+  void fireTop();
 
-  std::vector<Entry> heap_; // min-heap via std::push_heap/pop_heap + Later
+  std::vector<Node> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> freeSlots_;
   SimTime now_ = simEpoch();
   std::uint64_t nextSeq_ = 1;
-  std::uint64_t fired_ = 0;
-  std::size_t liveCount_ = 0;
-  std::size_t highWater_ = 0;
+  SchedulerStats stats_;
 };
 
 } // namespace dps::des

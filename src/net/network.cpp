@@ -19,33 +19,39 @@ SimDuration StarNetwork::uncontendedTime(std::size_t bytes) const {
   return cfg_.latency + seconds(secs);
 }
 
-TransferId StarNetwork::send(NodeIndex src, NodeIndex dst, std::size_t bytes,
-                             DeliveryFn onDelivered) {
+void StarNetwork::send(NodeIndex src, NodeIndex dst, std::size_t bytes, DeliveryFn onDelivered) {
   DPS_CHECK(src >= 0 && static_cast<std::size_t>(src) < nodes_.size(), "bad src node");
   DPS_CHECK(dst >= 0 && static_cast<std::size_t>(dst) < nodes_.size(), "bad dst node");
-  const TransferId id = nextId_++;
 
   if (src == dst) {
     // Local hop: in-memory queue move, no link usage, no CPU comm overhead.
     sched_.scheduleAfter(cfg_.localDelivery, std::move(onDelivered));
-    return id;
+    return;
   }
 
   ++transfersStarted_;
   bytesSent_ += bytes;
 
-  Transfer t;
+  TransferId id;
+  if (!freeTransfers_.empty()) {
+    id = freeTransfers_.back();
+    freeTransfers_.pop_back();
+  } else {
+    id = static_cast<TransferId>(transfers_.size());
+    transfers_.emplace_back();
+  }
+  Transfer& t = transfers_[id];
   t.src = src;
   t.dst = dst;
   t.remainingBytes = static_cast<double>(bytes);
+  t.rate = 0.0;
   t.lastUpdate = sched_.now();
   t.onDelivered = std::move(onDelivered);
-  transfers_.emplace(id, std::move(t));
+  t.completion = des::EventId{};
 
   SimDuration lead = cfg_.latency;
   if (cfg_.extraLatency) lead += cfg_.extraLatency(bytes);
   sched_.scheduleAfter(lead, [this, id] { beginDraining(id); });
-  return id;
 }
 
 double StarNetwork::shareOut(NodeIndex node) const {
@@ -63,9 +69,8 @@ void StarNetwork::notifyActivity(NodeIndex node) {
 }
 
 void StarNetwork::beginDraining(TransferId id) {
-  auto it = transfers_.find(id);
-  DPS_CHECK(it != transfers_.end(), "unknown transfer begins draining");
-  Transfer& t = it->second;
+  Transfer& t = transfers_[id];
+  DPS_CHECK(t.src != kNoNode, "unknown transfer begins draining");
   t.lastUpdate = sched_.now();
 
   NodeState& s = nodes_[t.src];
@@ -76,24 +81,22 @@ void StarNetwork::beginDraining(TransferId id) {
   ++d.activeIn;
 
   // Membership changed on both links: replan everyone they touch.
-  replanNode(t.src);
-  if (t.dst != t.src) replanNode(t.dst);
+  replanNode(t.src, t.dst);
+  replanNode(t.dst, kNoNode);
   notifyActivity(t.src);
   notifyActivity(t.dst);
 }
 
-void StarNetwork::replanNode(NodeIndex node) {
-  // Copy: replanTransfer may fire zero-remaining completions synchronously
-  // via the scheduler later, but never mutates membership right now.
-  std::vector<TransferId> touched = nodes_[node].outgoing;
-  touched.insert(touched.end(), nodes_[node].incoming.begin(), nodes_[node].incoming.end());
-  for (TransferId id : touched) replanTransfer(id);
+void StarNetwork::replanNode(NodeIndex node, NodeIndex skipPeer) {
+  // replanTransfer never changes membership, so the lists are stable here.
+  for (TransferId id : nodes_[node].outgoing)
+    if (transfers_[id].dst != skipPeer) replanTransfer(id);
+  for (TransferId id : nodes_[node].incoming)
+    if (transfers_[id].src != skipPeer) replanTransfer(id);
 }
 
 void StarNetwork::replanTransfer(TransferId id) {
-  auto it = transfers_.find(id);
-  if (it == transfers_.end()) return;
-  Transfer& t = it->second;
+  Transfer& t = transfers_[id];
 
   // Settle progress under the old rate.
   const SimTime now = sched_.now();
@@ -107,17 +110,20 @@ void StarNetwork::replanTransfer(TransferId id) {
   t.rate = std::min(shareOut(t.src), shareIn(t.dst));
   DPS_CHECK(t.rate > 0.0, "transfer granted zero rate");
 
-  if (t.completion.pending()) sched_.cancel(t.completion);
-  const SimDuration eta = seconds(t.remainingBytes / t.rate);
-  t.completion = sched_.scheduleAfter(eta, [this, id] { finish(id); });
+  const SimTime at = now + seconds(t.remainingBytes / t.rate);
+  if (!sched_.rescheduleAt(t.completion, at))
+    t.completion = sched_.scheduleAt(at, [this, id] { finish(id); });
 }
 
 void StarNetwork::finish(TransferId id) {
-  auto it = transfers_.find(id);
-  DPS_CHECK(it != transfers_.end(), "unknown transfer finishes");
-  const NodeIndex src = it->second.src;
-  const NodeIndex dst = it->second.dst;
-  DeliveryFn deliver = std::move(it->second.onDelivered);
+  Transfer& t = transfers_[id];
+  DPS_CHECK(t.src != kNoNode, "unknown transfer finishes");
+  const NodeIndex src = t.src;
+  const NodeIndex dst = t.dst;
+  DeliveryFn deliver = std::move(t.onDelivered);
+  t.src = kNoNode;
+  t.onDelivered = nullptr;
+  freeTransfers_.push_back(id);
 
   auto drop = [id](std::vector<TransferId>& v) {
     v.erase(std::remove(v.begin(), v.end(), id), v.end());
@@ -126,10 +132,9 @@ void StarNetwork::finish(TransferId id) {
   drop(nodes_[dst].incoming);
   --nodes_[src].activeOut;
   --nodes_[dst].activeIn;
-  transfers_.erase(it);
 
-  replanNode(src);
-  if (dst != src) replanNode(dst);
+  replanNode(src, dst);
+  replanNode(dst, kNoNode);
   notifyActivity(src);
   notifyActivity(dst);
 

@@ -11,11 +11,20 @@
 // A transfer costs  t = l + s / b_effective  where the latency phase does
 // not occupy the link.  Hooks allow the high-fidelity reference executor to
 // add per-message overheads and bandwidth derating (DESIGN.md §4).
+//
+// Every start or end of a transfer's draining phase replans each transfer on
+// both of its links: progress is settled under the old rate, the new rate
+// is derived, and the completion event moves in place
+// (des::Scheduler::rescheduleAt).  Replan once: a transfer between the two
+// endpoints themselves is replanned only with the second endpoint.  Both
+// replans happen at the same instant with the same shares, so the first
+// one's settlement is exactly what the second would settle (the second
+// always settles zero elapsed time), and the second sets the event's
+// sequence number, so skipping the first changes neither bits nor order.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "des/scheduler.hpp"
@@ -24,7 +33,6 @@
 namespace dps::net {
 
 using NodeIndex = std::int32_t;
-using TransferId = std::uint64_t;
 
 class StarNetwork {
 public:
@@ -53,7 +61,7 @@ public:
 
   /// Starts a transfer of `bytes` from `src` to `dst`; `onDelivered` fires
   /// when the last byte arrives.  Same-node transfers bypass the network.
-  TransferId send(NodeIndex src, NodeIndex dst, std::size_t bytes, DeliveryFn onDelivered);
+  void send(NodeIndex src, NodeIndex dst, std::size_t bytes, DeliveryFn onDelivered);
 
   void setActivityObserver(ActivityObserver obs) { observer_ = std::move(obs); }
 
@@ -69,12 +77,16 @@ public:
   SimDuration uncontendedTime(std::size_t bytes) const;
 
 private:
+  /// Slot in transfers_; reused once the transfer is delivered.
+  using TransferId = std::uint32_t;
+  static constexpr NodeIndex kNoNode = -1;
+
   struct Transfer {
-    NodeIndex src;
-    NodeIndex dst;
-    double remainingBytes;
+    NodeIndex src = kNoNode; // kNoNode while the slot is free
+    NodeIndex dst = kNoNode;
+    double remainingBytes = 0.0;
     double rate = 0.0; // bytes/sec currently granted
-    SimTime lastUpdate;
+    SimTime lastUpdate{};
     DeliveryFn onDelivered;
     des::EventId completion;
   };
@@ -89,8 +101,9 @@ private:
   void beginDraining(TransferId id);
   void finish(TransferId id);
   /// Re-derives the rate of every transfer touching `node` after a
-  /// membership change; reschedules completion events as needed.
-  void replanNode(NodeIndex node);
+  /// membership change and moves its completion event, except transfers
+  /// whose other endpoint is `skipPeer` (replan once, see above).
+  void replanNode(NodeIndex node, NodeIndex skipPeer);
   void replanTransfer(TransferId id);
   double shareOut(NodeIndex node) const;
   double shareIn(NodeIndex node) const;
@@ -99,8 +112,8 @@ private:
   des::Scheduler& sched_;
   Config cfg_;
   std::vector<NodeState> nodes_;
-  std::unordered_map<TransferId, Transfer> transfers_;
-  TransferId nextId_ = 1;
+  std::vector<Transfer> transfers_;
+  std::vector<TransferId> freeTransfers_;
   ActivityObserver observer_;
   std::uint64_t bytesSent_ = 0;
   std::uint64_t transfersStarted_ = 0;

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "core/engine.hpp"
+#include "lu/app.hpp"
 #include "net/profile.hpp"
 #include "test_graphs.hpp"
 
@@ -314,6 +315,30 @@ TEST(EngineTest, InjectTransferReachesCallbackAndTrace) {
   for (const auto& t : result.trace->transfers())
     if (t.bytes == 5000) found = true;
   EXPECT_TRUE(found);
+}
+
+// The network and CPU model move pending completions in place when a share
+// changes; a run leaves no cancelled event behind in the scheduler.
+TEST(EngineTest, LuRunReschedulesInsteadOfCancelling) {
+  lu::LuConfig cfg;
+  cfg.n = 64;
+  cfg.r = 8;
+  cfg.workers = 4;
+  cfg.seed = 5;
+  SimConfig c;
+  c.profile = net::ultraSparc440();
+  c.mode = ExecutionMode::Pdexec;
+  c.allocatePayloads = false;
+  SimEngine engine(c);
+  lu::LuBuild build = lu::buildLu(cfg, lu::KernelCostModel::ultraSparc440(), false);
+  const RunResult r = lu::runLu(engine, build);
+  lu::checkOutputs(cfg, r);
+  const des::SchedulerStats& ev = r.scheduler;
+  EXPECT_EQ(ev.cancelled, 0u);
+  EXPECT_GT(ev.rescheduled, 0u);
+  EXPECT_EQ(ev.fired, ev.scheduled); // nothing cancelled, nothing left pending
+  EXPECT_GE(ev.fired, r.counters.steps);
+  EXPECT_GT(ev.queueHighWater, 0u);
 }
 
 } // namespace
