@@ -39,10 +39,9 @@
 namespace dps::flow {
 
 struct RunCounters {
-  std::uint64_t steps = 0;          // atomic steps executed
-  std::uint64_t messages = 0;       // data objects posted (incl. same-node)
-  std::uint64_t networkBytes = 0;   // wire bytes crossing the network
-  std::uint64_t kernelsSkipped = 0; // informational (PDEXEC)
+  std::uint64_t steps = 0;        // atomic steps executed
+  std::uint64_t messages = 0;     // data objects posted (incl. same-node)
+  std::uint64_t networkBytes = 0; // wire bytes crossing the network
 };
 
 class Dispatcher {

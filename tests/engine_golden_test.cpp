@@ -5,8 +5,10 @@
 // markers, allocation changes, in recording order) into one FNV-1a digest.
 // A refactor of the engine or of the shared DPS dispatch that reorders a
 // single simulated event, or shifts one by a tick, changes the digest.
-// The committed values were computed before the dispatch code was shared
-// between the simulator and the runtime engine.
+// The values were first computed before the dispatch code was shared
+// between the simulator and the runtime engine, and re-pinned once when the
+// never-incremented kernelsSkipped counter left RunCounters (its constant
+// zero was folded in; no simulated event moved).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -45,7 +47,6 @@ std::uint64_t digest(const core::RunResult& r) {
       .add(r.counters.steps)
       .add(r.counters.messages)
       .add(r.counters.networkBytes)
-      .add(r.counters.kernelsSkipped)
       .add(static_cast<std::uint64_t>(r.outputs.size()));
   EXPECT_TRUE(r.trace != nullptr);
   if (!r.trace) return fp.value();
@@ -77,7 +78,7 @@ TEST(EngineGoldenTest, PlainLu) {
   lu::LuBuild build = lu::buildLu(cfg, lu::KernelCostModel::ultraSparc440(), false);
   const auto result = lu::runLu(engine, build);
   lu::checkOutputs(cfg, result);
-  EXPECT_EQ(digest(result), 15891130537013165935ull);
+  EXPECT_EQ(digest(result), 8236446781055544882ull);
 }
 
 TEST(EngineGoldenTest, PipelinedLuWithFlowControl) {
@@ -94,7 +95,7 @@ TEST(EngineGoldenTest, PipelinedLuWithFlowControl) {
   lu::LuBuild build = lu::buildLu(cfg, lu::KernelCostModel::ultraSparc440(), false);
   const auto result = lu::runLu(engine, build);
   lu::checkOutputs(cfg, result);
-  EXPECT_EQ(digest(result), 1545494241033856934ull);
+  EXPECT_EQ(digest(result), 14467788157569001499ull);
 }
 
 TEST(EngineGoldenTest, Jacobi) {
@@ -106,7 +107,7 @@ TEST(EngineGoldenTest, Jacobi) {
   core::SimEngine engine(pdexecConfig());
   const auto build = jacobi::buildJacobi(cfg, jacobi::JacobiCostModel{}, false);
   const auto result = jacobi::runJacobi(engine, build);
-  EXPECT_EQ(digest(result), 5101518373867898052ull);
+  EXPECT_EQ(digest(result), 5199297663265664353ull);
 }
 
 TEST(EngineGoldenTest, MalleableLuRemovesAndReAdds) {
@@ -119,7 +120,7 @@ TEST(EngineGoldenTest, MalleableLuRemovesAndReAdds) {
   lu::checkOutputs(cfg, result);
   EXPECT_TRUE(controller.removed().empty());
   EXPECT_GT(controller.growMigratedBytes(), 0u);
-  EXPECT_EQ(digest(result), 3401412896150558212ull);
+  EXPECT_EQ(digest(result), 12097569696562364035ull);
 }
 
 } // namespace
