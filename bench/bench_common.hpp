@@ -128,13 +128,14 @@ inline void check(bool ok, const std::string& claim) {
 /// (when the bench is campaign-based) the full observation set + aggregates.
 /// `extraJson` lets non-Campaign benches (e.g. the sched cluster sweep)
 /// append their own top-level members: pass `"key":value[,...]` fragments.
-inline void writeJson(const std::string& path, const std::string& benchName,
+/// Returns false when the file could not be opened or fully written.
+inline bool writeJson(const std::string& path, const std::string& benchName,
                       const RunOptions& opts, const exp::CampaignResult* campaign,
                       const std::string& extraJson = {}) {
   std::ofstream os(path);
   if (!os) {
     std::fprintf(stderr, "cannot write JSON to %s\n", path.c_str());
-    return;
+    return false;
   }
   JsonWriter w(os);
   w.beginObject().field("bench", benchName).field("jobs", effectiveJobs(opts));
@@ -150,22 +151,29 @@ inline void writeJson(const std::string& path, const std::string& benchName,
   w.endObject();
   DPS_CHECK(w.closed(), "unbalanced bench JSON");
   os << "\n";
+  if (!os.flush()) {
+    std::fprintf(stderr, "cannot write JSON to %s\n", path.c_str());
+    return false;
+  }
   std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 /// Prints the verdict summary, emits JSON when requested, and returns the
-/// process exit code.
+/// process exit code: non-zero when a check failed or the requested JSON
+/// could not be written.
 inline int finish(const std::string& benchName = {}, const RunOptions& opts = {},
                   const exp::CampaignResult* campaign = nullptr,
                   const std::string& extraJson = {}) {
-  if (!opts.jsonPath.empty()) writeJson(opts.jsonPath, benchName, opts, campaign, extraJson);
+  const bool written =
+      opts.jsonPath.empty() || writeJson(opts.jsonPath, benchName, opts, campaign, extraJson);
   const int failed = g_checksFailed.load(std::memory_order_relaxed);
   if (failed > 0) {
     std::printf("\n%d shape check(s) FAILED\n", failed);
     return 1;
   }
   std::printf("\nall shape checks passed\n");
-  return 0;
+  return written ? 0 : 1;
 }
 
 } // namespace dps::bench
