@@ -23,9 +23,11 @@
 //      aggregate |makespan error| of the interpolated prediction must stay
 //      under 5%.
 //
+// Both interpolation figures are deterministic, so besides the bounds above
+// they are [CHECK]ed at their exact values.
+//
 // JSON artifact (CLUSTER_scale.json): the grid (each point with its replay
-// and audit verdicts and wall times) and the interpolation error block,
-// read by the bench dashboard and history scripts.
+// and audit verdicts and wall times) and the interpolation error block.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -255,6 +257,11 @@ int main(int argc, char** argv) {
   bench::check(binfo.runReduction() >= 4.0,
                "anchor engine runs reduced >= 4x vs exhaustive profiling (got " +
                    Table::num(binfo.runReduction(), 1) + "x)");
+  // The exact value: 19 anchor runs for 96 allocation points.  A change to
+  // the anchor choice or the scaled mix updates it here, in the same change.
+  bench::check(binfo.engineRunPoints == 19 && binfo.profiledAllocs == 96 &&
+                   binfo.runReduction() == 5.052631578947368,
+               "anchor run reduction pinned at 96 points / 19 engine runs");
 
   // Anchor entries must be the engine profiles bit-for-bit: re-acquiring
   // every anchor through the same cache must hit (no new engine runs) and
@@ -322,6 +329,8 @@ int main(int argc, char** argv) {
                "interpolated profiles within 5% aggregate makespan error (replay-validated, "
                "got " +
                    Table::num(report.meanAbsMakespanError * 100.0, 2) + "%)");
+  bench::check(report.meanAbsMakespanError == 0.029695185817426056,
+               "interpolation |makespan error| pinned at its exact value (2.97%)");
 
   std::ostringstream interpJson;
   {

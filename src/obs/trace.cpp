@@ -64,6 +64,11 @@ std::size_t TraceSink::eventCount() const {
   return events_.size();
 }
 
+std::vector<TraceSink::Event> TraceSink::events() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return events_;
+}
+
 void TraceSink::write(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
   JsonWriter w(os);

@@ -40,15 +40,7 @@ public:
   void processName(std::int32_t pid, const std::string& name);
   void threadName(std::int32_t pid, std::int32_t tid, const std::string& name);
 
-  std::size_t eventCount() const;
-
-  /// The {"traceEvents":[...]} document, events in emission order.
-  void write(std::ostream& os) const;
-  std::string jsonString() const;
-  /// Returns false (and writes nothing) when the file cannot be opened.
-  bool writeFile(const std::string& path) const;
-
-private:
+  /// One buffered event; `ts`/`dur` are in the caller's microseconds.
   struct Event {
     char phase = 'X';
     std::string name;
@@ -60,6 +52,17 @@ private:
     std::int32_t tid = 0;
   };
 
+  std::size_t eventCount() const;
+  /// A copy of every event so far, in emission order.
+  std::vector<Event> events() const;
+
+  /// The {"traceEvents":[...]} document, events in emission order.
+  void write(std::ostream& os) const;
+  std::string jsonString() const;
+  /// Returns false (and writes nothing) when the file cannot be opened.
+  bool writeFile(const std::string& path) const;
+
+private:
   mutable std::mutex mu_;
   std::vector<Event> events_;
 };

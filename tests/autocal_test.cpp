@@ -251,6 +251,32 @@ TEST(AutocalSearchTest, WarmStartBoundsTheBest) {
   EXPECT_LE(result.best().score, result.warmStart().score);
 }
 
+TEST(AutocalSearchTest, CalibrateSmokeRunIsPinned) {
+  // `dps_calibrate --budget 8 --seed 1` with its other flags at their
+  // defaults: the two-point warm start, the full validation set, 3 random
+  // proposals, then coordinate descent.
+  const EngineSettings settings;
+  const ScenarioRunner runner(settings);
+  const std::uint64_t seed = 1;
+  const auto fit = calibratePlatform(runner.referenceConfig(seed), seed, 16);
+  Candidate warm;
+  warm.profile = applyCalibration(settings.profile, fit);
+  const ParamSpace space = ParamSpace::around(warm, false);
+  const ScenarioObjective objective(settings, warm, space, ObjectiveSpec::validationSet(), 1);
+  SearchOptions options;
+  options.budget = 8;
+  options.jobs = 1;
+  options.warmStart = space.encode(warm);
+  const std::vector<std::shared_ptr<SearchStrategy>> strategies{
+      std::make_shared<RandomSearch>(3, seed), std::make_shared<CoordinateDescent>()};
+  const auto result = runCalibrationSearch(objective, space, strategies, options);
+  EXPECT_EQ(result.history.records.size(), 8u);
+  EXPECT_LE(result.best().score, result.warmStart().score);
+  // Exact value: a change to the engine, the objective or the strategies
+  // that moves it must update it here, in the same change.
+  EXPECT_EQ(result.best().score, 0.011077151281678074);
+}
+
 TEST(AutocalSearchTest, ReportJsonCarriesBestAndTrace) {
   const EngineSettings settings;
   const Candidate warm = testCandidate();

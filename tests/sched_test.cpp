@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <iterator>
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "obs/recorder.hpp"
@@ -11,6 +14,7 @@
 #include "obs/trace.hpp"
 #include "sched/cluster.hpp"
 #include "sched/explore.hpp"
+#include "sched/replay.hpp"
 #include "support/fingerprint.hpp"
 
 namespace dps::sched {
@@ -719,6 +723,155 @@ TEST(ClusterTest, ProgressCallbackReportsMonotoneEventCounts) {
   Equipartition p2;
   simulateCluster(quiet, wl, table, p2);
   EXPECT_FALSE(called);
+}
+
+// ---------------------------------------------------------------------------
+// The CI smoke run, `dps_cluster --smoke --nodes 8 --seed 1`, pinned by value
+
+/// What `dps_cluster --smoke --nodes 8 --seed 1` simulates with its other
+/// flags at their defaults: six default-mix jobs arriving at 0.15/s,
+/// interpolated profiles, every policy at its default settings.
+struct SmokeRun {
+  Workload workload;
+  JobProfileTable table;
+  ClusterConfig cfg;
+};
+
+SmokeRun smokeRun() {
+  WorkloadConfig wcfg;
+  wcfg.seed = 1;
+  wcfg.jobCount = 6;
+  wcfg.arrivalRatePerSec = 0.15;
+  auto workload = Workload::generate(wcfg, 8);
+  auto table = JobProfileTable::build(workload.cfg.classes, 8, {}, 1);
+  return {std::move(workload), std::move(table),
+          ClusterConfig::fromProfile(ProfileSettings{}.platform, 8)};
+}
+
+TEST(ClusterSmokeTest, EveryPolicyRunsEveryJobAndTheHeadlineMetricsArePinned) {
+  const SmokeRun s = smokeRun();
+  const auto names = policyNames();
+  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()),
+            (std::set<std::string>{"efficiency-shrink", "equipartition", "fcfs-rigid",
+                                   "grow-eager"}));
+  std::map<std::string, ClusterMetrics> byPolicy;
+  std::int64_t waited = 0;
+  for (const std::string& name : names) {
+    auto policy = makePolicy(name);
+    auto m = simulateCluster(s.cfg, s.workload, s.table, *policy);
+    EXPECT_GT(m.utilization, 0.0) << name;
+    EXPECT_LE(m.utilization, 1.0 + 1e-9) << name;
+    EXPECT_GE(m.meanSlowdown, 0.99) << name;
+    EXPECT_EQ(m.jobs.size(), s.workload.jobs.size()) << name;
+    for (const auto& j : m.jobs) {
+      EXPECT_EQ(j.wait.sumNs(), j.wait.totalNs) << name << " job " << j.id;
+      waited += j.wait.totalNs;
+    }
+    byPolicy.emplace(name, std::move(m));
+  }
+  EXPECT_GT(waited, 0); // the bucket sums were exercised
+  const ClusterMetrics& equip = byPolicy.at("equipartition");
+  const ClusterMetrics& fcfs = byPolicy.at("fcfs-rigid");
+  EXPECT_LT(equip.meanSlowdown, fcfs.meanSlowdown);
+  // Exact values: a change to the policies, the profiles or the loop that
+  // moves one of them must update it here, in the same change.
+  EXPECT_EQ(equip.meanSlowdown, 1.2299023582927635);
+  EXPECT_EQ(equip.utilization, 0.25714246075591124);
+  EXPECT_EQ(equip.attribution.dominantShare(), 1.0);
+  EXPECT_EQ(fcfs.attribution.totalNs, 11028687055);
+}
+
+TEST(ClusterSmokeTest, TraceNestsEveryWaitSpanInsideItsQueuedSpan) {
+  // dps_cluster's --trace/--metrics wiring: one pid lane and one metric
+  // prefix per policy, all into one sink and one registry.
+  const SmokeRun s = smokeRun();
+  obs::Registry registry;
+  obs::TraceSink trace;
+  const auto names = policyNames();
+  for (std::size_t pi = 0; pi < names.size(); ++pi) {
+    ClusterConfig cfg = s.cfg;
+    cfg.metrics = &registry;
+    cfg.metricsPrefix = "cluster." + names[pi] + ".";
+    cfg.trace = &trace;
+    cfg.tracePid = static_cast<std::int32_t>(pi);
+    trace.processName(cfg.tracePid, "policy: " + names[pi]);
+    auto policy = makePolicy(names[pi]);
+    simulateCluster(cfg, s.workload, s.table, *policy);
+  }
+  const auto snap = registry.snapshot();
+  for (const std::string& name : names)
+    EXPECT_GT(snap.counter("cluster." + name + ".events_processed"), 0u) << name;
+
+  const auto events = trace.events();
+  std::map<std::pair<std::int32_t, std::int32_t>, std::pair<double, double>> queued;
+  std::size_t spans = 0;
+  bool metadata = false;
+  for (const auto& e : events) {
+    metadata = metadata || e.phase == 'M';
+    if (e.phase != 'X') continue;
+    ++spans;
+    EXPECT_FALSE(e.name.empty());
+    EXPECT_GE(e.dur, 0.0) << e.name;
+    if (e.category == "queue") queued[{e.pid, e.tid}] = {e.ts, e.ts + e.dur};
+  }
+  EXPECT_TRUE(metadata) << "no process metadata";
+  EXPECT_GE(spans, s.workload.jobs.size());
+  // The slack covers the rounding of the parent's end, ts + dur, in
+  // microseconds.
+  constexpr double kEpsMicros = 1e-3;
+  std::size_t waits = 0;
+  for (const auto& e : events) {
+    if (e.phase != 'X' || e.category != "wait") continue;
+    ++waits;
+    const auto parent = queued.find({e.pid, e.tid});
+    ASSERT_NE(parent, queued.end()) << "wait span without a queued parent, tid " << e.tid;
+    EXPECT_LE(parent->second.first - kEpsMicros, e.ts) << "tid " << e.tid;
+    EXPECT_LE(e.ts + e.dur, parent->second.second + kEpsMicros) << "tid " << e.tid;
+  }
+  EXPECT_GT(waits, 0u) << "no wait child spans in the trace";
+}
+
+TEST(ClusterSmokeTest, ExplainNamesTheMostDelayedJobsDominantWaitReason) {
+  // CI runs `dps_cluster --smoke ... --explain 3`: job 3 is the most
+  // delayed job under equipartition, and its narrative names the reason.
+  const SmokeRun s = smokeRun();
+  obs::Recorder recorder(10.0);
+  ClusterConfig cfg = s.cfg;
+  cfg.recorder = &recorder;
+  Equipartition policy;
+  const auto m = simulateCluster(cfg, s.workload, s.table, policy);
+  const auto byWait = [](const JobOutcome& a, const JobOutcome& b) {
+    return a.wait.totalNs < b.wait.totalNs;
+  };
+  const auto top = std::max_element(m.jobs.begin(), m.jobs.end(), byWait);
+  ASSERT_NE(top, m.jobs.end());
+  EXPECT_EQ(top->id, 3);
+  EXPECT_EQ(top->wait.dominant(), obs::WaitReason::InsufficientFree);
+  EXPECT_NE(recorder.explain(top->id).find("dominant wait reason: insufficient free nodes"),
+            std::string::npos);
+}
+
+TEST(ClusterSmokeTest, ReplayOfTheEquipartitionRunStaysWithinItsErrorBounds) {
+  // `dps_cluster --smoke --replay`: the primary policy's allocation
+  // histories re-run on the full engine.  Direct engine runs here; the
+  // tool serves the same specs from its profile cache.
+  const SmokeRun s = smokeRun();
+  Equipartition policy;
+  const auto m = simulateCluster(s.cfg, s.workload, s.table, policy);
+  const auto rep = replaySchedule(m, s.workload, s.table, ReplaySettings{});
+  EXPECT_GE(rep.replayed, 1);
+  EXPECT_EQ(rep.replayed + rep.unsupported, static_cast<std::int32_t>(s.workload.jobs.size()));
+  for (const auto& j : rep.jobs) {
+    if (j.mode == ReplayMode::Unsupported) continue;
+    EXPECT_GT(j.replayedSec, 0.0) << "job " << j.id;
+    // Without a reallocation the prediction is the engine run itself.
+    if (j.mode == ReplayMode::Static) {
+      EXPECT_LT(std::abs(j.makespanError()), 1e-6) << "job " << j.id;
+    }
+  }
+  EXPECT_LT(rep.maxAbsMakespanError, 0.25);
+  EXPECT_LT(rep.meanAbsBytesError, 0.25);
+  EXPECT_EQ(rep.meanAbsMakespanError, 0.01621893047200016);
 }
 
 // ---------------------------------------------------------------------------
