@@ -51,7 +51,8 @@ inline std::string jsonEscape(const std::string& s) {
 /// nesting are handled by a small state stack so emitters state only their
 /// structure; formatting matches the historical hand-rolled writers byte
 /// for byte — doubles through jsonDouble (%.17g), integers streamed raw,
-/// strings through jsonEscape — so CI's JSON assertions keep holding.
+/// strings through jsonEscape — so reports and their pinned digests stay
+/// byte-identical.
 class JsonWriter {
 public:
   explicit JsonWriter(std::ostream& os) : os_(os) {}
