@@ -13,8 +13,8 @@
 
 using namespace dps;
 
-int main(int argc, char** argv) {
-  const auto opts = bench::BenchArgs::parse(argc, argv).opts;
+int run(Cli& cli) {
+  const bench::BenchArgs opts(cli);
 
   const std::vector<std::int32_t> rs{81, 108};
   exp::Campaign campaign(bench::paperSettings());
@@ -69,10 +69,10 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::printf("\n");
 
-  bench::check(worstFull <= worstNoComm,
-               "dropping comm CPU overhead does not improve accuracy");
-  bench::check(worstFull <= worstNoShare,
-               "dropping CPU sharing does not improve accuracy");
-  bench::check(worstFull < 0.08, "full model stays within 8%");
+  check(worstFull <= worstNoComm, "dropping comm CPU overhead does not improve accuracy");
+  check(worstFull <= worstNoShare, "dropping CPU sharing does not improve accuracy");
+  check(worstFull < 0.08, "full model stays within 8%");
   return bench::finish("ablation_cpu_model", opts, &result);
 }
+
+int main(int argc, char** argv) { return runMain(argc, argv, run); }

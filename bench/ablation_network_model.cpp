@@ -14,8 +14,8 @@
 
 using namespace dps;
 
-int main(int argc, char** argv) {
-  const auto opts = bench::BenchArgs::parse(argc, argv).opts;
+int run(Cli& cli) {
+  const bench::BenchArgs opts(cli);
 
   const std::vector<std::int32_t> rs{81, 108, 162};
   exp::Campaign campaign(bench::paperSettings());
@@ -59,8 +59,10 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::printf("\n");
 
-  bench::check(worstAblated > worstFull,
-               "disabling contention degrades prediction accuracy on comm-heavy runs");
-  bench::check(worstFull < 0.08, "full model stays within 8% on comm-heavy runs");
+  check(worstAblated > worstFull,
+        "disabling contention degrades prediction accuracy on comm-heavy runs");
+  check(worstFull < 0.08, "full model stays within 8% on comm-heavy runs");
   return bench::finish("ablation_network_model", opts, &result);
 }
+
+int main(int argc, char** argv) { return runMain(argc, argv, run); }

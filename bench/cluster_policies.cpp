@@ -23,8 +23,8 @@
 
 using namespace dps;
 
-int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, /*withSmoke=*/true);
+int run(Cli& cli) {
+  const bench::BenchArgs args(cli, /*withSmoke=*/true);
   const std::int32_t nodes = 8;
   const std::vector<std::uint64_t> seeds =
       args.smoke ? std::vector<std::uint64_t>{1, 2} : std::vector<std::uint64_t>{1, 2, 3, 4, 5};
@@ -33,8 +33,7 @@ int main(int argc, char** argv) {
 
   const auto classes = sched::Workload::defaultMix(nodes);
   const sched::ProfileSettings settings;
-  const auto profiles =
-      svc::buildProfileTable(classes, nodes, settings, bench::effectiveJobs(args.opts));
+  const auto profiles = svc::buildProfileTable(classes, nodes, settings, args.jobs);
   const auto ccfg = sched::ClusterConfig::fromProfile(settings.platform, nodes);
 
   struct PolicyAgg {
@@ -70,9 +69,9 @@ int main(int argc, char** argv) {
       for (const auto& name : sched::policyNames()) {
         auto policy = sched::makePolicy(name);
         const auto m = sched::simulateCluster(ccfg, workload, profiles, *policy);
-        bench::check(!m.jobs.empty() && m.utilization > 0 && m.utilization <= 1.0 + 1e-9,
-                     name + " seed " + std::to_string(seed) + " rate " + Table::num(rate, 2) +
-                         ": all jobs served, utilization in (0,1]");
+        check(!m.jobs.empty() && m.utilization > 0 && m.utilization <= 1.0 + 1e-9,
+              name + " seed " + std::to_string(seed) + " rate " + Table::num(rate, 2) +
+                  ": all jobs served, utilization in (0,1]");
         cells.push_back(Table::num(m.meanSlowdown, 2) + " | " + Table::pct(m.utilization, 0));
         PolicyAgg& a = agg[name];
         a.slowdown.add(m.meanSlowdown);
@@ -102,17 +101,17 @@ int main(int argc, char** argv) {
     t.print(std::cout);
   }
 
-  bench::check(defaultEquip > 0 && defaultEquip < defaultFcfs,
-               "equipartition beats fcfs-rigid on mean slowdown (default workload)");
-  bench::check(agg["equipartition"].slowdown.mean() < agg["fcfs-rigid"].slowdown.mean(),
-               "equipartition beats fcfs-rigid on mean slowdown (sweep aggregate)");
-  bench::check(agg["efficiency-shrink"].reallocations > 0,
-               "efficiency-shrink policy actually releases nodes");
-  bench::check(agg["grow-eager"].growthGrants > 0,
-               "grow-eager policy triggers growth grants on the default workload sweep");
-  bench::check(agg["fcfs-rigid"].growthGrants == 0, "rigid jobs never grow");
-  bench::check(agg["equipartition"].wait.mean() < agg["fcfs-rigid"].wait.mean(),
-               "malleable scheduling shortens mean job wait vs rigid FCFS");
+  check(defaultEquip > 0 && defaultEquip < defaultFcfs,
+        "equipartition beats fcfs-rigid on mean slowdown (default workload)");
+  check(agg["equipartition"].slowdown.mean() < agg["fcfs-rigid"].slowdown.mean(),
+        "equipartition beats fcfs-rigid on mean slowdown (sweep aggregate)");
+  check(agg["efficiency-shrink"].reallocations > 0,
+        "efficiency-shrink policy actually releases nodes");
+  check(agg["grow-eager"].growthGrants > 0,
+        "grow-eager policy triggers growth grants on the default workload sweep");
+  check(agg["fcfs-rigid"].growthGrants == 0, "rigid jobs never grow");
+  check(agg["equipartition"].wait.mean() < agg["fcfs-rigid"].wait.mean(),
+        "malleable scheduling shortens mean job wait vs rigid FCFS");
 
   points.endArray();
   DPS_CHECK(points.closed(), "unbalanced points JSON");
@@ -148,5 +147,7 @@ int main(int argc, char** argv) {
 
   const std::string extra =
       "\"aggregate\":" + aggJson.str() + ",\"points\":" + pointsJson.str();
-  return bench::finish("cluster_policies", args.opts, nullptr, extra);
+  return bench::finish("cluster_policies", args, nullptr, extra);
 }
+
+int main(int argc, char** argv) { return runMain(argc, argv, run); }

@@ -103,9 +103,8 @@ struct GridPoint {
 
 } // namespace
 
-int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, /*withSmoke=*/true);
-  const unsigned jobs = bench::effectiveJobs(args.opts);
+int run(Cli& cli) {
+  const bench::BenchArgs args(cli, /*withSmoke=*/true);
 
   // ---------------------------------------------------------------- grid --
   // Saturated EASY-backfill runs under fcfs-rigid (the policy whose blocked
@@ -126,7 +125,7 @@ int main(int argc, char** argv) {
   // The default mix tops out at 8 workers, so one small profile table
   // serves every grid point (same class set at any cluster size).
   const auto classes = sched::Workload::defaultMix(maxNodes);
-  const auto profiles = svc::buildProfileTable(classes, maxNodes, settings, jobs, cache);
+  const auto profiles = svc::buildProfileTable(classes, maxNodes, settings, args.jobs, cache);
 
   Table t("event-loop scaling (fcfs-rigid + EASY backfill, saturated arrivals)");
   t.header({"jobs", "nodes", "rate [1/s]", "wall [s]", "events", "events/s", "jobs/s",
@@ -164,28 +163,24 @@ int main(int argc, char** argv) {
            Table::num(jobsPerSec, 0), Table::num(m.meanSlowdown, 2)});
     const std::string tag =
         std::to_string(g.jobCount) + " jobs / " + std::to_string(g.nodes) + " nodes: ";
-    bench::check(m.utilization > 0.5, tag + "grid point is actually saturated (utilization > 50%)");
-    bench::check(wall > 0 && evPerSec > 0, tag + "wall time and events/s are positive");
+    check(m.utilization > 0.5, tag + "grid point is actually saturated (utilization > 50%)");
+    check(wall > 0 && evPerSec > 0, tag + "wall time and events/s are positive");
 
     // The Machine re-executes the point's decisions: every job's start,
     // finish, per-phase allocations, migrations and wait ticks, plus the
     // makespan and mean slowdown, must come back bit-identical.
     const auto replayStart = std::chrono::steady_clock::now();
-    bool replayIdentical = false;
-    try {
-      replayIdentical = sameSchedule(
-          m, sched::replayTrace(ccfg, workload, profiles,
-                                sched::decisionTrace(ccfg, workload, profiles, m)));
-    } catch (const Error& e) {
-      std::printf("replay rejected the decision trace: %s\n", e.what());
-    }
+    // A trace the Machine rejects throws, failing the bench with its reason.
+    const bool replayIdentical = sameSchedule(
+        m, sched::replayTrace(ccfg, workload, profiles,
+                              sched::decisionTrace(ccfg, workload, profiles, m)));
     const double replayWall = wallSec(replayStart);
     std::printf("%sreplay of its own decisions: %.2fs\n", tag.c_str(), replayWall);
-    bench::check(replayIdentical, tag + "loop equals the Machine replay of its own decisions");
+    check(replayIdentical, tag + "loop equals the Machine replay of its own decisions");
     // The observability layer restates the run's own counts.
     const auto snap = registry.snapshot();
     const std::string& prefix = ccfg.metricsPrefix;
-    bench::check(
+    check(
         snap.counter(prefix + "events_processed") == static_cast<std::uint64_t>(m.events) &&
             snap.counter(prefix + "reallocations") == static_cast<std::uint64_t>(m.reallocations) &&
             snap.counter(prefix + "backfill_fires") == static_cast<std::uint64_t>(m.backfillFires),
@@ -206,10 +201,10 @@ int main(int argc, char** argv) {
       auditWall = wallSec(auditStart);
       std::printf("%sflight-recorded run and audit: %.2fs\n", tag.c_str(), auditWall);
       audit = res.report;
-      bench::check(audit.pass(), tag + "the flight record passes all seven invariants (" +
-                                     std::to_string(audit.totalChecks()) + " checks)");
-      bench::check(res.metrics.jsonString() == m.jsonString(),
-                   tag + "the audited run's metrics equal the timed run's");
+      check(audit.pass(), tag + "the flight record passes all seven invariants (" +
+                              std::to_string(audit.totalChecks()) + " checks)");
+      check(res.metrics.jsonString() == m.jsonString(),
+            tag + "the audited run's metrics equal the timed run's");
     }
     gw.beginObject()
         .field("job_count", g.jobCount)
@@ -248,20 +243,20 @@ int main(int argc, char** argv) {
   sched::ProfileBuildOptions popts; // interpolate = true, auto anchors
   const auto interpStart = std::chrono::steady_clock::now();
   const auto interp =
-      svc::buildProfileTable(scaled, interpNodes, settings, jobs, interpCache, popts);
+      svc::buildProfileTable(scaled, interpNodes, settings, args.jobs, interpCache, popts);
   const double interpWall = wallSec(interpStart);
   const auto& binfo = interp.buildInfo();
   std::printf("\ninterpolated scaled-mix table: %zu engine runs for %zu allocation points "
               "(%.1fx reduction, %.1fs)\n",
               binfo.engineRunPoints, binfo.profiledAllocs, binfo.runReduction(), interpWall);
-  bench::check(binfo.runReduction() >= 4.0,
-               "anchor engine runs reduced >= 4x vs exhaustive profiling (got " +
-                   Table::num(binfo.runReduction(), 1) + "x)");
+  check(binfo.runReduction() >= 4.0,
+        "anchor engine runs reduced >= 4x vs exhaustive profiling (got " +
+            Table::num(binfo.runReduction(), 1) + "x)");
   // The exact value: 19 anchor runs for 96 allocation points.  A change to
   // the anchor choice or the scaled mix updates it here, in the same change.
-  bench::check(binfo.engineRunPoints == 19 && binfo.profiledAllocs == 96 &&
-                   binfo.runReduction() == 5.052631578947368,
-               "anchor run reduction pinned at 96 points / 19 engine runs");
+  check(binfo.engineRunPoints == 19 && binfo.profiledAllocs == 96 &&
+            binfo.runReduction() == 5.052631578947368,
+        "anchor run reduction pinned at 96 points / 19 engine runs");
 
   // Anchor entries must be the engine profiles bit-for-bit: re-acquiring
   // every anchor through the same cache must hit (no new engine runs) and
@@ -273,7 +268,7 @@ int main(int argc, char** argv) {
     const auto full = sched::feasibleAllocations(scaled[c], interpNodes);
     const auto anchors = sched::InterpolatedProfile::pickAnchors(
         full, sched::InterpolatedProfile::autoAnchorCount(full.size()));
-    const auto again = svc::acquireProfile(settings, scaled[c], anchors, jobs, interpCache);
+    const auto again = svc::acquireProfile(settings, scaled[c], anchors, args.jobs, interpCache);
     for (std::size_t a = 0; a < anchors.size(); ++a) {
       const auto& fresh = again.at(anchors[a]);
       const auto& stored = cp.at(anchors[a]);
@@ -281,9 +276,9 @@ int main(int argc, char** argv) {
                      fresh.phaseSec == stored.phaseSec && fresh.phaseEff == stored.phaseEff;
     }
   }
-  bench::check(anchorsExact, "interpolated table reproduces anchor engine profiles bit-for-bit");
-  bench::check(interpCache.stats().engineRuns == runsBefore,
-               "re-acquiring anchors is pure cache hits (no new engine runs)");
+  check(anchorsExact, "interpolated table reproduces anchor engine profiles bit-for-bit");
+  check(interpCache.stats().engineRuns == runsBefore,
+        "re-acquiring anchors is pure cache hits (no new engine runs)");
 
   // Replay validation of the synthesized entries: pin each job of a small
   // workload to a NON-anchor allocation of its class, simulate, then replay
@@ -313,24 +308,24 @@ int main(int argc, char** argv) {
   const auto pinMetrics = sched::simulateCluster(interpCcfg, interpWorkload, interp, pinPolicy);
 
   std::printf("replaying %zu non-anchor pinned jobs in-engine (--jobs %u)...\n",
-              pinMetrics.jobs.size(), jobs);
+              pinMetrics.jobs.size(), args.jobs);
   sched::ReplaySettings rs;
   rs.engine = settings;
-  rs.jobs = jobs;
+  rs.jobs = args.jobs;
   rs.runner = svc::cachedRunner(interpCache);
   const auto report = sched::replaySchedule(pinMetrics, interpWorkload, interp, rs);
   std::printf("interpolation error vs engine: mean %+.2f%%, |mean| %.2f%%, |max| %.2f%% over "
               "%d replayed jobs\n",
               report.meanMakespanError * 100.0, report.meanAbsMakespanError * 100.0,
               report.maxAbsMakespanError * 100.0, report.replayed);
-  bench::check(report.replayed == static_cast<std::int32_t>(pinMetrics.jobs.size()),
-               "every pinned job replays (constant histories are static-mode)");
-  bench::check(report.meanAbsMakespanError < 0.05,
-               "interpolated profiles within 5% aggregate makespan error (replay-validated, "
-               "got " +
-                   Table::num(report.meanAbsMakespanError * 100.0, 2) + "%)");
-  bench::check(report.meanAbsMakespanError == 0.029695185817426056,
-               "interpolation |makespan error| pinned at its exact value (2.97%)");
+  check(report.replayed == static_cast<std::int32_t>(pinMetrics.jobs.size()),
+        "every pinned job replays (constant histories are static-mode)");
+  check(report.meanAbsMakespanError < 0.05,
+        "interpolated profiles within 5% aggregate makespan error (replay-validated, "
+        "got " +
+            Table::num(report.meanAbsMakespanError * 100.0, 2) + "%)");
+  check(report.meanAbsMakespanError == 0.029695185817426056,
+        "interpolation |makespan error| pinned at its exact value (2.97%)");
 
   std::ostringstream interpJson;
   {
@@ -351,5 +346,7 @@ int main(int argc, char** argv) {
   const std::string extraJson = "\"grid\":" + gridJson.str() +
                                 ",\"interpolation\":" + interpJson.str() +
                                 ",\"metrics\":" + registry.jsonString();
-  return bench::finish("cluster_scale", args.opts, nullptr, extraJson);
+  return bench::finish("cluster_scale", args, nullptr, extraJson);
 }
+
+int main(int argc, char** argv) { return runMain(argc, argv, run); }

@@ -12,12 +12,11 @@
 
 using namespace dps;
 
-int main(int argc, char** argv) {
+int run(Cli& cli) {
   // --smoke shrinks the sweep (1296^2 matrix, coarse granularities only) so CI
   // can exercise the full bench pipeline in well under a second.
-  const auto args = bench::BenchArgs::parse(argc, argv, /*withSmoke=*/true);
-  const bool smoke = args.smoke;
-  const auto& opts = args.opts;
+  const bench::BenchArgs opts(cli, /*withSmoke=*/true);
+  const bool smoke = opts.smoke;
 
   const std::int32_t n = smoke ? 1296 : 2592;
   auto lu = [&](std::int32_t r, std::int32_t workers) {
@@ -76,15 +75,14 @@ int main(int argc, char** argv) {
     if (curve["P"][r].first <= curve["Basic"][r].first) pBeatsBasic = false;
     if (curve["P+FC"][r].first + 1e-9 < curve["P"][r].first) fcBeatsP = false;
   }
-  bench::check(pBeatsBasic, "pipelining beats the basic graph at every granularity");
+  check(pBeatsBasic, "pipelining beats the basic graph at every granularity");
   // The remaining claims are paper-scale shapes (2592^2); at --smoke size flow
   // control can lose at coarse granularity, so only the full run asserts them.
   if (!smoke) {
-    bench::check(fcBeatsP, "flow control never hurts pipelining");
-    bench::check(curve["Basic"][81].first < 0.9,
-                 "basic graph degrades sharply at fine granularity (r=81)");
-    bench::check(curve["P+FC"][108].first > 1.5,
-                 "P+FC reaches a large improvement at fine granularity");
+    check(fcBeatsP, "flow control never hurts pipelining");
+    check(curve["Basic"][81].first < 0.9,
+          "basic graph degrades sharply at fine granularity (r=81)");
+    check(curve["P+FC"][108].first > 1.5, "P+FC reaches a large improvement at fine granularity");
   }
   // Optimum of P+FC sits at finer granularity than the Basic optimum.
   auto argmax = [&](const std::string& v) {
@@ -93,14 +91,16 @@ int main(int argc, char** argv) {
       if (curve[v][r].first > curve[v][best].first) best = r;
     return best;
   };
-  bench::check(argmax("P+FC") <= argmax("Basic"),
-               "optimal block size for P+FC is at least as fine as for Basic");
+  check(argmax("P+FC") <= argmax("Basic"),
+        "optimal block size for P+FC is at least as fine as for Basic");
   // Simulator curves track the measured ones.
   double worstGap = 0;
   for (const auto& v : variants)
     for (std::int32_t r : sizes)
       worstGap = std::max(worstGap,
                           std::abs(curve[v][r].first - curve[v][r].second) / curve[v][r].first);
-  bench::check(worstGap < 0.08, "simulated improvement curves track measured within 8%");
+  check(worstGap < 0.08, "simulated improvement curves track measured within 8%");
   return bench::finish("fig10_granularity_8nodes", opts, &result);
 }
+
+int main(int argc, char** argv) { return runMain(argc, argv, run); }

@@ -26,8 +26,8 @@ std::vector<double> efficiencies(const core::RunResult& r) {
 
 } // namespace
 
-int main(int argc, char** argv) {
-  const auto opts = bench::BenchArgs::parse(argc, argv).opts;
+int run(Cli& cli) {
+  const bench::BenchArgs opts(cli);
 
   auto cfg = bench::paperLu(324, 8); // 8 column blocks, basic graph
   auto cfg4 = cfg;
@@ -66,29 +66,28 @@ int main(int argc, char** argv) {
   std::printf("\npaper: iteration 1: 60.2%% (4 thr) vs 37.6%% (8 thr); ratio reaches 2x by\n");
   std::printf("iteration 6; kill-4-after-1 jumps onto the 4-thread efficiency curve\n\n");
 
-  bench::check(e4m[0] > 0.5 && e4m[0] < 0.75,
-               "iteration-1 efficiency on 4 nodes ~60% (paper: 60.2%)");
-  bench::check(e8m[0] > 0.28 && e8m[0] < 0.5,
-               "iteration-1 efficiency on 8 nodes ~38% (paper: 37.6%)");
-  bench::check(e4m[0] / e8m[0] > 1.3 && e4m[0] / e8m[0] < 2.0,
-               "4 nodes ~50% more efficient than 8 at iteration 1");
-  bench::check(e4m[5] / e8m[5] >= 1.8, "efficiency ratio reaches ~2x by iteration 6");
+  check(e4m[0] > 0.5 && e4m[0] < 0.75, "iteration-1 efficiency on 4 nodes ~60% (paper: 60.2%)");
+  check(e8m[0] > 0.28 && e8m[0] < 0.5, "iteration-1 efficiency on 8 nodes ~38% (paper: 37.6%)");
+  check(e4m[0] / e8m[0] > 1.3 && e4m[0] / e8m[0] < 2.0,
+        "4 nodes ~50% more efficient than 8 at iteration 1");
+  check(e4m[5] / e8m[5] >= 1.8, "efficiency ratio reaches ~2x by iteration 6");
   // Efficiency decreases over the bulk of the run (paper: the parallel
   // computation of LU iterations becomes less efficient over time).
-  bench::check(e8m[4] < e8m[0] && e4m[4] < e4m[0],
-               "efficiency decreases over iterations on both allocations");
+  check(e8m[4] < e8m[0] && e4m[4] < e4m[0],
+        "efficiency decreases over iterations on both allocations");
   // After the kill, efficiency tracks the 4-thread curve.
   double worstGap = 0;
   for (std::size_t i = 1; i < std::min(ekm.size(), e4m.size()) - 1; ++i)
     worstGap = std::max(worstGap, std::abs(ekm[i] - e4m[i]));
-  bench::check(worstGap < 0.08,
-               "kill-4-after-1 efficiency matches the 4-thread curve from iteration 2");
+  check(worstGap < 0.08, "kill-4-after-1 efficiency matches the 4-thread curve from iteration 2");
   // Simulation tracks measurement.
   double simGap = 0;
   for (std::size_t i = 0; i + 1 < iters; ++i) {
     simGap = std::max(simGap, std::abs(e8m[i] - e8p[i]));
     simGap = std::max(simGap, std::abs(e4m[i] - e4p[i]));
   }
-  bench::check(simGap < 0.06, "simulated efficiency within 6 points of measured");
+  check(simGap < 0.06, "simulated efficiency within 6 points of measured");
   return bench::finish("fig11_dynamic_efficiency", opts, &result);
 }
+
+int main(int argc, char** argv) { return runMain(argc, argv, run); }

@@ -13,8 +13,8 @@
 
 using namespace dps;
 
-int main(int argc, char** argv) {
-  const auto opts = bench::BenchArgs::parse(argc, argv).opts;
+int run(Cli& cli) {
+  const bench::BenchArgs opts(cli);
 
   const auto cfg8 = bench::paperLu(324, 8);
   auto cfg4 = cfg8;
@@ -56,15 +56,17 @@ int main(int argc, char** argv) {
   const double k44 = result.observations[entries[3].idx].measuredSec;
   const double k22 = result.observations[entries[4].idx].measuredSec;
 
-  bench::check(t8 < t4, "8 threads faster than 4 threads");
-  bench::check(k44 < t8 * 1.03, "killing 4 threads after iteration 4 costs almost nothing");
-  bench::check(k41 < t4 * 0.97, "killing 4 after iteration 1 is clearly faster than 4 threads");
-  bench::check(k41 >= t8 * 0.99, "early removal cannot beat the full 8-thread run");
-  bench::check(k22 > k44 * 0.99 && k22 < k41 * 1.03,
-               "staged removal lands between early and late removal");
+  check(t8 < t4, "8 threads faster than 4 threads");
+  check(k44 < t8 * 1.03, "killing 4 threads after iteration 4 costs almost nothing");
+  check(k41 < t4 * 0.97, "killing 4 after iteration 1 is clearly faster than 4 threads");
+  check(k41 >= t8 * 0.99, "early removal cannot beat the full 8-thread run");
+  check(k22 > k44 * 0.99 && k22 < k41 * 1.03,
+        "staged removal lands between early and late removal");
   double worstErr = 0;
   for (const auto& e : entries)
     worstErr = std::max(worstErr, std::abs(result.observations[e.idx].error()));
-  bench::check(worstErr < 0.06, "predictions track removal strategies within 6%");
+  check(worstErr < 0.06, "predictions track removal strategies within 6%");
   return bench::finish("fig12_thread_removal", opts, &result);
 }
+
+int main(int argc, char** argv) { return runMain(argc, argv, run); }

@@ -16,8 +16,8 @@
 
 using namespace dps;
 
-int main(int argc, char** argv) {
-  const auto opts = bench::BenchArgs::parse(argc, argv).opts;
+int run(Cli& cli) {
+  const bench::BenchArgs opts(cli);
 
   const std::vector<std::uint64_t> seeds{101, 202, 303, 404, 505, 606};
   exp::Campaign campaign(bench::paperSettings());
@@ -71,12 +71,13 @@ int main(int argc, char** argv) {
               agg.error.max() * 100);
   std::printf("\npaper: 71.4%% within +-4%%, 81.6%% within +-6%%, >95%% within +-12%%\n\n");
 
-  bench::check(errors.size() >= 168, "campaign size matches the paper's 168 measurements");
-  bench::check(within4 >= 0.714, "at least 71.4% of predictions within +-4% (paper)");
-  bench::check(within6 >= 0.816, "at least 81.6% of predictions within +-6% (paper)");
-  bench::check(within12 >= 0.95, "more than 95% of predictions within +-12% (paper)");
-  bench::check(std::abs(agg.error.mean()) < 0.05, "errors are not grossly biased");
-  bench::check(hist.modeBin() >= 6 && hist.modeBin() <= 9,
-               "error mass concentrates around zero");
+  check(errors.size() >= 168, "campaign size matches the paper's 168 measurements");
+  check(within4 >= 0.714, "at least 71.4% of predictions within +-4% (paper)");
+  check(within6 >= 0.816, "at least 81.6% of predictions within +-6% (paper)");
+  check(within12 >= 0.95, "more than 95% of predictions within +-12% (paper)");
+  check(std::abs(agg.error.mean()) < 0.05, "errors are not grossly biased");
+  check(hist.modeBin() >= 6 && hist.modeBin() <= 9, "error mass concentrates around zero");
   return bench::finish("fig13_error_histogram", opts, &result);
 }
+
+int main(int argc, char** argv) { return runMain(argc, argv, run); }

@@ -14,8 +14,8 @@
 
 using namespace dps;
 
-int main(int argc, char** argv) {
-  const auto opts = bench::BenchArgs::parse(argc, argv).opts;
+int run(Cli& cli) {
+  const bench::BenchArgs opts(cli);
 
   exp::Campaign campaign(bench::paperSettings());
   const std::size_t iRef = campaign.add(bench::paperLu(648, 4), {}, /*fidelitySeed=*/8);
@@ -88,16 +88,15 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::printf("\npaper: graph tweaks ~3%%; best granularity ~3.5x; prediction within a few %%\n\n");
 
-  bench::check(bestGranularityGain > 1.2,
-               "changing granularity improves substantially over Basic r=648");
-  bench::check(bestGranularityGain > bestTweakGain,
-               "granularity gains dominate the PM/P/FC graph modifications");
+  check(bestGranularityGain > 1.2, "changing granularity improves substantially over Basic r=648");
+  check(bestGranularityGain > bestTweakGain,
+        "granularity gains dominate the PM/P/FC graph modifications");
   // Individual errors can reach several percent (the paper's own campaign
   // has a +-16% tail, Fig. 13); the curve as a whole must track closely.
   std::vector<double> errs;
   for (const auto& e : entries) errs.push_back(std::abs(result.observations[e.idx].error()));
-  bench::check(percentile(errs, 50) < 0.03, "median prediction error below 3%");
-  bench::check(worstPredErr < 0.12, "worst prediction error within the paper's +-12% band");
+  check(percentile(errs, 50) < 0.03, "median prediction error below 3%");
+  check(worstPredErr < 0.12, "worst prediction error within the paper's +-12% band");
   // The predictor's preferred configuration is (within noise) as good as
   // the true best — the property that makes the simulator usable as an
   // optimization tool (§4).
@@ -113,7 +112,9 @@ int main(int argc, char** argv) {
       bestPredMeasuredGain = reference.measuredSec / obs.measuredSec;
     }
   }
-  bench::check(bestPredMeasuredGain > 0.97 * bm,
-               "the simulator's preferred configuration is within 3% of the true best");
+  check(bestPredMeasuredGain > 0.97 * bm,
+        "the simulator's preferred configuration is within 3% of the true best");
   return bench::finish("fig8_modifications_4nodes", opts, &result);
 }
+
+int main(int argc, char** argv) { return runMain(argc, argv, run); }

@@ -13,8 +13,8 @@
 
 using namespace dps;
 
-int main(int argc, char** argv) {
-  const auto opts = bench::BenchArgs::parse(argc, argv).opts;
+int run(Cli& cli) {
+  const bench::BenchArgs opts(cli);
 
   exp::Campaign campaign(bench::paperSettings());
   const std::size_t iRef = campaign.add(bench::paperLu(324, 4), {}, /*fidelitySeed=*/9);
@@ -64,13 +64,12 @@ int main(int argc, char** argv) {
       if (e.label == l) return result.observations[e.idx];
     throw Error("missing entry");
   };
-  bench::check(gain(find("PM")) < 1.0,
-               "PM slows execution down at r=324 (extra sub-block communication)");
-  bench::check(gain(find("P+PM")) < gain(find("P")),
-               "adding PM to P makes it worse");
-  bench::check(gain(find("P")) >= 1.0, "pipelining alone does not hurt");
-  bench::check(gain(find("P+FC")) >= gain(find("P")),
-               "flow control adds on top of pipelining");
-  bench::check(worstPredErr < 0.05, "prediction errors below 5% (paper Fig. 9 caption)");
+  check(gain(find("PM")) < 1.0, "PM slows execution down at r=324 (extra sub-block communication)");
+  check(gain(find("P+PM")) < gain(find("P")), "adding PM to P makes it worse");
+  check(gain(find("P")) >= 1.0, "pipelining alone does not hurt");
+  check(gain(find("P+FC")) >= gain(find("P")), "flow control adds on top of pipelining");
+  check(worstPredErr < 0.05, "prediction errors below 5% (paper Fig. 9 caption)");
   return bench::finish("fig9_modifications_r324", opts, &result);
 }
+
+int main(int argc, char** argv) { return runMain(argc, argv, run); }

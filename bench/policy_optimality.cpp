@@ -27,22 +27,6 @@ using namespace dps;
 
 namespace {
 
-struct PolicyCfg {
-  std::string label;
-  std::string policy;
-  bool backfill = false;
-};
-
-std::vector<PolicyCfg> policyConfigs() {
-  return {
-      {"fcfs-rigid", "fcfs-rigid", false},
-      {"fcfs-easy", "fcfs-rigid", true},
-      {"equipartition", "equipartition", false},
-      {"efficiency-shrink", "efficiency-shrink", false},
-      {"grow-eager", "grow-eager", false},
-  };
-}
-
 struct SeedScore {
   double optimalMakespan = 0;
   double optimalSlowdown = 0;
@@ -52,18 +36,17 @@ struct SeedScore {
 
 } // namespace
 
-int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, /*withSmoke=*/true);
+int run(Cli& cli) {
+  const bench::BenchArgs args(cli, /*withSmoke=*/true);
   const std::int32_t nodes = 8;
   const std::int32_t jobCount = args.smoke ? 3 : 4;
   const std::vector<std::uint64_t> seeds =
       args.smoke ? std::vector<std::uint64_t>{1, 2} : std::vector<std::uint64_t>{1, 2, 3, 4, 5};
-  const auto cfgs = policyConfigs();
+  const auto cfgs = sched::oraclePolicies();
 
   const sched::ProfileSettings settings;
   const auto classes = sched::exploreMix(nodes);
-  const auto profiles = svc::buildProfileTable(classes, nodes, settings,
-                                               bench::effectiveJobs(args.opts));
+  const auto profiles = svc::buildProfileTable(classes, nodes, settings, args.jobs);
   const auto ccfg = sched::ClusterConfig::fromProfile(settings.platform, nodes);
 
   std::printf("oracle sweep: %zu seeds x (%zu policy configs + 2 exhaustive searches), "
@@ -79,41 +62,22 @@ int main(int argc, char** argv) {
     wcfg.classes = classes;
     const auto workload = sched::Workload::generate(wcfg, nodes);
 
-    std::vector<sched::ClusterMetrics> runs;
-    for (const PolicyCfg& pc : cfgs) {
-      auto policy = sched::makePolicy(pc.policy);
-      sched::ClusterConfig cc = ccfg;
-      cc.easyBackfill = pc.backfill;
-      runs.push_back(sched::simulateCluster(cc, workload, profiles, *policy));
-    }
-    double bestMakespan = runs.front().makespanSec;
-    double bestSlowdown = runs.front().meanSlowdown;
-    for (const auto& m : runs) {
-      bestMakespan = std::min(bestMakespan, m.makespanSec);
-      bestSlowdown = std::min(bestSlowdown, m.meanSlowdown);
-    }
-
-    sched::ExploreLimits mkLimits;
-    mkLimits.upperBound = bestMakespan;
-    const auto mk = sched::exploreOptimal(ccfg, workload, profiles,
-                                          sched::ExploreObjective::Makespan, mkLimits);
-    sched::ExploreLimits slLimits;
-    slLimits.upperBound = bestSlowdown;
-    const auto sl = sched::exploreOptimal(ccfg, workload, profiles,
-                                          sched::ExploreObjective::MeanSlowdown, slLimits);
+    const auto oracle = sched::compareWithOptimum(ccfg, workload, profiles);
+    const auto& mk = oracle.makespan;
+    const auto& sl = oracle.slowdown;
+    const auto& runs = oracle.runs;
     const std::string tag = "seed " + std::to_string(seed);
-    bench::check(mk.found && mk.stats.complete && sl.found && sl.stats.complete,
-                 tag + ": both optima proven (searches complete)");
-    const auto mkReplay = sched::replayTrace(ccfg, workload, profiles, mk.trace);
-    bench::check(mkReplay.makespanSec == mk.makespanSec,
-                 tag + ": optimal trace replays bit-identically");
+    check(mk.found && mk.stats.complete && sl.found && sl.stats.complete,
+          tag + ": both optima proven (searches complete)");
+    check(oracle.makespanReplay.makespanSec == mk.makespanSec,
+          tag + ": optimal trace replays bit-identically");
 
     SeedScore s;
     s.optimalMakespan = mk.makespanSec;
     s.optimalSlowdown = sl.meanSlowdown;
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
-      bench::check(mk.makespanSec <= runs[i].makespanSec + 1e-9,
-                   tag + ": optimum <= " + cfgs[i].label + " makespan");
+      check(mk.makespanSec <= runs[i].makespanSec + 1e-9,
+            tag + ": optimum <= " + cfgs[i].label + " makespan");
       s.makespanPct.push_back(100.0 * mk.makespanSec / runs[i].makespanSec);
       s.slowdownPct.push_back(100.0 * sl.meanSlowdown / runs[i].meanSlowdown);
     }
@@ -148,24 +112,24 @@ int main(int argc, char** argv) {
   t.print(std::cout);
 
   std::vector<std::string> labels;
-  for (const PolicyCfg& pc : cfgs) labels.push_back(pc.label);
+  for (const auto& pc : cfgs) labels.push_back(pc.label);
   std::sort(labels.begin(), labels.end());
-  bench::check(labels == std::vector<std::string>{"efficiency-shrink", "equipartition",
-                                                  "fcfs-easy", "fcfs-rigid", "grow-eager"},
-               "scores the five policy configurations");
+  check(labels == std::vector<std::string>{"efficiency-shrink", "equipartition",
+                                           "fcfs-easy", "fcfs-rigid", "grow-eager"},
+        "scores the five policy configurations");
   for (std::size_t i = 0; i < cfgs.size(); ++i)
-    bench::check(meanMk[i] > 0 && meanMk[i] <= 100.0 + 1e-9,
-                 cfgs[i].label + ": makespan percentage of optimal is in (0, 100]");
-  bench::check(meanBestMk > 0 && meanBestMk <= 100.0 + 1e-9,
-               "best-policy makespan percentage is in (0, 100]");
-  bench::check(meanBestSl > 0 && meanBestSl <= 100.0 + 1e-9,
-               "best-policy slowdown percentage is in (0, 100]");
+    check(meanMk[i] > 0 && meanMk[i] <= 100.0 + 1e-9,
+          cfgs[i].label + ": makespan percentage of optimal is in (0, 100]");
+  check(meanBestMk > 0 && meanBestMk <= 100.0 + 1e-9,
+        "best-policy makespan percentage is in (0, 100]");
+  check(meanBestSl > 0 && meanBestSl <= 100.0 + 1e-9,
+        "best-policy slowdown percentage is in (0, 100]");
   // Dense arrivals mean real contention: if every policy were always
   // optimal the oracle would be vacuous, so at least one configuration must
   // measurably trail the optimum somewhere in the sweep.
   double worstMk = 100.0;
   for (double v : meanMk) worstMk = std::min(worstMk, v);
-  bench::check(worstMk < 99.0, "at least one policy measurably trails the optimum");
+  check(worstMk < 99.0, "at least one policy measurably trails the optimum");
   // Malleability pays: the best adaptive policy dominates rigid fcfs on
   // makespan across the sweep (the paper's core premise at cluster scale).
   const auto indexOf = [&](const std::string& label) {
@@ -174,8 +138,8 @@ int main(int argc, char** argv) {
     return i;
   };
   const std::size_t rigid = indexOf("fcfs-rigid");
-  bench::check(meanBestMk >= meanMk[rigid],
-               "best adaptive config >= fcfs-rigid on mean makespan percentage");
+  check(meanBestMk >= meanMk[rigid],
+        "best adaptive config >= fcfs-rigid on mean makespan percentage");
   // Seeded workloads and exhaustive searches make every score exact, so the
   // headline ones are pinned: a scheduler change that moves one updates it
   // here, in the same change.
@@ -185,12 +149,11 @@ int main(int argc, char** argv) {
   Pinned want{84.89963640132396, 98.45050432354222, 80.70862686249271, 82.41447709546435};
   if (args.smoke)
     want = {74.31641230193432, 95.76948156690403, 74.31641230193432, 72.08050123861373};
-  bench::check(meanBestMk == want.bestMk && meanBestSl == want.bestSl,
-               "best-policy makespan and slowdown percentages pinned at their exact values");
-  bench::check(meanMk[rigid] == want.rigidMk,
-               "fcfs-rigid makespan percentage pinned at its exact value");
-  bench::check(meanMk[indexOf("efficiency-shrink")] == want.shrinkMk,
-               "efficiency-shrink makespan percentage pinned at its exact value");
+  check(meanBestMk == want.bestMk && meanBestSl == want.bestSl,
+        "best-policy makespan and slowdown percentages pinned at their exact values");
+  check(meanMk[rigid] == want.rigidMk, "fcfs-rigid makespan percentage pinned at its exact value");
+  check(meanMk[indexOf("efficiency-shrink")] == want.shrinkMk,
+        "efficiency-shrink makespan percentage pinned at its exact value");
 
   std::ostringstream extra;
   JsonWriter w(extra);
@@ -209,5 +172,7 @@ int main(int argc, char** argv) {
         .field("slowdown_pct_of_optimal", meanSl[i])
         .endObject();
   w.endArray().endObject();
-  return bench::finish("policy_optimality", args.opts, nullptr, "\"optimality\":" + extra.str());
+  return bench::finish("policy_optimality", args, nullptr, "\"optimality\":" + extra.str());
 }
+
+int main(int argc, char** argv) { return runMain(argc, argv, run); }

@@ -138,8 +138,8 @@ void phaseJson(JsonWriter& w, const PhaseResult& r) {
 
 } // namespace
 
-int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, /*withSmoke=*/true);
+int run(Cli& cli) {
+  const bench::BenchArgs args(cli, /*withSmoke=*/true);
   const auto universe = queryUniverse(args.smoke);
   const std::size_t steadyCount = args.smoke ? 800 : 4000;
 
@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
   cache.attachRegistry(&registry);
   svc::RequestQueue::Options qopts;
   qopts.capacity = 64;
-  qopts.workers = bench::effectiveJobs(args.opts);
+  qopts.workers = args.jobs;
   qopts.metrics = &registry;
   svc::RequestQueue queue(cache, qopts);
 
@@ -185,30 +185,30 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(queue.served()),
               static_cast<unsigned long long>(queue.rejectedCount()));
 
-  bench::check(cs.engineRuns == universe.size(),
-               "steady phase executes zero new engine runs (all served from cache)");
-  bench::check(cs.hitRate() > 0, "cache hit rate is nonzero after the steady phase");
+  check(cs.engineRuns == universe.size(),
+        "steady phase executes zero new engine runs (all served from cache)");
+  check(cs.hitRate() > 0, "cache hit rate is nonzero after the steady phase");
   if (args.smoke)
-    bench::check(cs.hitRate() == 0.984009840098401,
-                 "smoke cache hit rate pinned at 800 hits / 813 lookups");
-  bench::check(steady.qps() >= 10.0 * cold.qps(),
-               "repeated-query throughput >= 10x cold-phase throughput");
-  bench::check(cold.qps() > 0 && steady.qps() > 0, "both phases report a positive throughput");
+    check(cs.hitRate() == 0.984009840098401,
+          "smoke cache hit rate pinned at 800 hits / 813 lookups");
+  check(steady.qps() >= 10.0 * cold.qps(),
+        "repeated-query throughput >= 10x cold-phase throughput");
+  check(cold.qps() > 0 && steady.qps() > 0, "both phases report a positive throughput");
   const auto ordered = [](const PhaseResult& p) {
     return p.percentileMs(0.99) >= p.percentileMs(0.50) && p.percentileMs(0.50) > 0;
   };
-  bench::check(ordered(cold) && ordered(steady),
-               "latency percentiles are reported and ordered in both phases (p99 >= p50 > 0)");
+  check(ordered(cold) && ordered(steady),
+        "latency percentiles are reported and ordered in both phases (p99 >= p50 > 0)");
 
   const auto snap = registry.snapshot();
-  bench::check(snap.counter("svc.cache.hits") == cs.hits &&
-                   snap.counter("svc.cache.joined") == cs.joined &&
-                   snap.counter("svc.cache.misses") == cs.misses &&
-                   snap.counter("svc.cache.engine_runs") == cs.engineRuns,
-               "obs registry cache counters agree with CacheStats exactly");
-  bench::check(snap.counter("svc.queue.served") == queue.served() &&
-                   snap.counter("svc.queue.rejected") == queue.rejectedCount(),
-               "obs registry queue counters agree with the queue's own counts");
+  check(snap.counter("svc.cache.hits") == cs.hits &&
+            snap.counter("svc.cache.joined") == cs.joined &&
+            snap.counter("svc.cache.misses") == cs.misses &&
+            snap.counter("svc.cache.engine_runs") == cs.engineRuns,
+        "obs registry cache counters agree with CacheStats exactly");
+  check(snap.counter("svc.queue.served") == queue.served() &&
+            snap.counter("svc.queue.rejected") == queue.rejectedCount(),
+        "obs registry queue counters agree with the queue's own counts");
 
   std::ostringstream extra;
   JsonWriter w(extra);
@@ -235,6 +235,8 @@ int main(int argc, char** argv) {
       .endObject();
   w.endObject();
   DPS_CHECK(w.closed(), "unbalanced server_load JSON");
-  return bench::finish("server_load", args.opts, nullptr,
+  return bench::finish("server_load", args, nullptr,
                        "\"load\":" + extra.str() + ",\"metrics\":" + registry.jsonString());
 }
+
+int main(int argc, char** argv) { return runMain(argc, argv, run); }

@@ -51,8 +51,8 @@ Row measure(const std::string& label, core::SimConfig cfg, const lu::LuConfig& l
 
 } // namespace
 
-int main(int argc, char** argv) {
-  const auto opts = bench::BenchArgs::parse(argc, argv).opts;
+int run(Cli& cli) {
+  const bench::BenchArgs opts(cli);
 
   const auto lucfg = bench::paperLu(216, 8); // the Table 1 configuration
   const auto usModel = lu::KernelCostModel::ultraSparc440();
@@ -134,37 +134,38 @@ int main(int argc, char** argv) {
   std::printf("predictions 60.7 / 60.3 / 59.9 s (within 1.4%%)\n\n");
 
   // --- shape checks (paper §7 claims) ---
-  bench::check(realSerial / realParallel > 2.0 && realSerial / realParallel < 4.0,
-               "8-node speedup over serial is ~3x (paper: 185.1/62.3 = 2.97)");
-  bench::check(rowDirect.wallSec > 5.0 * rowPdexec.wallSec,
-               "PDEXEC simulation is much faster than direct execution");
-  bench::check(rowNoalloc.wallSec <= rowPdexec.wallSec * 1.2,
-               "NOALLOC is at least as fast as PDEXEC");
-  bench::check(rowPdexec.peakMb >= 5 * std::max<std::size_t>(rowNoalloc.peakMb, 1),
-               "NOALLOC cuts simulation memory by ~10x (paper: 124 MB -> 14 MB)");
-  bench::check(rowPdexec.predictedSec == rowNoalloc.predictedSec,
-               "NOALLOC does not change the predicted running time");
+  check(realSerial / realParallel > 2.0 && realSerial / realParallel < 4.0,
+        "8-node speedup over serial is ~3x (paper: 185.1/62.3 = 2.97)");
+  check(rowDirect.wallSec > 5.0 * rowPdexec.wallSec,
+        "PDEXEC simulation is much faster than direct execution");
+  check(rowNoalloc.wallSec <= rowPdexec.wallSec * 1.2, "NOALLOC is at least as fast as PDEXEC");
+  check(rowPdexec.peakMb >= 5 * std::max<std::size_t>(rowNoalloc.peakMb, 1),
+        "NOALLOC cuts simulation memory by ~10x (paper: 124 MB -> 14 MB)");
+  check(rowPdexec.predictedSec == rowNoalloc.predictedSec,
+        "NOALLOC does not change the predicted running time");
   const double predVsReal = rowPdexec.predictedSec / realParallel;
-  bench::check(predVsReal > 0.9 && predVsReal < 1.1,
-               "PDEXEC prediction within 10% of the reference execution");
+  check(predVsReal > 0.9 && predVsReal < 1.1,
+        "PDEXEC prediction within 10% of the reference execution");
   // Portability: direct execution on this (faster) host predicts a
   // substantially shorter time than the UltraSparc-calibrated model —
   // "prediction results based on direct execution are not representative"
   // (§7).  The paper's hosts differed by 6.5x; this host's kernels are
   // ~2x the UltraSparc model, so we require a >=20% gap.
-  bench::check(rowDirect.predictedSec < 0.8 * rowPdexec.predictedSec,
-               "host direct-exec predictions are not representative of the target");
+  check(rowDirect.predictedSec < 0.8 * rowPdexec.predictedSec,
+        "host direct-exec predictions are not representative of the target");
   const double calAgree = rowHostCal.predictedSec / rowDirect.predictedSec;
-  bench::check(calAgree > 0.5 && calAgree < 2.0,
-               "host-calibrated PDEXEC tracks direct execution on the same host");
+  check(calAgree > 0.5 && calAgree < 2.0,
+        "host-calibrated PDEXEC tracks direct execution on the same host");
   // The paper's PDEXEC validation: sampled-first-n predictions agree with
   // direct execution (60.3 s vs 60.7 s in Table 1) at a fraction of the
   // simulation cost.
   const double sampledAgree = rowSampled.predictedSec / rowDirect.predictedSec;
-  bench::check(sampledAgree > 0.85 && sampledAgree < 1.15,
-               "first-n-instances sampling predicts within 15% of direct execution");
-  bench::check(rowSampled.wallSec < rowDirect.wallSec * 0.6,
-               "sampling mode is much cheaper than full direct execution");
+  check(sampledAgree > 0.85 && sampledAgree < 1.15,
+        "first-n-instances sampling predicts within 15% of direct execution");
+  check(rowSampled.wallSec < rowDirect.wallSec * 0.6,
+        "sampling mode is much cheaper than full direct execution");
 
   return bench::finish("table1_simulation_modes", opts);
 }
+
+int main(int argc, char** argv) { return runMain(argc, argv, run); }

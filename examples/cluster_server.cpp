@@ -23,6 +23,7 @@
 //
 //   $ ./examples/cluster_server --jobs=6 --nodes=16 --pool-jobs=8
 //   $ ./examples/cluster_server --batch queries.txt --pool-jobs=8
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -252,19 +253,19 @@ std::vector<BatchQuery> readBatchFile(const std::string& path) {
                           token + "'");
       const std::string key = token.substr(0, eq);
       const std::string value = token.substr(eq + 1);
-      try {
-        std::size_t consumed = 0;
-        if (key == "n") q.cfg.n = std::stoi(value, &consumed);
-        else if (key == "r") q.cfg.r = std::stoi(value, &consumed);
-        else if (key == "workers") q.cfg.workers = std::stoi(value, &consumed);
-        else if (key == "threshold") q.threshold = std::stod(value, &consumed);
-        else
-          throw ConfigError(path + ":" + std::to_string(lineNo) + ": unknown key '" + key + "'");
-        if (consumed != value.size()) throw std::invalid_argument(value);
-      } catch (const std::invalid_argument&) {
-        throw ConfigError(path + ":" + std::to_string(lineNo) + ": bad value for '" + key + "'");
-      } catch (const std::out_of_range&) {
-        throw ConfigError(path + ":" + std::to_string(lineNo) + ": bad value for '" + key + "'");
+      const std::string where = path + ":" + std::to_string(lineNo) + ": ";
+      if (key == "threshold") {
+        const auto t = parseNumber(value);
+        if (!t) throw ConfigError(where + "bad value for '" + key + "'");
+        q.threshold = *t;
+      } else if (key == "n" || key == "r" || key == "workers") {
+        const auto v = parseInteger(value);
+        if (!v || *v < INT32_MIN || *v > INT32_MAX)
+          throw ConfigError(where + "bad value for '" + key + "'");
+        (key == "n" ? q.cfg.n : key == "r" ? q.cfg.r : q.cfg.workers) =
+            static_cast<std::int32_t>(*v);
+      } else {
+        throw ConfigError(where + "unknown key '" + key + "'");
       }
       any = true;
     }
@@ -312,8 +313,7 @@ JobProfile reportJob(const std::string& title, const WhatIfSet& set, const lu::L
 
 } // namespace
 
-int main(int argc, char** argv) {
-  Cli cli(argc, argv);
+int run(Cli& cli) {
   // 12 nodes + 8-node jobs: a fresh job never fits next to a running one,
   // but two half-released jobs free enough capacity — the configuration
   // where malleability pays off most visibly.
@@ -321,29 +321,24 @@ int main(int argc, char** argv) {
   const auto jobCount = static_cast<std::int32_t>(cli.integer("jobs", 6, "queued LU jobs"));
   const auto jobNodes = static_cast<std::int32_t>(cli.integer("job-nodes", 8, "nodes per job"));
   const double threshold = cli.real("threshold", 0.35, "efficiency threshold for shrinking");
-  const std::int64_t poolJobsRaw =
-      cli.integer("pool-jobs", 0, "concurrent what-if simulations (0 = hardware concurrency)");
+  const unsigned poolJobs =
+      cli.jobs("pool-jobs", "concurrent what-if simulations (0 = hardware concurrency)");
   const std::string batchPath =
       cli.str("batch", "", "file of heterogeneous shrink queries (one n=/r=/workers= line each)");
-  const std::string metricsPath =
-      cli.str("metrics", "", "write the obs registry snapshot (svc.cache.*, engine.*, mall.*) "
-                             "to this JSON file");
-  const std::string tracePath =
-      cli.str("trace", "", "write a Chrome trace-event JSON of the what-if queries (wall time) "
-                           "to this file");
-  if (poolJobsRaw < 0 || poolJobsRaw > 4096)
-    throw ConfigError("--pool-jobs must be in [0, 4096], got " + std::to_string(poolJobsRaw));
-  const auto poolJobs = static_cast<unsigned>(poolJobsRaw);
-  if (cli.helpRequested()) {
-    std::printf("%s", cli.helpText().c_str());
-    return 0;
-  }
+  Artifact& metricsOut =
+      cli.artifact("metrics", "write the obs registry snapshot (svc.cache.*, engine.*, mall.*) "
+                              "to this JSON file");
+  Artifact& traceOut =
+      cli.artifact("trace", "write a Chrome trace-event JSON of the what-if queries (wall "
+                            "time) to this file");
+  if (jobCount < 1 || jobNodes < 2 || jobNodes > nodes)
+    throw ConfigError("need --jobs >= 1 and 2 <= --job-nodes <= --nodes");
+  const auto queries = batchPath.empty() ? std::vector<BatchQuery>{} : readBatchFile(batchPath);
   cli.finish();
 
-  // The caller participates in pool sweeps, so jobs - 1 workers give exactly
-  // `effectiveJobs` concurrent simulations (a worker-less pool runs inline).
-  const unsigned effectiveJobs = poolJobs == 0 ? ThreadPool::hardwareJobs() : poolJobs;
-  ThreadPool pool(effectiveJobs - 1);
+  // The caller participates in pool sweeps, so poolJobs - 1 workers give
+  // exactly poolJobs concurrent simulations (a worker-less pool runs inline).
+  ThreadPool pool(poolJobs - 1);
   svc::ProfileCache cache;
 
   // Observability: the cache records svc.cache.* (and the engine runs it
@@ -352,33 +347,18 @@ int main(int argc, char** argv) {
   obs::Registry registry;
   obs::TraceSink trace;
   const obs::WallClock wall;
-  obs::TraceSink* const traceSink = tracePath.empty() ? nullptr : &trace;
-  cache.attachRegistry(metricsPath.empty() ? nullptr : &registry);
+  obs::TraceSink* const traceSink = traceOut ? &trace : nullptr;
+  cache.attachRegistry(metricsOut ? &registry : nullptr);
   if (traceSink != nullptr) trace.processName(0, "cluster_server what-if pool");
-  const auto writeObs = [&]() -> int {
-    if (!metricsPath.empty()) {
-      std::ofstream os(metricsPath);
-      if (!os) {
-        std::fprintf(stderr, "cannot write metrics to %s\n", metricsPath.c_str());
-        return 1;
-      }
-      os << registry.jsonString() << "\n";
-      std::printf("wrote %s\n", metricsPath.c_str());
-    }
-    if (traceSink != nullptr) {
-      if (!trace.writeFile(tracePath)) {
-        std::fprintf(stderr, "cannot write trace to %s\n", tracePath.c_str());
-        return 1;
-      }
-      std::printf("wrote %s (%zu trace events)\n", tracePath.c_str(), trace.eventCount());
-    }
+  const auto writeObs = [&] {
+    if (metricsOut) metricsOut.stream() << registry.jsonString() << "\n";
+    if (traceSink != nullptr) trace.write(traceOut.stream());
     return 0;
   };
 
-  if (!batchPath.empty()) {
+  if (!queries.empty()) {
     // Batch what-if mode: profile every query of the file concurrently on
     // the shared pool, then report one table per job.
-    const auto queries = readBatchFile(batchPath);
     std::vector<lu::LuConfig> cfgs;
     std::size_t candidates = 0;
     for (const auto& q : queries) {
@@ -387,7 +367,7 @@ int main(int argc, char** argv) {
     }
     std::printf("batch what-if pool: %zu jobs, %zu candidate shrink points, %u concurrent "
                 "simulations\n\n",
-                queries.size(), candidates, effectiveJobs);
+                queries.size(), candidates, poolJobs);
     const auto sets = evaluateWhatIfs(pool, cfgs, cache, traceSink, &wall);
     for (std::size_t j = 0; j < queries.size(); ++j) {
       const lu::LuConfig& cfg = cfgs[j];
@@ -411,7 +391,7 @@ int main(int argc, char** argv) {
   std::printf("what-if pool: simulating %d candidate shrink points for one LU job\n",
               cfg.levels() - 1);
   std::printf("(%dx%d, r=%d, %d nodes; %u concurrent simulations)\n", cfg.n, cfg.n, cfg.r,
-              jobNodes, effectiveJobs);
+              jobNodes, poolJobs);
   const auto sets = evaluateWhatIfs(pool, {cfg}, cache, traceSink, &wall);
   const JobProfile profile = reportJob({}, sets[0], cfg, threshold);
 
@@ -432,3 +412,5 @@ int main(int argc, char** argv) {
               (staticRes.makespan / mallRes.makespan - 1.0) * 100.0);
   return writeObs();
 }
+
+int main(int argc, char** argv) { return runMain(argc, argv, run); }

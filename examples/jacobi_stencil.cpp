@@ -17,16 +17,11 @@
 
 using namespace dps;
 
-int main(int argc, char** argv) {
-  Cli cli(argc, argv);
+int run(Cli& cli) {
   jacobi::JacobiConfig cfg;
   cfg.rows = static_cast<std::int32_t>(cli.integer("rows", 2880, "grid rows"));
   cfg.cols = static_cast<std::int32_t>(cli.integer("cols", 2880, "grid cols"));
   cfg.sweeps = static_cast<std::int32_t>(cli.integer("sweeps", 50, "relaxation sweeps"));
-  if (cli.helpRequested()) {
-    std::printf("%s", cli.helpText().c_str());
-    return 0;
-  }
   cli.finish();
 
   const jacobi::JacobiCostModel model;
@@ -73,3 +68,5 @@ int main(int argc, char** argv) {
               res.residual, diff);
   return diff == 0.0 ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return runMain(argc, argv, run); }

@@ -32,17 +32,13 @@ double predict(const lu::LuConfig& cfg, const lu::KernelCostModel& model,
 
 } // namespace
 
-int main(int argc, char** argv) {
-  Cli cli(argc, argv);
+int run(Cli& cli) {
   lu::LuConfig cfg;
   cfg.n = static_cast<std::int32_t>(cli.integer("n", 2592, "matrix dimension"));
   cfg.r = static_cast<std::int32_t>(cli.integer("r", 216, "block size"));
   cfg.workers = static_cast<std::int32_t>(cli.integer("workers", 8, "compute nodes"));
   cfg.pipelined = cli.flag("pipelined", "use the pipelined flow graph");
-  if (cli.helpRequested()) {
-    std::printf("%s", cli.helpText().c_str());
-    return 0;
-  }
+  cfg.validate();
   cli.finish();
 
   const auto model = lu::KernelCostModel::ultraSparc440();
@@ -113,3 +109,5 @@ int main(int argc, char** argv) {
   std::printf("\nAll numbers are pure predictions: no kernel was executed (PDEXEC+NOALLOC).\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return runMain(argc, argv, run); }

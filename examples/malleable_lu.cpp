@@ -26,18 +26,21 @@ namespace {
 mall::AllocationPlan parsePlan(const std::string& text, std::int32_t workers) {
   mall::AllocationPlan plan;
   if (text.empty() || text == "static") return plan;
+  const ConfigError syntax("--plan expects COUNT@ITERATION[+COUNT@ITERATION...], got '" + text +
+                           "'");
   std::int32_t nextVictim = workers - 1;
   std::stringstream ss(text);
   std::string part;
   while (std::getline(ss, part, '+')) {
     const auto at = part.find('@');
-    DPS_CHECK(at != std::string::npos, "plan syntax: COUNT@ITERATION[+COUNT@ITERATION...]");
-    const int count = std::stoi(part.substr(0, at));
-    const int iter = std::stoi(part.substr(at + 1));
+    if (at == std::string::npos) throw syntax;
+    const auto count = parseInteger(part.substr(0, at));
+    const auto iter = parseInteger(part.substr(at + 1));
+    if (!count || !iter || *count < 1) throw syntax;
+    if (*count > nextVictim) throw ConfigError("--plan removes every worker");
     mall::RemovalStep step;
-    step.afterIteration = iter;
-    for (int i = 0; i < count; ++i) step.threads.push_back(nextVictim--);
-    DPS_CHECK(nextVictim >= 0, "plan removes every worker");
+    step.afterIteration = *iter;
+    for (std::int64_t i = 0; i < *count; ++i) step.threads.push_back(nextVictim--);
     plan.steps.push_back(std::move(step));
   }
   return plan;
@@ -45,17 +48,14 @@ mall::AllocationPlan parsePlan(const std::string& text, std::int32_t workers) {
 
 } // namespace
 
-int main(int argc, char** argv) {
-  Cli cli(argc, argv);
+int run(Cli& cli) {
   lu::LuConfig cfg;
   cfg.n = static_cast<std::int32_t>(cli.integer("n", 2592, "matrix dimension"));
   cfg.r = static_cast<std::int32_t>(cli.integer("r", 324, "block size"));
   cfg.workers = static_cast<std::int32_t>(cli.integer("workers", 8, "initial nodes"));
   const std::string planText = cli.str("plan", "4@1", "removal plan, e.g. 4@1 or 2@2+2@3");
-  if (cli.helpRequested()) {
-    std::printf("%s", cli.helpText().c_str());
-    return 0;
-  }
+  cfg.validate();
+  const auto plan = parsePlan(planText, cfg.workers);
   cli.finish();
 
   const auto model = lu::KernelCostModel::ultraSparc440();
@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
     return std::pair{std::move(result), controller.migratedBytes()};
   };
 
-  const auto plan = parsePlan(planText, cfg.workers);
   auto [staticRun, staticMig] = runWith(mall::AllocationPlan{});
   auto [malleableRun, migBytes] = runWith(plan);
   (void)staticMig;
@@ -124,3 +123,5 @@ int main(int argc, char** argv) {
                   .c_str());
   return 0;
 }
+
+int main(int argc, char** argv) { return runMain(argc, argv, run); }

@@ -124,16 +124,11 @@ private:
 
 } // namespace
 
-int main(int argc, char** argv) {
-  Cli cli(argc, argv);
+int run(Cli& cli) {
   const auto jobs = static_cast<std::int32_t>(cli.integer("jobs", 32, "work items"));
   const auto workers = static_cast<std::int32_t>(cli.integer("workers", 8, "worker threads"));
   const auto samples =
       static_cast<std::int32_t>(cli.integer("samples", 20000, "doubles per item"));
-  if (cli.helpRequested()) {
-    std::printf("%s", cli.helpText().c_str());
-    return 0;
-  }
   cli.finish();
 
   // --- build the flow graph (paper Fig. 1) -------------------------------
@@ -186,3 +181,5 @@ int main(int argc, char** argv) {
               static_cast<long long>(report.count));
   return 0;
 }
+
+int main(int argc, char** argv) { return runMain(argc, argv, run); }

@@ -489,6 +489,45 @@ std::vector<ExploreDecision> decisionTrace(const ClusterConfig& cfg, const Workl
   return trace;
 }
 
+// ----------------------------------------------------------------- oracle --
+
+std::vector<OraclePolicy> oraclePolicies() {
+  return {
+      {"fcfs-rigid", "fcfs-rigid", false},
+      {"fcfs-easy", "fcfs-rigid", true},
+      {"equipartition", "equipartition", false},
+      {"efficiency-shrink", "efficiency-shrink", false},
+      {"grow-eager", "grow-eager", false},
+  };
+}
+
+OracleComparison compareWithOptimum(const ClusterConfig& cfg, const Workload& workload,
+                                    const JobProfileTable& profiles,
+                                    const ExploreLimits& limits) {
+  OracleComparison out;
+  for (const OraclePolicy& pc : oraclePolicies()) {
+    auto policy = makePolicy(pc.policy);
+    ClusterConfig cc = cfg;
+    cc.easyBackfill = pc.backfill;
+    out.runs.push_back(simulateCluster(cc, workload, profiles, *policy));
+  }
+  out.bestMakespanSec = out.runs.front().makespanSec;
+  out.bestMeanSlowdown = out.runs.front().meanSlowdown;
+  for (const ClusterMetrics& m : out.runs) {
+    out.bestMakespanSec = std::min(out.bestMakespanSec, m.makespanSec);
+    out.bestMeanSlowdown = std::min(out.bestMeanSlowdown, m.meanSlowdown);
+  }
+
+  ExploreLimits bounded = limits;
+  bounded.upperBound = out.bestMakespanSec;
+  out.makespan = exploreOptimal(cfg, workload, profiles, ExploreObjective::Makespan, bounded);
+  bounded.upperBound = out.bestMeanSlowdown;
+  out.slowdown = exploreOptimal(cfg, workload, profiles, ExploreObjective::MeanSlowdown, bounded);
+  out.makespanReplay = replayTrace(cfg, workload, profiles, out.makespan.trace);
+  out.slowdownReplay = replayTrace(cfg, workload, profiles, out.slowdown.trace);
+  return out;
+}
+
 // ------------------------------------------------------------ policy audit --
 
 double derivedStarvationBound(const Workload& workload, const JobProfileTable& profiles) {

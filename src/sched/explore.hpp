@@ -132,6 +132,36 @@ std::vector<ExploreDecision> decisionTrace(const ClusterConfig& cfg, const Workl
                                            const JobProfileTable& profiles,
                                            const ClusterMetrics& metrics);
 
+// ----------------------------------------------------------------- oracle --
+/// One policy configuration the oracle scores.
+struct OraclePolicy {
+  std::string label;  ///< e.g. "fcfs-easy"
+  std::string policy; ///< makePolicy name
+  bool backfill = false;
+};
+
+/// The five shipped configurations: the four policies plus fcfs-rigid
+/// under EASY backfill.
+std::vector<OraclePolicy> oraclePolicies();
+
+/// Every oracle configuration's plain run against the proven optima.
+struct OracleComparison {
+  std::vector<ClusterMetrics> runs; ///< one per oraclePolicies() entry, same order
+  double bestMakespanSec = 0;       ///< best over runs: the makespan search's bound
+  double bestMeanSlowdown = 0;      ///< best over runs: the slowdown search's bound
+  ExploreResult makespan;           ///< optimal-makespan search
+  ExploreResult slowdown;           ///< optimal-mean-slowdown search
+  TraceReplay makespanReplay;       ///< replayTrace of makespan.trace
+  TraceReplay slowdownReplay;       ///< replayTrace of slowdown.trace
+};
+
+/// Simulates every oracle configuration on `workload`, searches both
+/// optima with the best policy's value as `upperBound` (replacing the one
+/// in `limits`), and replays each optimum's decision trace.
+OracleComparison compareWithOptimum(const ClusterConfig& cfg, const Workload& workload,
+                                    const JobProfileTable& profiles,
+                                    const ExploreLimits& limits = {});
+
 // --------------------------------------------------------------- verifier --
 
 /// The typed invariant taxonomy.  Space invariants are checked structurally

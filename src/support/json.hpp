@@ -3,6 +3,7 @@
 // the JsonWriter object API those emitters are built on.
 #pragma once
 
+#include <cmath>
 #include <concepts>
 #include <cstdio>
 #include <ostream>
@@ -93,7 +94,10 @@ public:
     return *this;
   }
 
+  /// JSON has no NaN or Infinity, so a non-finite double is a bug in the
+  /// emitter's caller, not something to print as `nan`/`inf`.
   JsonWriter& value(double v) {
+    DPS_CHECK(std::isfinite(v), "JSON cannot represent a non-finite double");
     valuePrefix();
     os_ << jsonDouble(v);
     return *this;

@@ -2,10 +2,14 @@
 
 #include <atomic>
 #include <cmath>
+#include <fstream>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/csv.hpp"
 #include "support/error.hpp"
@@ -230,12 +234,141 @@ TEST(CliTest, UnknownOptionFailsFinish) {
 }
 
 TEST(CliTest, BadIntegerThrows) {
-  const char* argv[] = {"prog", "--n=abc", "--m=8x", "--k=1.5", "--rate=0.5s"};
-  Cli cli(5, argv);
-  EXPECT_THROW(cli.integer("n", 0), ConfigError);
-  EXPECT_THROW(cli.integer("m", 0), ConfigError); // trailing garbage is not 8
-  EXPECT_THROW(cli.integer("k", 0), ConfigError); // nor is 1.5 an integer
-  EXPECT_THROW(cli.real("rate", 0), ConfigError);
+  // A malformed value reads as the default and fails finish(), so the usage
+  // printed with the error lists every option, not just those before it.
+  for (const char* arg : {"--n=abc", "--n=8x", "--n=1.5"}) { // 8x is not 8, nor 1.5 an integer
+    const char* argv[] = {"prog", arg};
+    Cli cli(2, argv);
+    EXPECT_EQ(cli.integer("n", 7), 7) << arg;
+    EXPECT_THROW(cli.finish(), ConfigError) << arg;
+  }
+  const char* argv[] = {"prog", "--rate=0.5s"};
+  Cli cli(2, argv);
+  EXPECT_EQ(cli.real("rate", 1.0), 1.0);
+  EXPECT_THROW(cli.finish(), ConfigError);
+}
+
+TEST(CliTest, ValueOptionWithoutAValueFailsFinish) {
+  // A bare `--json` must not write a file named "true".
+  const char* argv[] = {"prog", "--json", "--smoke"};
+  Cli cli(3, argv);
+  EXPECT_TRUE(cli.flag("smoke"));
+  cli.artifact("json", "report");
+  EXPECT_THROW(cli.finish(), ConfigError);
+}
+
+TEST(CliTest, JobsAreRangeChecked) {
+  for (const char* arg : {"--jobs=-1", "--jobs=4097"}) {
+    const char* argv[] = {"prog", arg};
+    Cli cli(2, argv);
+    cli.jobs("jobs", "concurrency");
+    EXPECT_THROW(cli.finish(), ConfigError) << arg;
+  }
+  const char* argv[] = {"prog", "--jobs=4096"};
+  Cli cli(2, argv);
+  EXPECT_EQ(cli.jobs("jobs", "concurrency"), 4096u);
+  cli.finish();
+}
+
+TEST(CliTest, FinishOpensArtifactsAndCloseReportsThem) {
+  const std::string path = ::testing::TempDir() + "cli_artifact.json";
+  const std::string arg = "--json=" + path;
+  const char* argv[] = {"prog", arg.c_str()};
+  Cli cli(2, argv);
+  Artifact& json = cli.artifact("json", "report");
+  Artifact& trace = cli.artifact("trace", "trace");
+  EXPECT_TRUE(json);
+  EXPECT_FALSE(trace);
+  EXPECT_THROW(json.stream(), InternalError); // not open before finish()
+  cli.finish();
+  json.stream() << "{}\n";
+  EXPECT_TRUE(cli.closeArtifacts());
+  std::ifstream in(path);
+  std::string line;
+  std::getline(in, line);
+  EXPECT_EQ(line, "{}");
+}
+
+TEST(CliTest, UnopenableArtifactFailsFinish) {
+  const char* argv[] = {"prog", "--json=/nonexistent-dir/x.json"};
+  Cli cli(2, argv);
+  cli.artifact("json", "report");
+  EXPECT_THROW(cli.finish(), ConfigError);
+}
+
+TEST(CliTest, FinishThrowsHelpRequestedFirst) {
+  const char* argv[] = {"prog", "--help", "--bogus=1", "--n=abc"};
+  Cli cli(4, argv);
+  cli.integer("n", 0);
+  EXPECT_THROW(cli.finish(), Cli::HelpRequested);
+}
+
+// runMain bodies are plain functions; each records how far it got.
+int g_reached = 0;
+
+int declareThenWork(Cli& cli) {
+  cli.integer("n", 1, "a number");
+  cli.artifact("json", "report");
+  cli.finish();
+  g_reached = 1;
+  return 0;
+}
+
+int exitCodeOf(std::vector<const char*> args, int (*body)(Cli&)) {
+  g_reached = 0;
+  args.insert(args.begin(), "prog");
+  return runMain(static_cast<int>(args.size()), args.data(), body);
+}
+
+TEST(RunMainTest, ExitCodeContract) {
+  EXPECT_EQ(exitCodeOf({}, declareThenWork), 0);
+  EXPECT_EQ(g_reached, 1);
+  EXPECT_EQ(exitCodeOf({"--help"}, declareThenWork), 0);
+  EXPECT_EQ(g_reached, 0);
+  EXPECT_EQ(exitCodeOf({"--bogus", "1"}, declareThenWork), 2);
+  EXPECT_EQ(g_reached, 0);
+  EXPECT_EQ(exitCodeOf({"--n", "x"}, declareThenWork), 2);
+  EXPECT_EQ(exitCodeOf({"--json", "/nonexistent-dir/x.json"}, declareThenWork), 2);
+  EXPECT_EQ(g_reached, 0);
+
+  const auto lateConfigError = [](Cli& cli) -> int {
+    cli.finish();
+    throw ConfigError("r does not divide n");
+  };
+  EXPECT_EQ(exitCodeOf({}, lateConfigError), 2);
+  const auto internalError = [](Cli& cli) -> int {
+    cli.finish();
+    DPS_CHECK(false, "a framework bug");
+    return 0;
+  };
+  EXPECT_EQ(exitCodeOf({}, internalError), 1);
+  const auto stdError = [](Cli& cli) -> int {
+    cli.finish();
+    throw std::runtime_error("disk full");
+  };
+  EXPECT_EQ(exitCodeOf({}, stdError), 1);
+  // --help wins over a flag check the body makes before finish().
+  const auto checkBeforeFinish = [](Cli& cli) -> int {
+    if (cli.integer("nodes", 1, "cluster size") < 2) throw ConfigError("--nodes must be >= 2");
+    cli.finish();
+    return 0;
+  };
+  EXPECT_EQ(exitCodeOf({"--help"}, checkBeforeFinish), 0);
+  EXPECT_EQ(exitCodeOf({}, checkBeforeFinish), 2);
+  EXPECT_EQ(exitCodeOf({}, [](Cli& cli) { cli.finish(); return 3; }), 3);
+}
+
+TEST(CheckTest, VerdictsAreRecordedWrittenAndSummarized) {
+  check(true, "holds");
+  check(false, "fails");
+  std::ostringstream os;
+  JsonWriter w(os);
+  w.beginObject();
+  writeChecks(w);
+  w.endObject();
+  EXPECT_EQ(os.str(), "{\"checks\":[{\"claim\":\"holds\",\"pass\":true},"
+                      "{\"claim\":\"fails\",\"pass\":false}]}");
+  EXPECT_EQ(checkSummary(), 1u);
 }
 
 TEST(CliTest, HelpRequested) {
@@ -381,6 +514,15 @@ TEST(JsonWriterTest, DoublesRoundTrip) {
   JsonWriter w(os);
   w.beginArray().value(1.0 / 3.0).endArray();
   EXPECT_EQ(os.str(), "[" + jsonDouble(1.0 / 3.0) + "]");
+}
+
+TEST(JsonWriterTest, NonFiniteDoublesAreRejected) {
+  for (const double v : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    std::ostringstream os;
+    JsonWriter w(os);
+    EXPECT_THROW(w.value(v), InternalError) << v;
+    EXPECT_EQ(os.str(), "");
+  }
 }
 
 TEST(FingerprintTest, StableAndOrderSensitive) {

@@ -18,7 +18,6 @@
 // clock spans for the warm-start fit and the search itself, plus counters
 // and gauges (evaluations run, warm/best scores) in an obs::Registry.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 
 #include "experiments/autocal.hpp"
@@ -33,39 +32,28 @@
 
 using namespace dps;
 
-int main(int argc, char** argv) {
-  Cli cli(argc, argv);
-  std::int64_t budget = 0, jobs = 0, seed = 0, rounds = 0;
-  std::string jsonPath, strategyName, metricsPath, tracePath;
-  bool wide = false;
-  try {
-    budget = cli.integer("budget", 32, "total candidate evaluations (warm start included)");
-    jobs = cli.integer("jobs", 0, "concurrent simulations (0 = hardware concurrency)");
-    seed = cli.integer("seed", 1, "search + fidelity machine-state seed");
-    rounds = cli.integer("rounds", 16, "ping-pong probes per message size for the warm start");
-    strategyName = cli.str("strategy", "random", "exploration strategy: random | grid");
-    wide = cli.flag("wide", "also search the fidelity-layer dimensions (local delivery, "
-                            "per-transfer CPU, compute scale)");
-    jsonPath = cli.str("json", "", "write the full report to this JSON file");
-    metricsPath = cli.str("metrics", "",
-                          "write the obs registry snapshot (calibrate.*) to this JSON file");
-    tracePath = cli.str("trace", "",
-                        "write a Chrome trace-event JSON of the warm-start and search phases "
-                        "(wall time) to this file");
-    if (cli.helpRequested()) {
-      std::printf("%s", cli.helpText().c_str());
-      return 0;
-    }
-    cli.finish();
-    if (budget < 1) throw ConfigError("--budget must be >= 1");
-    if (jobs < 0 || jobs > 4096) throw ConfigError("--jobs must be in [0, 4096]");
-    if (rounds < 1 || rounds > 65536) throw ConfigError("--rounds must be in [1, 65536]");
-    if (strategyName != "random" && strategyName != "grid")
-      throw ConfigError("--strategy must be 'random' or 'grid', got '" + strategyName + "'");
-  } catch (const Error& e) {
-    std::fprintf(stderr, "%s\n%s", e.what(), cli.helpText().c_str());
-    return 2;
-  }
+namespace {
+
+int run(Cli& cli) {
+  const auto budget =
+      cli.integer("budget", 32, "total candidate evaluations (warm start included)");
+  const auto jobs = cli.jobs("jobs", "concurrent simulations (0 = hardware concurrency)");
+  const auto seed = cli.integer("seed", 1, "search + fidelity machine-state seed");
+  const auto rounds =
+      cli.integer("rounds", 16, "ping-pong probes per message size for the warm start");
+  const auto strategyName = cli.str("strategy", "random", "exploration strategy: random | grid");
+  const bool wide = cli.flag("wide", "also search the fidelity-layer dimensions (local "
+                                     "delivery, per-transfer CPU, compute scale)");
+  Artifact& json = cli.artifact("json", "write the full report to this JSON file");
+  Artifact& metricsOut = cli.artifact("metrics", "write the obs registry snapshot "
+                                      "(calibrate.*) to this JSON file");
+  Artifact& traceOut = cli.artifact("trace", "write a Chrome trace-event JSON of the "
+                                    "warm-start and search phases (wall time) to this file");
+  if (budget < 1) throw ConfigError("--budget must be >= 1");
+  if (rounds < 1 || rounds > 65536) throw ConfigError("--rounds must be in [1, 65536]");
+  if (strategyName != "random" && strategyName != "grid")
+    throw ConfigError("--strategy must be 'random' or 'grid', got '" + strategyName + "'");
+  cli.finish();
 
   const exp::EngineSettings settings; // the reference fidelity profile
   const auto fidelitySeed = static_cast<std::uint64_t>(seed);
@@ -75,7 +63,7 @@ int main(int argc, char** argv) {
   obs::Registry registry;
   obs::TraceSink trace;
   const obs::WallClock wall;
-  if (!tracePath.empty()) trace.processName(0, "dps_calibrate");
+  if (traceOut) trace.processName(0, "dps_calibrate");
 
   // Warm start: the seeded two-point ping-pong fit through the fidelity
   // layer, exactly what a calibration benchmark measures on real hardware.
@@ -83,7 +71,7 @@ int main(int argc, char** argv) {
   const exp::ScenarioRunner runner(settings);
   const auto fit = exp::calibratePlatform(runner.referenceConfig(fidelitySeed), fidelitySeed,
                                           static_cast<int>(rounds));
-  if (!tracePath.empty())
+  if (traceOut)
     trace.completeSpan("warm-start", "calibrate", warmStartMicros,
                        wall.elapsedMicros() - warmStartMicros, 0, 0);
   exp::Candidate warm;
@@ -96,8 +84,7 @@ int main(int argc, char** argv) {
   std::printf("search space: %zu dimensions%s\n", space.size(),
               wide ? " (fidelity-layer dims included)" : "");
   const exp::ScenarioObjective objective(settings, warm, space,
-                                         exp::ObjectiveSpec::validationSet(),
-                                         static_cast<unsigned>(jobs));
+                                         exp::ObjectiveSpec::validationSet(), jobs);
 
   std::printf("validation set (%zu scenarios):\n", objective.scenarioCount());
   for (std::size_t i = 0; i < objective.scenarioCount(); ++i)
@@ -116,11 +103,11 @@ int main(int argc, char** argv) {
 
   exp::SearchOptions options;
   options.budget = total;
-  options.jobs = static_cast<unsigned>(jobs);
+  options.jobs = jobs;
   options.warmStart = space.encode(warm);
   const double searchStartMicros = wall.elapsedMicros();
   const auto result = exp::runCalibrationSearch(objective, space, strategies, options);
-  if (!tracePath.empty())
+  if (traceOut)
     trace.completeSpan("search", "calibrate", searchStartMicros,
                        wall.elapsedMicros() - searchStartMicros, 0, 0,
                        "{\"strategy\":\"" + strategyName +
@@ -152,18 +139,11 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < best.errors.size(); ++i)
     std::printf("  %-40s %+.4f\n", objective.scenarioLabel(i).c_str(), best.errors[i]);
 
-  if (!jsonPath.empty()) {
-    std::ofstream os(jsonPath);
-    if (!os) {
-      std::fprintf(stderr, "cannot write JSON to %s\n", jsonPath.c_str());
-      return 1;
-    }
-    exp::writeReportJson(os, result, objective, space, warm);
-    os << "\n";
-    std::printf("wrote %s\n", jsonPath.c_str());
+  if (json) {
+    exp::writeReportJson(json.stream(), result, objective, space, warm);
+    json.stream() << "\n";
   }
-
-  if (!metricsPath.empty()) {
+  if (metricsOut) {
     registry.counter("calibrate.evaluations")
         .add(static_cast<std::uint64_t>(result.history.records.size()));
     registry.counter("calibrate.scenarios")
@@ -171,21 +151,9 @@ int main(int argc, char** argv) {
     registry.gauge("calibrate.warm_score").set(warmScore);
     registry.gauge("calibrate.best_score").set(best.score);
     registry.gauge("calibrate.wall_sec").set(wall.elapsedSec());
-    std::ofstream os(metricsPath);
-    if (!os) {
-      std::fprintf(stderr, "cannot write metrics to %s\n", metricsPath.c_str());
-      return 1;
-    }
-    os << registry.jsonString() << "\n";
-    std::printf("wrote %s\n", metricsPath.c_str());
+    metricsOut.stream() << registry.jsonString() << "\n";
   }
-  if (!tracePath.empty()) {
-    if (!trace.writeFile(tracePath)) {
-      std::fprintf(stderr, "cannot write trace to %s\n", tracePath.c_str());
-      return 1;
-    }
-    std::printf("wrote %s (%zu trace events)\n", tracePath.c_str(), trace.eventCount());
-  }
+  if (traceOut) trace.write(traceOut.stream());
 
   if (best.score > warmScore) {
     std::fprintf(stderr, "best fit scored worse than the warm start — search bug\n");
@@ -193,3 +161,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+} // namespace
+
+int main(int argc, char** argv) { return runMain(argc, argv, run); }

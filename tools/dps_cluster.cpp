@@ -44,7 +44,6 @@
 //   $ dps_cluster --smoke --record record.json --explain 3
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -83,98 +82,78 @@ std::string describeAllocs(const std::vector<std::int32_t>& allocs) {
 
 } // namespace
 
-int main(int argc, char** argv) {
-  Cli cli(argc, argv);
-  std::int64_t nodes = 0, seed = 0, jobCount = 0, jobs = 0;
-  std::int64_t anchors = 0, timelineMax = 0, backfillDepth = 0, explainJob = 0;
-  double arrivalRate = 0, threshold = 0, recordCadence = 0;
-  std::string policyName, jsonPath, mixName, metricsPath, tracePath, recordPath;
-  bool smoke = false, backfill = false, replay = false;
-  bool exactProfiles = false, progress = false;
-  sched::Workload workload;
-  try {
-    nodes = cli.integer("nodes", 8, "cluster size in nodes");
-    policyName =
-        cli.str("policy", "equipartition",
-                "primary policy: fcfs-rigid | equipartition | efficiency-shrink | grow-eager");
-    seed = cli.integer("seed", 1, "workload seed (arrivals + class mix)");
-    arrivalRate = cli.real("arrival-rate", 0.15, "Poisson arrival rate [jobs/s]");
-    jobCount = cli.integer("job-count", 12, "number of arriving jobs");
-    threshold = cli.real("threshold", 0.5, "efficiency-shrink release threshold");
-    jobs = cli.integer("jobs", 0, "concurrent profile simulations (0 = hardware concurrency)");
-    jsonPath = cli.str("json", "", "write the full report to this JSON file");
-    metricsPath = cli.str("metrics", "",
-                          "write the obs registry snapshot (cluster.<policy>.*, svc.cache.*, "
-                          "engine.*, mall.*) to this JSON file");
-    tracePath = cli.str("trace", "",
-                        "write a Chrome trace-event JSON (Perfetto-loadable) of every policy's "
-                        "event loop, in simulated time, to this file");
-    recordPath = cli.str("record", "",
-                         "write every policy's flight record (decision audit log, wait "
-                         "intervals, timeseries) to this JSON file");
-    recordCadence = cli.real("record-cadence", 10.0,
-                             "simulated-time sampling cadence [s] for the recorder timeseries "
-                             "(0 disables the timeseries)");
-    explainJob = cli.integer("explain", -1,
-                             "print the causal narrative (arrival, waits with reasons, "
-                             "reallocs, finish) of this job id under the primary policy");
-    mixName = cli.str("mix", "default",
-                      "job mix: default | scaled (dense malleability levels for large machines)");
-    anchors = cli.integer("anchors", 0,
-                          "anchor engine runs per class for interpolated profiles (0 = auto)");
-    timelineMax = cli.integer("timeline-max", 0,
-                              "down-sample each policy's JSON utilization timeline to at most "
-                              "this many points (0 = full resolution)");
-    backfillDepth = cli.integer("backfill-depth", 0,
-                                "max queued jobs one backfill pass examines (0 = unlimited)");
-    exactProfiles = cli.flag("exact-profiles",
-                             "run every (class x allocation) point on the engine instead of "
-                             "interpolating between anchors (today's exhaustive behavior)");
-    progress = cli.flag("progress", "wall-clock/ETA progress on stderr for profile builds "
-                                    "and event loops");
-    backfill = cli.flag("backfill", "EASY backfill on the admission scan (all policies)");
-    replay = cli.flag("replay", "replay the primary policy's allocation histories in-engine "
-                                "and report prediction errors");
-    smoke = cli.flag("smoke", "reduced CI workload (6 jobs)");
-    if (cli.helpRequested()) {
-      std::printf("%s", cli.helpText().c_str());
-      return 0;
-    }
-    cli.finish();
-    if (nodes < 2 || nodes > 4096) throw ConfigError("--nodes must be in [2, 4096]");
-    if (jobCount < 1 || jobCount > 100000) throw ConfigError("--job-count must be in [1, 100000]");
-    if (jobs < 0 || jobs > 4096) throw ConfigError("--jobs must be in [0, 4096]");
-    if (arrivalRate <= 0) throw ConfigError("--arrival-rate must be positive");
-    if (threshold <= 0 || threshold >= 1) throw ConfigError("--threshold must be in (0, 1)");
-    if (mixName != "default" && mixName != "scaled")
-      throw ConfigError("--mix must be default or scaled");
-    if (anchors < 0 || anchors > 4096) throw ConfigError("--anchors must be in [0, 4096]");
-    if (timelineMax < 0) throw ConfigError("--timeline-max must be >= 0");
-    if (backfillDepth < 0) throw ConfigError("--backfill-depth must be >= 0");
-    if (recordCadence < 0) throw ConfigError("--record-cadence must be >= 0");
-    sched::makePolicy(policyName); // validates the name
+int run(Cli& cli) {
+  const auto nodes = cli.integer("nodes", 8, "cluster size in nodes");
+  const auto policyName = cli.str("policy", "equipartition", "primary policy: fcfs-rigid | "
+                                  "equipartition | efficiency-shrink | grow-eager");
+  const auto seed = cli.integer("seed", 1, "workload seed (arrivals + class mix)");
+  const auto arrivalRate = cli.real("arrival-rate", 0.15, "Poisson arrival rate [jobs/s]");
+  const auto jobCount = cli.integer("job-count", 12, "number of arriving jobs");
+  const auto threshold = cli.real("threshold", 0.5, "efficiency-shrink release threshold");
+  const auto jobs = cli.jobs("jobs", "concurrent profile simulations (0 = hardware concurrency)");
+  Artifact& json = cli.artifact("json", "write the full report to this JSON file");
+  Artifact& metricsOut = cli.artifact("metrics", "write the obs registry snapshot "
+                                      "(cluster.<policy>.*, svc.cache.*, engine.*, mall.*) "
+                                      "to this JSON file");
+  Artifact& traceOut = cli.artifact("trace", "write a Chrome trace-event JSON "
+                                    "(Perfetto-loadable) of every policy's event loop, in "
+                                    "simulated time, to this file");
+  Artifact& recordOut = cli.artifact("record", "write every policy's flight record (decision "
+                                     "audit log, wait intervals, timeseries) to this JSON file");
+  const auto recordCadence = cli.real("record-cadence", 10.0, "simulated-time sampling cadence "
+                                      "[s] for the recorder timeseries (0 disables the "
+                                      "timeseries)");
+  const auto explainJob = cli.integer("explain", -1, "print the causal narrative (arrival, "
+                                      "waits with reasons, reallocs, finish) of this job id "
+                                      "under the primary policy");
+  const auto mixName = cli.str("mix", "default", "job mix: default | scaled (dense "
+                               "malleability levels for large machines)");
+  const auto anchors = cli.integer("anchors", 0, "anchor engine runs per class for "
+                                   "interpolated profiles (0 = auto)");
+  const auto timelineMax = cli.integer("timeline-max", 0, "down-sample each policy's JSON "
+                                       "utilization timeline to at most this many points "
+                                       "(0 = full resolution)");
+  const auto backfillDepth = cli.integer("backfill-depth", 0, "max queued jobs one backfill "
+                                         "pass examines (0 = unlimited)");
+  const bool exactProfiles = cli.flag("exact-profiles", "run every (class x allocation) point "
+                                      "on the engine instead of interpolating between anchors "
+                                      "(today's exhaustive behavior)");
+  const bool progress = cli.flag("progress", "wall-clock/ETA progress on stderr for profile "
+                                             "builds and event loops");
+  const bool backfill = cli.flag("backfill", "EASY backfill on the admission scan (all policies)");
+  const bool replay = cli.flag("replay", "replay the primary policy's allocation histories "
+                                         "in-engine and report prediction errors");
+  const bool smoke = cli.flag("smoke", "reduced CI workload (6 jobs)");
+  if (nodes < 2 || nodes > 4096) throw ConfigError("--nodes must be in [2, 4096]");
+  if (jobCount < 1 || jobCount > 100000) throw ConfigError("--job-count must be in [1, 100000]");
+  if (arrivalRate <= 0) throw ConfigError("--arrival-rate must be positive");
+  if (threshold <= 0 || threshold >= 1) throw ConfigError("--threshold must be in (0, 1)");
+  if (mixName != "default" && mixName != "scaled")
+    throw ConfigError("--mix must be default or scaled");
+  if (anchors < 0 || anchors > 4096) throw ConfigError("--anchors must be in [0, 4096]");
+  if (timelineMax < 0) throw ConfigError("--timeline-max must be >= 0");
+  if (backfillDepth < 0) throw ConfigError("--backfill-depth must be >= 0");
+  if (recordCadence < 0) throw ConfigError("--record-cadence must be >= 0");
+  sched::makePolicy(policyName); // validates the name
 
-    sched::WorkloadConfig wcfg;
-    wcfg.seed = static_cast<std::uint64_t>(seed);
-    wcfg.jobCount = smoke ? 6 : static_cast<std::int32_t>(jobCount);
-    wcfg.arrivalRatePerSec = arrivalRate;
-    if (mixName == "scaled")
-      wcfg.classes = sched::Workload::scaledMix(static_cast<std::int32_t>(nodes));
-    workload = sched::Workload::generate(wcfg, static_cast<std::int32_t>(nodes));
-    // -1 (the default) disables --explain; anything else must name a job
-    // of this workload, checked before any profile build or simulation.
-    if (explainJob != -1 && std::none_of(workload.jobs.begin(), workload.jobs.end(),
-                                         [&](const sched::Job& j) { return j.id == explainJob; })) {
-      std::string msg = "--explain must name a job id of this workload (0..";
-      msg += std::to_string(workload.jobs.size() - 1);
-      msg += "), got ";
-      msg += std::to_string(explainJob);
-      throw ConfigError(msg);
-    }
-  } catch (const Error& e) {
-    std::fprintf(stderr, "%s\n%s", e.what(), cli.helpText().c_str());
-    return 2;
+  sched::WorkloadConfig wcfg;
+  wcfg.seed = static_cast<std::uint64_t>(seed);
+  wcfg.jobCount = smoke ? 6 : static_cast<std::int32_t>(jobCount);
+  wcfg.arrivalRatePerSec = arrivalRate;
+  if (mixName == "scaled")
+    wcfg.classes = sched::Workload::scaledMix(static_cast<std::int32_t>(nodes));
+  const auto workload = sched::Workload::generate(wcfg, static_cast<std::int32_t>(nodes));
+  // -1 (the default) disables --explain; anything else must name a job
+  // of this workload, checked before any profile build or simulation.
+  if (explainJob != -1 && std::none_of(workload.jobs.begin(), workload.jobs.end(),
+                                       [&](const sched::Job& j) { return j.id == explainJob; })) {
+    std::string msg = "--explain must name a job id of this workload (0..";
+    msg += std::to_string(workload.jobs.size() - 1);
+    msg += "), got ";
+    msg += std::to_string(explainJob);
+    throw ConfigError(msg);
   }
+  cli.finish();
 
   std::printf("workload: %s\n", workload.describe().c_str());
 
@@ -182,9 +161,8 @@ int main(int argc, char** argv) {
   std::size_t allocPoints = 0;
   for (const auto& k : workload.cfg.classes)
     allocPoints += sched::feasibleAllocations(k, static_cast<std::int32_t>(nodes)).size();
-  std::printf("profiling %zu (class x allocation) points %s on the DPS engine (--jobs %lld)...\n",
-              allocPoints, exactProfiles ? "exhaustively" : "via anchor interpolation",
-              static_cast<long long>(jobs));
+  std::printf("profiling %zu (class x allocation) points %s on the DPS engine (--jobs %u)...\n",
+              allocPoints, exactProfiles ? "exhaustively" : "via anchor interpolation", jobs);
 
   // Observability surfaces for the whole run: one registry (per-policy
   // cluster.<policy>.* prefixes plus the svc.cache.* / engine.* / mall.*
@@ -193,11 +171,11 @@ int main(int argc, char** argv) {
   // unless their flag asked for a file.
   obs::Registry registry;
   obs::TraceSink trace;
-  obs::Registry* const metrics = metricsPath.empty() ? nullptr : &registry;
-  obs::TraceSink* const traceSink = tracePath.empty() ? nullptr : &trace;
+  obs::Registry* const metrics = metricsOut ? &registry : nullptr;
+  obs::TraceSink* const traceSink = traceOut ? &trace : nullptr;
   // One flight recorder per policy (they are single-run objects), created
   // only when --record or --explain asked for one.
-  const bool recording = !recordPath.empty() || explainJob >= 0;
+  const bool recording = recordOut || explainJob >= 0;
   std::vector<std::unique_ptr<obs::Recorder>> recorders;
 
   sched::ProfileBuildOptions popts;
@@ -224,7 +202,7 @@ int main(int argc, char** argv) {
   cache.attachRegistry(metrics);
   const auto profiles =
       svc::buildProfileTable(workload.cfg.classes, static_cast<std::int32_t>(nodes), settings,
-                             static_cast<unsigned>(jobs), cache, popts);
+                             jobs, cache, popts);
   const auto& binfo = profiles.buildInfo();
   std::printf("profile table: %zu engine runs for %zu allocation points (%.1fx reduction, "
               "%.1fs)\n",
@@ -325,11 +303,11 @@ int main(int argc, char** argv) {
   // per-application simulation they abstract.
   sched::ReplayReport replayReport;
   if (replay) {
-    std::printf("replaying %zu allocation histories in-engine (--jobs %lld)...\n",
-                primary->jobs.size(), static_cast<long long>(jobs));
+    std::printf("replaying %zu allocation histories in-engine (--jobs %u)...\n",
+                primary->jobs.size(), jobs);
     sched::ReplaySettings rs;
     rs.engine = settings;
-    rs.jobs = static_cast<unsigned>(jobs);
+    rs.jobs = jobs;
     rs.runner = svc::cachedRunner(cache);
     replayReport = sched::replaySchedule(*primary, workload, profiles, rs);
     Table rt("prediction vs in-engine replay under " + policyName);
@@ -364,13 +342,8 @@ int main(int argc, char** argv) {
                 recorders[primaryIdx]->explain(static_cast<std::int32_t>(explainJob)).c_str());
   }
 
-  if (!recordPath.empty()) {
-    std::ofstream os(recordPath);
-    if (!os) {
-      std::fprintf(stderr, "cannot write record to %s\n", recordPath.c_str());
-      return 1;
-    }
-    JsonWriter w(os);
+  if (recordOut) {
+    JsonWriter w(recordOut.stream());
     w.beginObject()
         .field("nodes", nodes)
         .field("seed", seed)
@@ -380,19 +353,11 @@ int main(int argc, char** argv) {
     for (const auto& r : recorders) w.raw(r->jsonString());
     w.endArray().endObject();
     DPS_CHECK(w.closed(), "unbalanced record JSON");
-    os << "\n";
-    std::printf("wrote %s (%zu decisions under %s)\n", recordPath.c_str(),
-                recorders.empty() ? 0 : recorders.front()->decisionCount(),
-                policyList.empty() ? "?" : policyList.front().c_str());
+    recordOut.stream() << "\n";
   }
 
-  if (!jsonPath.empty()) {
-    std::ofstream os(jsonPath);
-    if (!os) {
-      std::fprintf(stderr, "cannot write JSON to %s\n", jsonPath.c_str());
-      return 1;
-    }
-    JsonWriter w(os);
+  if (json) {
+    JsonWriter w(json.stream());
     w.beginObject()
         .field("nodes", nodes)
         .field("seed", seed)
@@ -410,25 +375,12 @@ int main(int argc, char** argv) {
     if (replay) w.key("replay").raw(replayReport.jsonString());
     w.endObject();
     DPS_CHECK(w.closed(), "unbalanced cluster JSON");
-    os << "\n";
-    std::printf("wrote %s\n", jsonPath.c_str());
+    json.stream() << "\n";
   }
 
-  if (!metricsPath.empty()) {
-    std::ofstream os(metricsPath);
-    if (!os) {
-      std::fprintf(stderr, "cannot write metrics to %s\n", metricsPath.c_str());
-      return 1;
-    }
-    os << registry.jsonString() << "\n";
-    std::printf("wrote %s\n", metricsPath.c_str());
-  }
-  if (!tracePath.empty()) {
-    if (!trace.writeFile(tracePath)) {
-      std::fprintf(stderr, "cannot write trace to %s\n", tracePath.c_str());
-      return 1;
-    }
-    std::printf("wrote %s (%zu trace events)\n", tracePath.c_str(), trace.eventCount());
-  }
+  if (metricsOut) metricsOut.stream() << registry.jsonString() << "\n";
+  if (traceOut) trace.write(traceOut.stream());
   return 0;
 }
+
+int main(int argc, char** argv) { return runMain(argc, argv, run); }

@@ -32,7 +32,6 @@
 //   $ dps_explore --verify --counterexample counterexample.json
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -42,6 +41,7 @@
 #include "obs/clock.hpp"
 #include "sched/cluster.hpp"
 #include "sched/explore.hpp"
+#include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
@@ -51,34 +51,6 @@
 using namespace dps;
 
 namespace {
-
-struct CheckRecord {
-  std::string claim;
-  bool ok = false;
-};
-std::vector<CheckRecord> g_checks;
-
-void check(bool ok, const std::string& claim) {
-  std::printf("[CHECK] %-70s %s\n", claim.c_str(), ok ? "PASS" : "FAIL");
-  g_checks.push_back({claim, ok});
-}
-
-/// One of the five policy configurations the oracle scores.
-struct PolicyCfg {
-  std::string label;
-  std::string policy;
-  bool backfill = false;
-};
-
-std::vector<PolicyCfg> policyConfigs() {
-  return {
-      {"fcfs-rigid", "fcfs-rigid", false},
-      {"fcfs-easy", "fcfs-rigid", true},
-      {"equipartition", "equipartition", false},
-      {"efficiency-shrink", "efficiency-shrink", false},
-      {"grow-eager", "grow-eager", false},
-  };
-}
 
 std::string statsJson(const sched::ExploreStats& st) {
   std::ostringstream os;
@@ -112,52 +84,34 @@ std::string reportJson(const sched::VerifyReport& rep) {
 
 } // namespace
 
-int main(int argc, char** argv) {
-  Cli cli(argc, argv);
-  std::int64_t nodes = 0, seed = 0, maxJobs = 0, jobs = 0, maxStates = 0;
-  double arrivalRate = 0;
-  std::string jsonPath, counterexamplePath;
-  bool optimality = false, verify = false, smoke = false, noProve = false;
-  try {
-    nodes = cli.integer("nodes", 8, "cluster size in nodes (explorer scale: [4, 16])");
-    seed = cli.integer("seed", 1, "workload seed (arrivals + class mix)");
-    maxJobs = cli.integer("max-jobs", 4, "number of arriving jobs ([1, 8] — the space is"
-                                         " exponential in this)");
-    arrivalRate = cli.real("arrival-rate", 20.0,
-                           "Poisson arrival rate [jobs/s] (dense by default: explorer-scale "
-                           "jobs run ~1-3s, so 20/s queues everything and the policies "
-                           "genuinely contend)");
-    jobs = cli.integer("jobs", 0, "concurrent profile simulations (0 = hardware concurrency)");
-    maxStates = cli.integer("max-states", 20000000,
-                            "state-expansion cap; hitting it degrades the optimum to an "
-                            "unproven upper bound");
-    jsonPath = cli.str("json", "", "write the report (optimality table, verify verdicts, "
-                                   "check results) to this JSON file");
-    counterexamplePath = cli.str("counterexample", "",
-                                 "write the mutant policy's violating flight record (the "
-                                 "replayable counterexample) to this JSON file");
-    optimality = cli.flag("optimality", "prove the optimal makespan / mean slowdown and score "
-                                        "every policy as % of optimal");
-    verify = cli.flag("verify", "exhaustively check the invariant set (space + every policy x "
-                                "backfill + the head-hold mutant)");
-    noProve = cli.flag("no-prove", "skip the unpruned re-search that proves the pruned optimum "
-                                   "(faster on larger workloads)");
-    smoke = cli.flag("smoke", "reduced CI workload (3 jobs) running both modes");
-    if (cli.helpRequested()) {
-      std::printf("%s", cli.helpText().c_str());
-      return 0;
-    }
-    cli.finish();
-    if (nodes < 4 || nodes > 16)
-      throw ConfigError("--nodes must be in [4, 16] (exhaustive search scale)");
-    if (maxJobs < 1 || maxJobs > 8) throw ConfigError("--max-jobs must be in [1, 8]");
-    if (arrivalRate <= 0) throw ConfigError("--arrival-rate must be positive");
-    if (jobs < 0 || jobs > 4096) throw ConfigError("--jobs must be in [0, 4096]");
-    if (maxStates < 1) throw ConfigError("--max-states must be >= 1");
-  } catch (const Error& e) {
-    std::fprintf(stderr, "%s\n%s", e.what(), cli.helpText().c_str());
-    return 2;
-  }
+int run(Cli& cli) {
+  const auto nodes = cli.integer("nodes", 8, "cluster size in nodes (explorer scale: [4, 16])");
+  const auto seed = cli.integer("seed", 1, "workload seed (arrivals + class mix)");
+  auto maxJobs = cli.integer("max-jobs", 4, "number of arriving jobs ([1, 8] — the space is "
+                             "exponential in this)");
+  const auto arrivalRate = cli.real("arrival-rate", 20.0, "Poisson arrival rate [jobs/s] "
+                                    "(dense by default: explorer-scale jobs run ~1-3s, so 20/s "
+                                    "queues everything and the policies genuinely contend)");
+  const auto jobs = cli.jobs("jobs", "concurrent profile simulations (0 = hardware concurrency)");
+  const auto maxStates = cli.integer("max-states", 20000000, "state-expansion cap; hitting it "
+                                     "degrades the optimum to an unproven upper bound");
+  Artifact& json = cli.artifact("json", "write the report (optimality table, verify verdicts, "
+                                "check results) to this JSON file");
+  Artifact& counterexample = cli.artifact("counterexample", "write the mutant policy's "
+                                          "violating flight record (the replayable "
+                                          "counterexample) to this JSON file");
+  bool optimality = cli.flag("optimality", "prove the optimal makespan / mean slowdown and "
+                                           "score every policy as % of optimal");
+  bool verify = cli.flag("verify", "exhaustively check the invariant set (space + every "
+                                   "policy x backfill + the head-hold mutant)");
+  const bool noProve = cli.flag("no-prove", "skip the unpruned re-search that proves the "
+                                "pruned optimum (faster on larger workloads)");
+  const bool smoke = cli.flag("smoke", "reduced CI workload (3 jobs) running both modes");
+  if (nodes < 4 || nodes > 16)
+    throw ConfigError("--nodes must be in [4, 16] (exhaustive search scale)");
+  if (maxJobs < 1 || maxJobs > 8) throw ConfigError("--max-jobs must be in [1, 8]");
+  if (arrivalRate <= 0) throw ConfigError("--arrival-rate must be positive");
+  if (maxStates < 1) throw ConfigError("--max-states must be >= 1");
   if (smoke) {
     maxJobs = 3;
     optimality = verify = true;
@@ -166,12 +120,12 @@ int main(int argc, char** argv) {
   // The derived starvation bound assumes every class fits in at most half
   // the machine; on smaller clusters a full-width job legitimately
   // serializes the queue and the NoStarvation audit would misfire.
-  if (verify && nodes < 8) {
-    std::fprintf(stderr,
-                 "--verify requires --nodes >= 8: the starvation bound assumes every "
-                 "class fits in at most half the machine\n");
-    return 2;
-  }
+  if (verify && nodes < 8)
+    throw ConfigError("--verify requires --nodes >= 8: the starvation bound assumes every "
+                      "class fits in at most half the machine");
+  if (counterexample && !verify)
+    throw ConfigError("--counterexample is written only in --verify mode");
+  cli.finish();
 
   sched::WorkloadConfig wcfg;
   wcfg.seed = static_cast<std::uint64_t>(seed);
@@ -185,7 +139,7 @@ int main(int argc, char** argv) {
   const obs::WallClock buildClock;
   const auto profiles =
       svc::buildProfileTable(workload.cfg.classes, static_cast<std::int32_t>(nodes), settings,
-                             static_cast<unsigned>(jobs));
+                             jobs);
   std::printf("profiled %zu classes in %.1fs\n", profiles.classCount(), buildClock.elapsedSec());
   Table prof("job profiles (per-phase model from PDEXEC runs)");
   prof.header({"class", "allocs", "phases", "best [s]", "worst [s]", "state [MB]"});
@@ -205,34 +159,12 @@ int main(int argc, char** argv) {
   sched::ExploreLimits limits;
   limits.maxStates = static_cast<std::uint64_t>(maxStates);
 
-  // Every policy configuration's plain run (the oracle's comparison set).
-  const auto cfgs = policyConfigs();
-  std::vector<sched::ClusterMetrics> policyRuns;
-  for (const PolicyCfg& pc : cfgs) {
-    auto policy = sched::makePolicy(pc.policy);
-    sched::ClusterConfig cc = ccfg;
-    cc.easyBackfill = pc.backfill;
-    policyRuns.push_back(sched::simulateCluster(cc, workload, profiles, *policy));
-  }
-
   std::string optimalityJson;
   if (optimality) {
-    double bestPolicyMakespan = policyRuns.front().makespanSec;
-    double bestPolicySlowdown = policyRuns.front().meanSlowdown;
-    for (const auto& m : policyRuns) {
-      bestPolicyMakespan = std::min(bestPolicyMakespan, m.makespanSec);
-      bestPolicySlowdown = std::min(bestPolicySlowdown, m.meanSlowdown);
-    }
-
     const obs::WallClock searchClock;
-    sched::ExploreLimits mkLimits = limits;
-    mkLimits.upperBound = bestPolicyMakespan;
-    const auto mk = sched::exploreOptimal(ccfg, workload, profiles,
-                                          sched::ExploreObjective::Makespan, mkLimits);
-    sched::ExploreLimits slLimits = limits;
-    slLimits.upperBound = bestPolicySlowdown;
-    const auto sl = sched::exploreOptimal(ccfg, workload, profiles,
-                                          sched::ExploreObjective::MeanSlowdown, slLimits);
+    const auto oracle = sched::compareWithOptimum(ccfg, workload, profiles, limits);
+    const auto& mk = oracle.makespan;
+    const auto& sl = oracle.slowdown;
     std::printf("oracle: optimal makespan %.3fs (%llu states, %llu deduped, %llu pruned), "
                 "optimal mean slowdown %.3f (%llu states) in %.1fs\n",
                 mk.makespanSec, static_cast<unsigned long long>(mk.stats.statesExplored),
@@ -279,8 +211,8 @@ int main(int argc, char** argv) {
 
     // Oracle self-validation: replaying the winning decision trace through
     // the instant machine reproduces the objective exactly.
-    const auto mkReplay = sched::replayTrace(ccfg, workload, profiles, mk.trace);
-    const auto slReplay = sched::replayTrace(ccfg, workload, profiles, sl.trace);
+    const auto& mkReplay = oracle.makespanReplay;
+    const auto& slReplay = oracle.slowdownReplay;
     check(mkReplay.makespanSec == mk.makespanSec && mkReplay.meanSlowdown == mk.meanSlowdown,
           "optimal makespan trace replays bit-identically");
     check(slReplay.makespanSec == sl.makespanSec && slReplay.meanSlowdown == sl.meanSlowdown,
@@ -292,8 +224,9 @@ int main(int argc, char** argv) {
     std::ostringstream pj;
     JsonWriter pw(pj);
     pw.beginArray();
+    const auto cfgs = sched::oraclePolicies();
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
-      const auto& m = policyRuns[i];
+      const auto& m = oracle.runs[i];
       const double mkPct = 100.0 * mk.makespanSec / m.makespanSec;
       const double slPct = 100.0 * sl.meanSlowdown / m.meanSlowdown;
       check(mk.makespanSec <= m.makespanSec + 1e-9,
@@ -321,8 +254,8 @@ int main(int argc, char** argv) {
     ow.beginObject()
         .field("optimal_makespan_sec", mk.makespanSec)
         .field("optimal_mean_slowdown", sl.meanSlowdown)
-        .field("best_policy_makespan_pct", 100.0 * mk.makespanSec / bestPolicyMakespan)
-        .field("best_policy_slowdown_pct", 100.0 * sl.meanSlowdown / bestPolicySlowdown)
+        .field("best_policy_makespan_pct", 100.0 * mk.makespanSec / oracle.bestMakespanSec)
+        .field("best_policy_slowdown_pct", 100.0 * sl.meanSlowdown / oracle.bestMeanSlowdown)
         .field("trace_decisions", static_cast<std::uint64_t>(mk.trace.size()));
     ow.key("makespan_search").raw(statsJson(mk.stats));
     ow.key("slowdown_search").raw(statsJson(sl.stats));
@@ -413,13 +346,8 @@ int main(int argc, char** argv) {
                   sched::invariantName(v.invariant), v.job, v.tSec, v.detail.c_str());
       if (!mres.explainText.empty()) std::printf("%s", mres.explainText.c_str());
     }
-    if (!counterexamplePath.empty()) {
-      std::ofstream os(counterexamplePath);
-      if (!os) {
-        std::fprintf(stderr, "cannot write counterexample to %s\n", counterexamplePath.c_str());
-        return 1;
-      }
-      JsonWriter w(os);
+    if (counterexample) {
+      JsonWriter w(counterexample.stream());
       w.beginObject().field("policy", mutant.name()).field("replay_confirmed", replayConfirmed);
       w.key("violations").beginArray();
       for (const auto& v : mres.report.violations)
@@ -433,9 +361,7 @@ int main(int argc, char** argv) {
       w.key("record").raw(mres.recordJson);
       w.endObject();
       DPS_CHECK(w.closed(), "unbalanced counterexample JSON");
-      os << "\n";
-      std::printf("wrote %s (the mutant's replayable flight record)\n",
-                  counterexamplePath.c_str());
+      counterexample.stream() << "\n";
     }
 
     std::ostringstream sj;
@@ -457,38 +383,22 @@ int main(int argc, char** argv) {
     verifyJson = sj.str();
   }
 
-  if (!jsonPath.empty()) {
-    std::ofstream os(jsonPath);
-    if (!os) {
-      std::fprintf(stderr, "cannot write JSON to %s\n", jsonPath.c_str());
-      return 1;
-    }
-    JsonWriter w(os);
+  if (json) {
+    JsonWriter w(json.stream());
     w.beginObject()
         .field("nodes", nodes)
         .field("seed", seed)
         .field("job_count", workload.jobs.size())
         .field("arrival_rate", arrivalRate)
         .field("workload", workload.describe());
-    w.key("checks").beginArray();
-    for (const CheckRecord& c : g_checks)
-      w.beginObject().field("claim", c.claim).field("pass", c.ok).endObject();
-    w.endArray();
+    writeChecks(w);
     if (!optimalityJson.empty()) w.key("optimality").raw(optimalityJson);
     if (!verifyJson.empty()) w.key("verify").raw(verifyJson);
     w.endObject();
     DPS_CHECK(w.closed(), "unbalanced explore JSON");
-    os << "\n";
-    std::printf("wrote %s\n", jsonPath.c_str());
+    json.stream() << "\n";
   }
-
-  std::size_t failed = 0;
-  for (const CheckRecord& c : g_checks)
-    if (!c.ok) ++failed;
-  if (failed > 0) {
-    std::printf("\n%zu check(s) FAILED\n", failed);
-    return 1;
-  }
-  std::printf("\nall %zu checks passed\n", g_checks.size());
-  return 0;
+  return checkSummary() == 0 ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return runMain(argc, argv, run); }
