@@ -6,15 +6,54 @@
 // "machine states" (fidelity seeds — like measuring on different days).
 // This is the largest sweep in the suite, declared as exp::SweepGrid grids
 // and executed on the campaign pool (--jobs).
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "support/histogram.hpp"
 #include "support/stats.hpp"
 
 using namespace dps;
+
+namespace {
+
+// 2%-wide bins over [-16%, +16%) like the paper's figure; errors outside
+// are clamped into the edge bins.
+constexpr double kLo = -0.16;
+constexpr double kHi = 0.16;
+constexpr std::size_t kBins = 16;
+constexpr double kWidth = (kHi - kLo) / kBins;
+
+std::vector<std::size_t> binErrors(const std::vector<double>& errors) {
+  std::vector<std::size_t> counts(kBins, 0);
+  for (double x : errors) {
+    std::size_t i = 0;
+    if (x >= kHi)
+      i = kBins - 1;
+    else if (x >= kLo)
+      i = std::min(static_cast<std::size_t>((x - kLo) / kWidth), kBins - 1);
+    ++counts[i];
+  }
+  return counts;
+}
+
+/// One bar per bin, scaled so the mode bin's bar is `barWidth` wide.
+void printBars(const std::vector<std::size_t>& counts, std::size_t modeBin,
+               std::size_t barWidth) {
+  const std::size_t maxCount = counts[modeBin];
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const double lo = kLo + kWidth * static_cast<double>(i);
+    const double center = 0.5 * (lo + (lo + kWidth));
+    const std::size_t bar =
+        maxCount == 0 ? 0 : (counts[i] * barWidth + maxCount - 1) / maxCount;
+    std::printf("%+8.1f%% | %-*s %zu\n", center * 100.0, static_cast<int>(barWidth),
+                std::string(bar, '#').c_str(), counts[i]);
+  }
+}
+
+} // namespace
 
 int run(Cli& cli) {
   const bench::BenchArgs opts(cli);
@@ -53,12 +92,14 @@ int run(Cli& cli) {
   const auto result = campaign.run(opts.jobs);
   const std::vector<double> errors = result.errors();
 
-  Histogram hist(-0.16, 0.16, 16); // 2%-wide bins like the paper's figure
-  hist.addAll(errors);
+  const std::vector<std::size_t> counts = binErrors(errors);
+  const auto modeBin =
+      static_cast<std::size_t>(std::max_element(counts.begin(), counts.end()) - counts.begin());
 
   std::printf("Figure 13 reproduction: prediction-error histogram over %zu measurements\n\n",
               errors.size());
-  std::printf("%s\n", hist.render(50).c_str());
+  printBars(counts, modeBin, 50);
+  std::printf("\n");
 
   const double within4 = fractionWithin(errors, 0.04);
   const double within6 = fractionWithin(errors, 0.06);
@@ -76,7 +117,7 @@ int run(Cli& cli) {
   check(within6 >= 0.816, "at least 81.6% of predictions within +-6% (paper)");
   check(within12 >= 0.95, "more than 95% of predictions within +-12% (paper)");
   check(std::abs(agg.error.mean()) < 0.05, "errors are not grossly biased");
-  check(hist.modeBin() >= 6 && hist.modeBin() <= 9, "error mass concentrates around zero");
+  check(modeBin >= 6 && modeBin <= 9, "error mass concentrates around zero");
   return bench::finish("fig13_error_histogram", opts, &result);
 }
 

@@ -10,9 +10,10 @@
 //
 // Reported per phase: throughput plus p50/p99 submit-to-completion latency;
 // plus cache hit/miss/run counters and queue admission stats.  The [CHECK]
-// claims pin the service-layer contract: the steady phase runs zero new
-// simulations and sustains >= 10x the cold-phase throughput; under --smoke
-// the cache hit rate is pinned at its exact value.
+// claims pin the service-layer contract by counts, not wall time: the cold
+// phase runs exactly one simulation per distinct query and the steady phase
+// runs none; under --smoke the cache hit rate is pinned at its exact value.
+// The throughput ratio between the phases is printed, not gated.
 #include <chrono>
 #include <cmath>
 #include <iostream>
@@ -161,6 +162,7 @@ int run(Cli& cli) {
   // Cold phase: every distinct query once — all engine simulations.
   const auto cold =
       runPhase(queue, universe, universe.size(), [](std::size_t i) { return i; });
+  const std::uint64_t coldRuns = cache.stats().engineRuns;
 
   // Steady phase: a seeded stream of repeat queries — all cache hits.
   Rng rng(20060425);
@@ -184,15 +186,16 @@ int run(Cli& cli) {
               static_cast<unsigned long long>(cs.engineRuns), cs.hitRate() * 100.0,
               static_cast<unsigned long long>(queue.served()),
               static_cast<unsigned long long>(queue.rejectedCount()));
+  const double speedup = cold.qps() > 0 ? steady.qps() / cold.qps() : 0;
+  std::printf("steady/cold throughput: %.1fx\n\n", speedup);
 
-  check(cs.engineRuns == universe.size(),
+  check(coldRuns == universe.size(), "cold phase runs exactly one engine run per distinct query");
+  check(cs.engineRuns == coldRuns,
         "steady phase executes zero new engine runs (all served from cache)");
   check(cs.hitRate() > 0, "cache hit rate is nonzero after the steady phase");
   if (args.smoke)
     check(cs.hitRate() == 0.984009840098401,
           "smoke cache hit rate pinned at 800 hits / 813 lookups");
-  check(steady.qps() >= 10.0 * cold.qps(),
-        "repeated-query throughput >= 10x cold-phase throughput");
   check(cold.qps() > 0 && steady.qps() > 0, "both phases report a positive throughput");
   const auto ordered = [](const PhaseResult& p) {
     return p.percentileMs(0.99) >= p.percentileMs(0.50) && p.percentileMs(0.50) > 0;
@@ -218,7 +221,7 @@ int run(Cli& cli) {
   phaseJson(w, cold);
   w.key("steady");
   phaseJson(w, steady);
-  w.field("speedup", cold.qps() > 0 ? steady.qps() / cold.qps() : 0);
+  w.field("speedup", speedup);
   w.key("cache")
       .beginObject()
       .field("hits", cs.hits)

@@ -7,7 +7,7 @@
 namespace dps::core {
 
 CpuModel::CpuModel(des::Scheduler& sched, Config cfg, std::int32_t nodeCount)
-    : sched_(sched), cfg_(cfg), nodes_(nodeCount) {
+    : cfg_(cfg), nodes_(nodeCount), steps_(sched, [this](StepId id) { finish(id); }) {
   DPS_CHECK(nodeCount > 0, "cpu model needs nodes");
   DPS_CHECK(cfg_.minAvailable > 0.0, "minAvailable must be positive");
 }
@@ -29,19 +29,13 @@ double CpuModel::stepRate(const Node& n) const {
   return avail;
 }
 
-CpuModel::StepHandle CpuModel::startStep(flow::NodeId node, SimDuration work, Completion onDone) {
+void CpuModel::startStep(flow::NodeId node, SimDuration work, Completion onDone) {
   DPS_CHECK(node >= 0 && static_cast<std::size_t>(node) < nodes_.size(), "bad node");
-  DPS_CHECK(work >= SimDuration::zero(), "negative work");
-  const StepHandle h = next_++;
-  Step s;
-  s.node = node;
-  s.remainingWork = toSeconds(work);
-  s.lastUpdate = sched_.now();
-  s.onDone = std::move(onDone);
-  steps_.emplace(h, std::move(s));
-  nodes_[node].running.push_back(h);
+  const StepId id = steps_.add(toSeconds(work), std::move(onDone));
+  if (id == stepNode_.size()) stepNode_.emplace_back();
+  stepNode_[id] = node;
+  nodes_[node].running.push_back(id);
   replanNode(node);
-  return h;
 }
 
 void CpuModel::setCommActivity(flow::NodeId node, int activeIn, int activeOut) {
@@ -57,31 +51,16 @@ int CpuModel::runningSteps(flow::NodeId node) const {
 }
 
 void CpuModel::replanNode(flow::NodeId node) {
-  Node& n = nodes_.at(node);
+  const Node& n = nodes_.at(node);
   const double rate = stepRate(n);
-  const SimTime now = sched_.now();
-  for (StepHandle h : n.running) {
-    Step& s = steps_.at(h);
-    if (s.rate > 0.0) {
-      const double elapsed = toSeconds(now - s.lastUpdate);
-      s.remainingWork = std::max(0.0, s.remainingWork - s.rate * elapsed);
-    }
-    s.lastUpdate = now;
-    s.rate = rate;
-    const SimTime at = now + seconds(s.remainingWork / rate);
-    if (!sched_.rescheduleAt(s.completion, at))
-      s.completion = sched_.scheduleAt(at, [this, h] { finish(h); });
-  }
+  for (StepId id : n.running) steps_.setRate(id, rate);
 }
 
-void CpuModel::finish(StepHandle h) {
-  auto it = steps_.find(h);
-  DPS_CHECK(it != steps_.end(), "unknown step finished");
-  const flow::NodeId node = it->second.node;
-  Completion done = std::move(it->second.onDone);
+void CpuModel::finish(StepId id) {
+  const flow::NodeId node = stepNode_[id];
+  Completion done = steps_.release(id);
   auto& running = nodes_[node].running;
-  running.erase(std::remove(running.begin(), running.end(), h), running.end());
-  steps_.erase(it);
+  running.erase(std::remove(running.begin(), running.end(), id), running.end());
   replanNode(node);
   done();
 }

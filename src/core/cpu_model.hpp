@@ -3,16 +3,17 @@
 // Each virtual node has one unit of processing power.  Active network
 // transfers consume a fixed fraction each (receiving costs more than
 // sending); the remainder is shared evenly among all atomic steps currently
-// running on the node.  Steps are processor-sharing customers: their
-// completion times are re-planned whenever node membership or communication
-// activity changes.
+// running on the node.  Steps are processor-sharing customers, kept in a
+// des::Activities set: whenever node membership or communication activity
+// changes, every step on the node is re-rated, which settles its progress
+// and moves its completion.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
+#include "des/activities.hpp"
 #include "des/scheduler.hpp"
 #include "flow/ids.hpp"
 #include "support/time.hpp"
@@ -31,14 +32,13 @@ public:
     double minAvailable = 0.05;
   };
 
-  using StepHandle = std::uint64_t;
   using Completion = std::function<void()>;
 
   CpuModel(des::Scheduler& sched, Config cfg, std::int32_t nodeCount);
 
   /// Starts an atomic step of `work` contention-free duration on `node`;
   /// `onDone` fires when the (possibly stretched) step completes.
-  StepHandle startStep(flow::NodeId node, SimDuration work, Completion onDone);
+  void startStep(flow::NodeId node, SimDuration work, Completion onDone);
 
   /// Updates communication activity (wired to StarNetwork's observer).
   void setCommActivity(flow::NodeId node, int activeIn, int activeOut);
@@ -48,32 +48,24 @@ public:
   double availableCpu(flow::NodeId node) const;
 
 private:
-  struct Step {
-    flow::NodeId node;
-    double remainingWork; // seconds at rate 1.0
-    double rate = 0.0;
-    SimTime lastUpdate{};
-    Completion onDone;
-    des::EventId completion;
-  };
+  using StepId = des::Activities::Id;
   struct Node {
     int activeIn = 0;
     int activeOut = 0;
-    std::vector<StepHandle> running;
+    std::vector<StepId> running; // in start order
   };
 
-  /// Moves every running step's completion to its new rate.
+  /// Re-rates every running step on the node.
   void replanNode(flow::NodeId node);
   /// CPU fraction left to computation after communication overhead.
   double available(const Node& n) const;
   double stepRate(const Node& n) const;
-  void finish(StepHandle h);
+  void finish(StepId id);
 
-  des::Scheduler& sched_;
   Config cfg_;
   std::vector<Node> nodes_;
-  std::unordered_map<StepHandle, Step> steps_;
-  StepHandle next_ = 1;
+  des::Activities steps_;              // work = contention-free seconds
+  std::vector<flow::NodeId> stepNode_; // indexed by StepId
 };
 
 } // namespace dps::core

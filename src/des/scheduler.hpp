@@ -14,12 +14,14 @@
 // reused, the handle is dead.  Cancel removes the heap node in O(log n) and
 // never leaves a tombstone, so the heap holds exactly the pending events.
 //
-// The simulator's resource models (net::StarNetwork, core::CpuModel) move a
-// completion every time a neighbour's share changes: most scheduled events
-// are moved many times before they fire.  rescheduleAt() does that in place
-// in O(log n).  Its contract: rescheduleAt(id, at) leaves the queue in
-// exactly the (at, seq) order that cancel(id) followed by scheduleAt(at,
-// same action) would, because it gives the event a fresh sequence number.
+// The simulator's resource models (net::StarNetwork, core::CpuModel) keep
+// their activities in one shared set, des::Activities (des/activities.hpp),
+// which moves an activity's completion every time its share changes: most
+// scheduled events are moved many times before they fire.  rescheduleAt()
+// does that in place in O(log n).  Its contract: rescheduleAt(id, at)
+// leaves the queue in exactly the (at, seq) order that cancel(id) followed
+// by scheduleAt(at, same action) would, because it gives the event a fresh
+// sequence number.
 #pragma once
 
 #include <cstdint>

@@ -7,7 +7,8 @@
 namespace dps::net {
 
 StarNetwork::StarNetwork(des::Scheduler& sched, Config cfg, std::size_t nodeCount)
-    : sched_(sched), cfg_(std::move(cfg)), nodes_(nodeCount) {
+    : sched_(sched), cfg_(std::move(cfg)), nodes_(nodeCount),
+      transfers_(sched, [this](TransferId id) { finish(id); }) {
   DPS_CHECK(cfg_.bytesPerSec > 0, "bandwidth must be positive");
   DPS_CHECK(cfg_.bandwidthEfficiency > 0 && cfg_.bandwidthEfficiency <= 1.0,
             "bandwidth efficiency must be in (0, 1]");
@@ -32,22 +33,9 @@ void StarNetwork::send(NodeIndex src, NodeIndex dst, std::size_t bytes, Delivery
   ++transfersStarted_;
   bytesSent_ += bytes;
 
-  TransferId id;
-  if (!freeTransfers_.empty()) {
-    id = freeTransfers_.back();
-    freeTransfers_.pop_back();
-  } else {
-    id = static_cast<TransferId>(transfers_.size());
-    transfers_.emplace_back();
-  }
-  Transfer& t = transfers_[id];
-  t.src = src;
-  t.dst = dst;
-  t.remainingBytes = static_cast<double>(bytes);
-  t.rate = 0.0;
-  t.lastUpdate = sched_.now();
-  t.onDelivered = std::move(onDelivered);
-  t.completion = des::EventId{};
+  const TransferId id = transfers_.add(static_cast<double>(bytes), std::move(onDelivered));
+  if (id == ends_.size()) ends_.emplace_back();
+  ends_[id] = {src, dst};
 
   SimDuration lead = cfg_.latency;
   if (cfg_.extraLatency) lead += cfg_.extraLatency(bytes);
@@ -69,61 +57,36 @@ void StarNetwork::notifyActivity(NodeIndex node) {
 }
 
 void StarNetwork::beginDraining(TransferId id) {
-  Transfer& t = transfers_[id];
-  DPS_CHECK(t.src != kNoNode, "unknown transfer begins draining");
-  t.lastUpdate = sched_.now();
-
-  NodeState& s = nodes_[t.src];
-  NodeState& d = nodes_[t.dst];
+  const Ends e = ends_[id];
+  NodeState& s = nodes_[e.src];
+  NodeState& d = nodes_[e.dst];
   s.outgoing.push_back(id);
   d.incoming.push_back(id);
   ++s.activeOut;
   ++d.activeIn;
 
   // Membership changed on both links: replan everyone they touch.
-  replanNode(t.src, t.dst);
-  replanNode(t.dst, kNoNode);
-  notifyActivity(t.src);
-  notifyActivity(t.dst);
+  replanNode(e.src, e.dst);
+  replanNode(e.dst, kNoNode);
+  notifyActivity(e.src);
+  notifyActivity(e.dst);
 }
 
 void StarNetwork::replanNode(NodeIndex node, NodeIndex skipPeer) {
   // replanTransfer never changes membership, so the lists are stable here.
   for (TransferId id : nodes_[node].outgoing)
-    if (transfers_[id].dst != skipPeer) replanTransfer(id);
+    if (ends_[id].dst != skipPeer) replanTransfer(id);
   for (TransferId id : nodes_[node].incoming)
-    if (transfers_[id].src != skipPeer) replanTransfer(id);
+    if (ends_[id].src != skipPeer) replanTransfer(id);
 }
 
 void StarNetwork::replanTransfer(TransferId id) {
-  Transfer& t = transfers_[id];
-
-  // Settle progress under the old rate.
-  const SimTime now = sched_.now();
-  if (t.rate > 0.0) {
-    const double elapsed = toSeconds(now - t.lastUpdate);
-    t.remainingBytes = std::max(0.0, t.remainingBytes - t.rate * elapsed);
-  }
-  t.lastUpdate = now;
-
-  // Equal-share allocation: min of the per-link fair shares.
-  t.rate = std::min(shareOut(t.src), shareIn(t.dst));
-  DPS_CHECK(t.rate > 0.0, "transfer granted zero rate");
-
-  const SimTime at = now + seconds(t.remainingBytes / t.rate);
-  if (!sched_.rescheduleAt(t.completion, at))
-    t.completion = sched_.scheduleAt(at, [this, id] { finish(id); });
+  transfers_.setRate(id, std::min(shareOut(ends_[id].src), shareIn(ends_[id].dst)));
 }
 
 void StarNetwork::finish(TransferId id) {
-  Transfer& t = transfers_[id];
-  DPS_CHECK(t.src != kNoNode, "unknown transfer finishes");
-  const NodeIndex src = t.src;
-  const NodeIndex dst = t.dst;
-  DeliveryFn deliver = std::move(t.onDelivered);
-  t.src = kNoNode;
-  t.onDelivered = nullptr;
-  freeTransfers_.push_back(id);
+  const auto [src, dst] = ends_[id];
+  DeliveryFn deliver = transfers_.release(id);
 
   auto drop = [id](std::vector<TransferId>& v) {
     v.erase(std::remove(v.begin(), v.end(), id), v.end());

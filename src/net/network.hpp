@@ -12,21 +12,22 @@
 // not occupy the link.  Hooks allow the high-fidelity reference executor to
 // add per-message overheads and bandwidth derating (DESIGN.md §4).
 //
-// Every start or end of a transfer's draining phase replans each transfer on
-// both of its links: progress is settled under the old rate, the new rate
-// is derived, and the completion event moves in place
-// (des::Scheduler::rescheduleAt).  Replan once: a transfer between the two
-// endpoints themselves is replanned only with the second endpoint.  Both
-// replans happen at the same instant with the same shares, so the first
-// one's settlement is exactly what the second would settle (the second
-// always settles zero elapsed time), and the second sets the event's
-// sequence number, so skipping the first changes neither bits nor order.
+// Every start or end of a transfer's draining phase re-rates each transfer
+// on both of its links through the shared des::Activities set, which
+// settles progress under the old rate and moves the completion event in
+// place.  Replan once: a transfer between the two endpoints themselves is
+// re-rated only with the second endpoint.  Both replans happen at the same
+// instant with the same shares, so the first one's settlement is exactly
+// what the second would settle (the second always settles zero elapsed
+// time), and the second sets the event's sequence number, so skipping the
+// first changes neither bits nor order.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "des/activities.hpp"
 #include "des/scheduler.hpp"
 #include "support/time.hpp"
 
@@ -77,18 +78,12 @@ public:
   SimDuration uncontendedTime(std::size_t bytes) const;
 
 private:
-  /// Slot in transfers_; reused once the transfer is delivered.
-  using TransferId = std::uint32_t;
+  using TransferId = des::Activities::Id;
   static constexpr NodeIndex kNoNode = -1;
 
-  struct Transfer {
-    NodeIndex src = kNoNode; // kNoNode while the slot is free
-    NodeIndex dst = kNoNode;
-    double remainingBytes = 0.0;
-    double rate = 0.0; // bytes/sec currently granted
-    SimTime lastUpdate{};
-    DeliveryFn onDelivered;
-    des::EventId completion;
+  struct Ends {
+    NodeIndex src;
+    NodeIndex dst;
   };
 
   struct NodeState {
@@ -100,10 +95,11 @@ private:
 
   void beginDraining(TransferId id);
   void finish(TransferId id);
-  /// Re-derives the rate of every transfer touching `node` after a
-  /// membership change and moves its completion event, except transfers
-  /// whose other endpoint is `skipPeer` (replan once, see above).
+  /// Re-rates every transfer touching `node` after a membership change,
+  /// except transfers whose other endpoint is `skipPeer` (replan once, see
+  /// above).
   void replanNode(NodeIndex node, NodeIndex skipPeer);
+  /// Equal-share allocation: the min of the transfer's two per-link shares.
   void replanTransfer(TransferId id);
   double shareOut(NodeIndex node) const;
   double shareIn(NodeIndex node) const;
@@ -112,8 +108,8 @@ private:
   des::Scheduler& sched_;
   Config cfg_;
   std::vector<NodeState> nodes_;
-  std::vector<Transfer> transfers_;
-  std::vector<TransferId> freeTransfers_;
+  des::Activities transfers_; // work = bytes
+  std::vector<Ends> ends_;    // indexed by TransferId
   ActivityObserver observer_;
   std::uint64_t bytesSent_ = 0;
   std::uint64_t transfersStarted_ = 0;

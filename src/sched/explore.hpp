@@ -79,7 +79,12 @@ struct ExploreLimits {
   /// (the result is then an upper bound, not a proven optimum).
   std::uint64_t maxStates = 20'000'000;
   bool prune = true; ///< branch-and-bound on the admissible lower bound
-  bool dedup = true; ///< FNV-1a state-hash deduplication
+  /// FNV-1a state-hash deduplication.  The seen set keeps only each
+  /// state's 64-bit hash, so a collision would silently drop a distinct
+  /// state and its subtree.  Over n explored states the chance of any
+  /// collision is at most n^2 / 2^65: about 6e-8 for the 1 515 146 states
+  /// of perfbench's explore-oracle run.
+  bool dedup = true;
   /// External upper bound on the objective (e.g. the best policy's value).
   /// Branches are cut only when their lower bound strictly exceeds it, so
   /// an optimum equal to the bound is still found and proven.  <= 0 = off.

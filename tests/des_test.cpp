@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "des/activities.hpp"
 #include "des/scheduler.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -310,6 +312,67 @@ TEST(SchedulerTest, RescheduleMatchesCancelPlusSchedule) {
     };
     EXPECT_EQ(replay(true), replay(false)) << "seed " << seed;
   }
+}
+
+// A model on an Activities set: its handler releases the completed activity
+// and runs the callback, which logs (tag, completion time).
+struct ActivityRig {
+  Scheduler sched;
+  Activities acts{sched, [this](Activities::Id id) { acts.release(id)(); }};
+  std::vector<std::pair<int, SimTime>> done;
+
+  Activities::Id add(double work, int tag) {
+    return acts.add(work, [this, tag] { done.emplace_back(tag, sched.now()); });
+  }
+};
+
+TEST(ActivitiesTest, RateChangeSettlesProgressMidFlight) {
+  ActivityRig r;
+  const auto id = r.add(0.010, 1); // 10 ms of work at rate 1 ...
+  r.acts.setRate(id, 1.0);
+  // ... for 4 ms leaves 6 ms, which takes 12 ms at rate 0.5.
+  r.sched.scheduleAt(simEpoch() + milliseconds(4), [&] { r.acts.setRate(id, 0.5); });
+  r.sched.run();
+  ASSERT_EQ(r.done.size(), 1u);
+  EXPECT_EQ(r.done[0].second, simEpoch() + milliseconds(16));
+}
+
+TEST(ActivitiesTest, ZeroWorkCompletesAtNow) {
+  ActivityRig r;
+  r.sched.scheduleAt(simEpoch() + milliseconds(3), [&] { r.acts.setRate(r.add(0.0, 1), 1.0); });
+  r.sched.run();
+  ASSERT_EQ(r.done.size(), 1u);
+  EXPECT_EQ(r.done[0].second, simEpoch() + milliseconds(3));
+}
+
+TEST(ActivitiesTest, ReleasedSlotIsReusedAndItsCompletionNeverFires) {
+  ActivityRig r;
+  const auto first = r.add(0.010, 1);
+  r.acts.setRate(first, 1.0);
+  r.acts.release(first); // before its completion at 10 ms
+  const auto second = r.add(0.020, 2);
+  EXPECT_EQ(second, first);
+  r.acts.setRate(second, 1.0);
+  r.sched.run();
+  ASSERT_EQ(r.done.size(), 1u);
+  EXPECT_EQ(r.done[0], std::make_pair(2, simEpoch() + milliseconds(20)));
+  EXPECT_EQ(r.sched.stats().cancelled, 1u);
+  EXPECT_EQ(r.add(0.0, 3), first); // released again by the handler
+}
+
+TEST(ActivitiesTest, RescheduledCountsEachInPlaceMove) {
+  ActivityRig r;
+  const auto id = r.add(0.010, 1);
+  r.acts.setRate(id, 1.0); // schedules
+  r.acts.setRate(id, 2.0); // moves
+  r.acts.setRate(id, 0.5); // moves
+  EXPECT_EQ(r.sched.stats().scheduled, 1u);
+  EXPECT_EQ(r.sched.stats().rescheduled, 2u);
+  EXPECT_EQ(r.sched.pendingCount(), 1u);
+  EXPECT_THROW(r.acts.setRate(id, 0.0), Error);
+  r.sched.run();
+  ASSERT_EQ(r.done.size(), 1u);
+  EXPECT_EQ(r.done[0].second, simEpoch() + milliseconds(20));
 }
 
 } // namespace

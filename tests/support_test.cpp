@@ -14,7 +14,6 @@
 #include "support/csv.hpp"
 #include "support/error.hpp"
 #include "support/fingerprint.hpp"
-#include "support/histogram.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -172,28 +171,6 @@ TEST(StatsTest, RelativeErrorAndWithin) {
   std::vector<double> errs{0.01, -0.03, 0.08, -0.2};
   EXPECT_DOUBLE_EQ(fractionWithin(errs, 0.05), 0.5);
   EXPECT_DOUBLE_EQ(fractionWithin(errs, 0.1), 0.75);
-}
-
-TEST(HistogramTest, BinningAndClamping) {
-  Histogram h(-0.1, 0.1, 10); // bins of width 0.02
-  h.add(0.0);                 // bin 5
-  h.add(-0.099);              // bin 0
-  h.add(0.5);                 // overflow -> last bin
-  h.add(-0.5);                // underflow -> first bin
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.count(5), 1u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(9), 1u);
-}
-
-TEST(HistogramTest, ModeAndRender) {
-  Histogram h(0, 10, 5);
-  h.addAll({1, 1, 1, 7});
-  EXPECT_EQ(h.modeBin(), 0u);
-  const std::string out = h.render(20);
-  EXPECT_NE(out.find('#'), std::string::npos);
 }
 
 TEST(TableTest, AlignmentAndFormatting) {

@@ -37,9 +37,9 @@
 // typed wait reasons, backfill passes and candidates, realloc grants with
 // the policy's rationale), per-job wait intervals, and a simulated-time
 // timeseries sampled every --record-cadence seconds.  --record writes all
-// recorders to one JSON file (render with scripts/schedule_report.py);
-// --explain JOB_ID prints the causal narrative of one job under the
-// primary policy.  Recording is read-only: results stay bit-identical.
+// recorders to one JSON file; --explain JOB_ID prints the causal narrative
+// of one job under the primary policy.  Recording is read-only: results
+// stay bit-identical.
 //
 //   $ dps_cluster --smoke --record record.json --explain 3
 #include <algorithm>
