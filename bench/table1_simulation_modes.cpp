@@ -162,8 +162,17 @@ int run(Cli& cli) {
   const double sampledAgree = rowSampled.predictedSec / rowDirect.predictedSec;
   check(sampledAgree > 0.85 && sampledAgree < 1.15,
         "first-n-instances sampling predicts within 15% of direct execution");
-  check(rowSampled.wallSec < rowDirect.wallSec * 0.6,
-        "sampling mode is much cheaper than full direct execution");
+  // The cost saving is gated by the sampler's deterministic counts, not by
+  // a wall-clock ratio a slow or busy host could fail: on this LU, 12
+  // single-instance panel shapes plus 3 trsm and 3 gemm instances execute,
+  // and every later instance charges the sampled average.
+  std::printf("sampling: %llu kernel instances executed, %llu reused; sim wall %.2fx direct "
+              "execution\n",
+              static_cast<unsigned long long>(sampler->sampledCount()),
+              static_cast<unsigned long long>(sampler->reusedCount()),
+              rowSampled.wallSec / rowDirect.wallSec);
+  check(sampler->sampledCount() == 18 && sampler->reusedCount() == 566,
+        "sampling mode executes 18 kernel instances, reuses the average for 566");
 
   return bench::finish("table1_simulation_modes", opts);
 }

@@ -1,9 +1,12 @@
 #include "obs/recorder.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
 #include <ostream>
 #include <sstream>
 
+#include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
 
@@ -53,6 +56,9 @@ std::string sec3(double s) {
   return buf;
 }
 
+/// Integer simulated nanoseconds as seconds.
+double nsToSec(std::int64_t ns) { return static_cast<double>(ns) * 1e-9; }
+
 std::string mb(double bytes) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.2f MB", bytes / 1e6);
@@ -86,94 +92,52 @@ void Recorder::beginRun(const std::string& policy, std::int32_t nodes, std::uint
 void Recorder::admitDecision(double tSec, std::int32_t job, std::int32_t want, std::int32_t alloc,
                              std::int32_t freeNodes, bool started, WaitReason denial,
                              const char* rule, double score, double threshold) {
-  Decision d;
-  d.kind = Kind::Admit;
-  d.tSec = tSec;
-  d.job = job;
-  d.want = want;
-  d.alloc = alloc;
-  d.freeNodes = freeNodes;
-  d.started = started;
-  d.reason = denial;
-  d.rule = rule;
-  d.score = score;
-  d.threshold = threshold;
-  decisions_.push_back(std::move(d));
+  decisions_.push_back(Decision{.kind = Kind::Admit, .tSec = tSec, .job = job, .want = want,
+                                .alloc = alloc, .freeNodes = freeNodes, .started = started,
+                                .reason = denial, .rule = rule, .score = score,
+                                .threshold = threshold});
 }
 
 void Recorder::backfillCandidate(double tSec, std::int32_t job, std::int32_t want,
                                  std::int32_t alloc, std::int32_t freeNodes, std::int32_t spare,
                                  bool started, WaitReason denial, const char* rule, double score,
                                  double threshold) {
-  Decision d;
-  d.kind = Kind::Candidate;
-  d.tSec = tSec;
-  d.job = job;
-  d.want = want;
-  d.alloc = alloc;
-  d.freeNodes = freeNodes;
-  d.spare = spare;
-  d.started = started;
-  d.reason = denial;
-  d.rule = rule;
-  d.score = score;
-  d.threshold = threshold;
-  decisions_.push_back(std::move(d));
+  decisions_.push_back(Decision{.kind = Kind::Candidate, .tSec = tSec, .job = job, .want = want,
+                                .alloc = alloc, .freeNodes = freeNodes, .spare = spare,
+                                .started = started, .reason = denial, .rule = rule,
+                                .score = score, .threshold = threshold});
 }
 
 void Recorder::depthCutoff(double tSec, std::int32_t job) {
-  Decision d;
-  d.kind = Kind::Cutoff;
-  d.tSec = tSec;
-  d.job = job;
-  d.reason = WaitReason::DepthCutoff;
-  decisions_.push_back(std::move(d));
+  decisions_.push_back(
+      Decision{.kind = Kind::Cutoff, .tSec = tSec, .job = job, .reason = WaitReason::DepthCutoff});
 }
 
 void Recorder::backfillPass(double tSec, std::int32_t headJob, std::int32_t headAlloc,
                             double shadowSec, std::int32_t spare, std::int32_t considered,
                             std::int32_t started) {
-  Decision d;
-  d.kind = Kind::Pass;
-  d.tSec = tSec;
-  d.job = headJob;
-  d.alloc = headAlloc;
-  d.shadowSec = shadowSec;
-  d.spare = spare;
-  d.considered = considered;
-  d.startedCount = started;
-  decisions_.push_back(std::move(d));
+  decisions_.push_back(Decision{.kind = Kind::Pass, .tSec = tSec, .job = headJob,
+                                .alloc = headAlloc, .spare = spare, .considered = considered,
+                                .startedCount = started, .shadowSec = shadowSec});
 }
 
 void Recorder::reallocDecision(double tSec, std::int32_t job, std::int32_t fromNodes,
                                std::int32_t toNodes, std::int32_t freeNodes, double bytes,
                                const char* rule, double score, double threshold) {
-  Decision d;
-  d.kind = Kind::Realloc;
-  d.tSec = tSec;
-  d.job = job;
-  d.fromNodes = fromNodes;
-  d.toNodes = toNodes;
-  d.freeNodes = freeNodes;
-  d.bytes = bytes;
-  d.rule = rule;
-  d.score = score;
-  d.threshold = threshold;
-  decisions_.push_back(std::move(d));
+  decisions_.push_back(Decision{.kind = Kind::Realloc, .tSec = tSec, .job = job,
+                                .freeNodes = freeNodes, .rule = rule, .score = score,
+                                .threshold = threshold, .fromNodes = fromNodes,
+                                .toNodes = toNodes, .bytes = bytes});
 }
 
 void Recorder::migrationDelay(double tSec, std::int32_t job, double delaySec, double bytes) {
-  Decision d;
-  d.kind = Kind::Migration;
-  d.tSec = tSec;
-  d.job = job;
-  d.delaySec = delaySec;
-  d.bytes = bytes;
-  decisions_.push_back(std::move(d));
+  decisions_.push_back(Decision{.kind = Kind::Migration, .tSec = tSec, .job = job,
+                                .bytes = bytes, .delaySec = delaySec});
 }
 
-void Recorder::waitInterval(std::int32_t job, double fromSec, double toSec, WaitReason reason) {
-  intervals_.push_back(Interval{job, fromSec, toSec, reason});
+void Recorder::waitInterval(std::int32_t job, std::int64_t fromNs, std::int64_t toNs,
+                            WaitReason reason) {
+  intervals_.push_back(Interval{job, fromNs, toNs, reason});
 }
 
 void Recorder::pushSample(double tSec) {
@@ -209,15 +173,7 @@ void Recorder::stateSample(double tSec, std::int32_t usedNodes, std::int32_t fre
 void Recorder::jobSummary(std::int32_t job, const std::string& klass, double arrivalSec,
                           double startSec, double finishSec, bool backfilled,
                           const WaitAttribution& attribution) {
-  JobRow row;
-  row.id = job;
-  row.klass = klass;
-  row.arrivalSec = arrivalSec;
-  row.startSec = startSec;
-  row.finishSec = finishSec;
-  row.backfilled = backfilled;
-  row.attribution = attribution;
-  jobs_.push_back(std::move(row));
+  jobs_.push_back(JobRow{job, klass, arrivalSec, startSec, finishSec, backfilled, attribution});
 }
 
 void Recorder::endRun(double makespanSec) {
@@ -304,8 +260,8 @@ void Recorder::writeJson(std::ostream& os) const {
   for (const Interval& iv : intervals_)
     w.beginObject()
         .field("job", iv.job)
-        .field("from_sec", iv.fromSec)
-        .field("to_sec", iv.toSec)
+        .field("from_sec", nsToSec(iv.fromNs))
+        .field("to_sec", nsToSec(iv.toNs))
         .field("reason", waitReasonName(iv.reason))
         .endObject();
   w.endArray();
@@ -377,7 +333,7 @@ std::string Recorder::explain(std::int32_t job) const {
   }
 
   const WaitAttribution& wa = row->attribution;
-  const double waitSec = static_cast<double>(wa.totalNs) * 1e-9;
+  const double waitSec = nsToSec(wa.totalNs);
   os << "job " << row->id << " (" << row->klass << ") under " << policy_ << ": arrived t="
      << sec3(row->arrivalSec) << "s, started t=" << sec3(row->startSec) << "s"
      << (row->backfilled ? " (backfilled)" : "") << ", finished t=" << sec3(row->finishSec)
@@ -393,7 +349,7 @@ std::string Recorder::explain(std::int32_t job) const {
       char pct[16];
       std::snprintf(pct, sizeof(pct), "%.0f%%", frac);
       os << (any ? "; " : " ") << waitReasonLabel(static_cast<WaitReason>(r)) << " "
-         << sec3(static_cast<double>(wa.byReason[r]) * 1e-9) << "s (" << pct << ")";
+         << sec3(nsToSec(wa.byReason[r])) << "s (" << pct << ")";
       any = true;
     }
     os << "\ndominant wait reason: " << waitReasonLabel(wa.dominant()) << "\n";
@@ -401,8 +357,7 @@ std::string Recorder::explain(std::int32_t job) const {
     os << " (started on arrival)\n";
   }
   if (wa.migrationDelayNs > 0)
-    os << "migration stalls while running: " << sec3(static_cast<double>(wa.migrationDelayNs) * 1e-9)
-       << "s\n";
+    os << "migration stalls while running: " << sec3(nsToSec(wa.migrationDelayNs)) << "s\n";
 
   os << "timeline:\n";
   os << "  t=" << sec3(row->arrivalSec) << "s  arrived\n";
@@ -418,11 +373,12 @@ std::string Recorder::explain(std::int32_t job) const {
   std::size_t di = 0, ii = 0;
   while (di < ds.size() || ii < ivs.size()) {
     const bool takeInterval =
-        ii < ivs.size() && (di >= ds.size() || ivs[ii]->toSec <= ds[di]->tSec);
+        ii < ivs.size() && (di >= ds.size() || nsToSec(ivs[ii]->toNs) <= ds[di]->tSec);
     if (takeInterval) {
       const Interval& iv = *ivs[ii++];
-      os << "  t=" << sec3(iv.fromSec) << "s -> " << sec3(iv.toSec) << "s  waited "
-         << sec3(iv.toSec - iv.fromSec) << "s: " << waitReasonLabel(iv.reason) << "\n";
+      const double fromSec = nsToSec(iv.fromNs), toSec = nsToSec(iv.toNs);
+      os << "  t=" << sec3(fromSec) << "s -> " << sec3(toSec) << "s  waited "
+         << sec3(toSec - fromSec) << "s: " << waitReasonLabel(iv.reason) << "\n";
       continue;
     }
     const Decision& d = *ds[di++];
@@ -470,6 +426,69 @@ std::string Recorder::explain(std::int32_t job) const {
   }
   os << "  t=" << sec3(row->finishSec) << "s  finished\n";
   return os.str();
+}
+
+void Recorder::writeTrace(TraceSink& sink, std::int32_t pid) const {
+  sink.processName(pid, "policy: " + policy_);
+  for (const Interval& iv : intervals_)
+    sink.completeSpan(waitReasonName(iv.reason), "wait", static_cast<double>(iv.fromNs) * 1e-3,
+                      static_cast<double>(iv.toNs - iv.fromNs) * 1e-3, pid, iv.job);
+
+  // What a job's queued and run spans carry beyond its row: the allocation
+  // it started on and its realloc totals, summed in record order.
+  struct RunFacts {
+    std::int32_t alloc = 0, reallocations = 0;
+    double migratedBytes = 0;
+  };
+  std::map<std::int32_t, RunFacts> facts;
+  std::vector<const Decision*> passStarts; // started candidates of the open pass
+  for (const Decision& d : decisions_) {
+    const double ts = d.tSec * 1e6;
+    switch (d.kind) {
+      case Kind::Admit:
+      case Kind::Candidate:
+        if (!d.started) break;
+        facts[d.job].alloc = d.alloc;
+        if (d.kind == Kind::Candidate) passStarts.push_back(&d);
+        break;
+      case Kind::Cutoff:
+        break;
+      case Kind::Pass: // closes the pass its candidates belong to
+        for (const Decision* c : passStarts)
+          sink.instant("backfill", "sched", c->tSec * 1e6, pid, c->job,
+                       "{\"alloc\":" + std::to_string(c->alloc) +
+                           ",\"shadow_sec\":" + jsonDouble(d.shadowSec) +
+                           ",\"spare\":" + std::to_string(c->spare) + "}");
+        passStarts.clear();
+        break;
+      case Kind::Realloc: {
+        RunFacts& f = facts[d.job];
+        ++f.reallocations;
+        f.migratedBytes += d.bytes;
+        sink.instant("realloc", "job", ts, pid, d.job,
+                     "{\"from\":" + std::to_string(d.fromNodes) +
+                         ",\"to\":" + std::to_string(d.toNodes) +
+                         ",\"bytes\":" + jsonDouble(d.bytes) + "}");
+        break;
+      }
+      case Kind::Migration:
+        sink.completeSpan("migrate", "job", ts, d.delaySec * 1e6, pid, d.job,
+                          "{\"bytes\":" + jsonDouble(d.bytes) + "}");
+        break;
+    }
+  }
+
+  for (const JobRow& j : jobs_) {
+    const RunFacts& f = facts[j.id];
+    sink.completeSpan("queued", "queue", j.arrivalSec * 1e6,
+                      std::max(0.0, j.startSec - j.arrivalSec) * 1e6, pid, j.id,
+                      "{\"alloc\":" + std::to_string(f.alloc) + "}");
+    sink.completeSpan(j.klass, "job", j.startSec * 1e6, (j.finishSec - j.startSec) * 1e6, pid,
+                      j.id,
+                      "{\"reallocations\":" + std::to_string(f.reallocations) +
+                          ",\"migrated_bytes\":" + jsonDouble(f.migratedBytes) +
+                          ",\"backfilled\":" + (j.backfilled ? "true" : "false") + "}");
+  }
 }
 
 } // namespace dps::obs

@@ -11,6 +11,9 @@
 // state.  Golden digests of the recorder JSON pin the cluster loop
 // decision by decision.
 //
+// The Chrome trace of a cluster run is a third rendering of the same
+// record (writeTrace), so the loop narrates each event once.
+//
 // Wait attribution is integer arithmetic by design: intervals are measured
 // in simulated nanoseconds (the SimTime tick), so a job's per-reason
 // buckets telescope to exactly start - arrival with no floating-point
@@ -26,6 +29,8 @@
 #include <vector>
 
 namespace dps::obs {
+
+class TraceSink;
 
 /// Why a queued job was not running during one wait interval.
 enum class WaitReason : std::uint8_t {
@@ -90,7 +95,7 @@ public:
     std::int32_t want = 0, alloc = 0, freeNodes = 0, spare = 0;
     bool started = false;
     WaitReason reason = WaitReason::HeadOfLine;
-    std::string rule;
+    std::string rule{};
     double score = 0, threshold = 0;
     // Kind::Pass
     std::int32_t considered = 0, startedCount = 0;
@@ -131,8 +136,9 @@ public:
                        const char* rule, double score, double threshold);
   /// Migration stall charged after a grant.
   void migrationDelay(double tSec, std::int32_t job, double delaySec, double bytes);
-  /// One closed wait interval [fromSec, toSec) attributed to `reason`.
-  void waitInterval(std::int32_t job, double fromSec, double toSec, WaitReason reason);
+  /// One closed wait interval [fromNs, toNs) of simulated time attributed
+  /// to `reason`.
+  void waitInterval(std::int32_t job, std::int64_t fromNs, std::int64_t toNs, WaitReason reason);
   /// Cluster gauges after a state change at tSec; drives the timeseries.
   void stateSample(double tSec, std::int32_t usedNodes, std::int32_t freeNodes,
                    std::int32_t runningJobs, std::int32_t queuedJobs);
@@ -152,8 +158,14 @@ public:
   /// that touched it, every wait interval with its reason, every realloc,
   /// finish, and the attribution summary naming the dominant reason.
   std::string explain(std::int32_t job) const;
+  /// The run as Chrome trace events in simulated microseconds on lane
+  /// `pid`, one tid per job id: a wait span per interval, a queued and a
+  /// run span per job, a realloc instant and a migrate span per grant, and
+  /// a backfill instant per started candidate.
+  void writeTrace(TraceSink& sink, std::int32_t pid) const;
 
   std::size_t decisionCount() const { return decisions_.size(); }
+  std::size_t intervalCount() const { return intervals_.size(); }
   std::size_t sampleCount() const { return tsSec_.size(); }
   double cadenceSec() const { return cadenceSec_; }
   /// The decision rows in the order the loop emitted them (audit access).
@@ -162,7 +174,7 @@ public:
 private:
   struct Interval {
     std::int32_t job = 0;
-    double fromSec = 0, toSec = 0;
+    std::int64_t fromNs = 0, toNs = 0;
     WaitReason reason = WaitReason::HeadOfLine;
   };
 

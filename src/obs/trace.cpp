@@ -11,57 +11,23 @@ namespace dps::obs {
 void TraceSink::completeSpan(std::string name, std::string category, double tsMicros,
                              double durMicros, std::int32_t pid, std::int32_t tid,
                              std::string argsJson) {
-  Event e;
-  e.phase = 'X';
-  e.name = std::move(name);
-  e.category = std::move(category);
-  e.args = std::move(argsJson);
-  e.ts = tsMicros;
-  e.dur = durMicros;
-  e.pid = pid;
-  e.tid = tid;
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(std::move(e));
+  push(Event{'X', std::move(name), std::move(category), std::move(argsJson), tsMicros, durMicros,
+             pid, tid});
 }
 
 void TraceSink::instant(std::string name, std::string category, double tsMicros, std::int32_t pid,
                         std::int32_t tid, std::string argsJson) {
-  Event e;
-  e.phase = 'i';
-  e.name = std::move(name);
-  e.category = std::move(category);
-  e.args = std::move(argsJson);
-  e.ts = tsMicros;
-  e.pid = pid;
-  e.tid = tid;
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(std::move(e));
+  push(Event{'i', std::move(name), std::move(category), std::move(argsJson), tsMicros, 0, pid,
+             tid});
 }
 
 void TraceSink::processName(std::int32_t pid, const std::string& name) {
-  Event e;
-  e.phase = 'M';
-  e.name = "process_name";
-  e.args = "{\"name\":\"" + jsonEscape(name) + "\"}";
-  e.pid = pid;
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(std::move(e));
+  push(Event{'M', "process_name", {}, "{\"name\":\"" + jsonEscape(name) + "\"}", 0, 0, pid, 0});
 }
 
-void TraceSink::threadName(std::int32_t pid, std::int32_t tid, const std::string& name) {
-  Event e;
-  e.phase = 'M';
-  e.name = "thread_name";
-  e.args = "{\"name\":\"" + jsonEscape(name) + "\"}";
-  e.pid = pid;
-  e.tid = tid;
+void TraceSink::push(Event e) {
   std::lock_guard<std::mutex> lock(mu_);
   events_.push_back(std::move(e));
-}
-
-std::size_t TraceSink::eventCount() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_.size();
 }
 
 std::vector<TraceSink::Event> TraceSink::events() const {

@@ -1,7 +1,7 @@
 // obs::TraceSink — Chrome trace-event JSON (chrome://tracing / Perfetto).
 //
 // The sink buffers complete spans ("X"), instant events ("i") and
-// process/thread-name metadata ("M") and writes the standard
+// process-name metadata ("M") and writes the standard
 // {"traceEvents":[...]} document.  Timestamps are microseconds, in whatever
 // clock the instrumented layer lives in: the DES cluster loop records
 // *simulated* time (simNowSec * 1e6), the profile service records *wall*
@@ -36,9 +36,8 @@ public:
   /// A thread-scoped instant event ("ph":"i").
   void instant(std::string name, std::string category, double tsMicros, std::int32_t pid,
                std::int32_t tid, std::string argsJson = {});
-  /// Metadata: names the pid / (pid, tid) lane in the viewer.
+  /// Metadata: names the pid lane in the viewer.
   void processName(std::int32_t pid, const std::string& name);
-  void threadName(std::int32_t pid, std::int32_t tid, const std::string& name);
 
   /// One buffered event; `ts`/`dur` are in the caller's microseconds.
   struct Event {
@@ -52,7 +51,6 @@ public:
     std::int32_t tid = 0;
   };
 
-  std::size_t eventCount() const;
   /// A copy of every event so far, in emission order.
   std::vector<Event> events() const;
 
@@ -63,6 +61,8 @@ public:
   bool writeFile(const std::string& path) const;
 
 private:
+  void push(Event e);
+
   mutable std::mutex mu_;
   std::vector<Event> events_;
 };

@@ -3,7 +3,7 @@
 // the Machine (machine.hpp); ClusterLoop fires one transition per DES
 // event and posts the next at the tick it set.  What it adds: the policy
 // driver (admission verdicts, EASY backfill, boundary targets), wait
-// attribution, the recorder and trace taps, and two accelerators whose
+// attribution, the recorder tap, and two accelerators whose
 // per-event cost does not grow with the job count — a lazily compacted
 // queue and an ordered estimated-finish index over the running jobs.
 #include "sched/cluster.hpp"
@@ -20,11 +20,9 @@
 
 #include "des/scheduler.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 #include "sched/machine.hpp"
 #include "sched/observe.hpp"
 #include "support/error.hpp"
-#include "support/json.hpp"
 
 namespace dps::sched {
 
@@ -135,19 +133,12 @@ private:
   }
 
   /// Closes job i's open wait interval at `t` (no-op when zero-length):
-  /// banks the integer-ns bucket, hands the interval to the recorder, and
-  /// emits the trace child span under the job's queued span.
+  /// banks the integer-ns bucket and hands the interval to the recorder.
   void closeWait(JobRt& rt, std::int64_t t) {
     if (t <= rt.waitSinceNs) return;
     rt.out.wait.byReason[static_cast<std::size_t>(rt.waitReason)] += t - rt.waitSinceNs;
     if (cfg_.recorder != nullptr)
-      cfg_.recorder->waitInterval(rt.out.id, static_cast<double>(rt.waitSinceNs) * 1e-9,
-                                  static_cast<double>(t) * 1e-9, rt.waitReason);
-    if (cfg_.trace != nullptr)
-      cfg_.trace->completeSpan(obs::waitReasonName(rt.waitReason), "wait",
-                               static_cast<double>(rt.waitSinceNs) * 1e-3,
-                               static_cast<double>(t - rt.waitSinceNs) * 1e-3, cfg_.tracePid,
-                               rt.out.id);
+      cfg_.recorder->waitInterval(rt.out.id, rt.waitSinceNs, t, rt.waitReason);
   }
 
   /// Re-attributes job i's wait from now on: a changed reason closes the
@@ -183,44 +174,6 @@ private:
     if (!at) return;
     byFinish_.erase(*at);
     at.reset();
-  }
-
-  /// Trace emission (simulated-time microseconds, one tid per job id).
-  /// Everything below only *reads* run state — tracing on or off cannot
-  /// change a single scheduling decision.
-  double nowMicros() const { return nowSec() * 1e6; }
-
-  void traceQueuedSpan(const JobRt& rt, std::int32_t alloc) const {
-    cfg_.trace->completeSpan("queued", "queue", rt.out.arrivalSec * 1e6, rt.out.waitSec() * 1e6,
-                             cfg_.tracePid, rt.out.id,
-                             "{\"alloc\":" + std::to_string(alloc) + "}");
-  }
-
-  void traceRunSpan(const JobRt& rt) const {
-    cfg_.trace->completeSpan(rt.out.klass, "job", rt.out.startSec * 1e6,
-                             (rt.out.finishSec - rt.out.startSec) * 1e6, cfg_.tracePid, rt.out.id,
-                             "{\"reallocations\":" + std::to_string(rt.out.reallocations) +
-                                 ",\"migrated_bytes\":" + jsonDouble(rt.out.migratedBytes) +
-                                 ",\"backfilled\":" + (rt.out.backfilled ? "true" : "false") + "}");
-  }
-
-  void traceRealloc(const JobRt& rt, std::int32_t from, std::int32_t to, double bytes) const {
-    cfg_.trace->instant("realloc", "job", nowMicros(), cfg_.tracePid, rt.out.id,
-                        "{\"from\":" + std::to_string(from) + ",\"to\":" + std::to_string(to) +
-                            ",\"bytes\":" + jsonDouble(bytes) + "}");
-  }
-
-  void traceMigration(const JobRt& rt, const SimDuration& delay, double bytes) const {
-    cfg_.trace->completeSpan("migrate", "job", nowMicros(), toSeconds(delay) * 1e6, cfg_.tracePid,
-                             rt.out.id, "{\"bytes\":" + jsonDouble(bytes) + "}");
-  }
-
-  void traceBackfill(const JobRt& rt, std::int32_t alloc, double shadow,
-                     std::int32_t spare) const {
-    cfg_.trace->instant("backfill", "sched", nowMicros(), cfg_.tracePid, rt.out.id,
-                        "{\"alloc\":" + std::to_string(alloc) +
-                            ",\"shadow_sec\":" + jsonDouble(shadow) +
-                            ",\"spare\":" + std::to_string(spare) + "}");
   }
 
   void maybeProgress() {
@@ -354,7 +307,6 @@ private:
       queue_[pos] = kStarted;
       jobs_[i].out.backfilled = true;
       ++started;
-      if (cfg_.trace != nullptr) traceBackfill(jobs_[i], o.alloc, shadow, spare);
       startJob(i, o.alloc);
     }
     if (cfg_.recorder != nullptr)
@@ -367,7 +319,6 @@ private:
     closeWaitFinal(i);
     m_.applyStart(st_, i, alloc);
     rt.out.startSec = nowSec();
-    if (cfg_.trace != nullptr) traceQueuedSpan(rt, alloc);
     recordUse();
     beginPhase(i);
   }
@@ -395,7 +346,6 @@ private:
     JobRt& rt = jobs_[i];
     if (m_.endPhase(st_, i)) {
       rt.out.finishSec = nowSec();
-      if (cfg_.trace != nullptr) traceRunSpan(rt);
       dropFinishIndex(i);
       recordUse();
       admissionScan();
@@ -425,7 +375,6 @@ private:
       if (cfg_.recorder != nullptr)
         cfg_.recorder->reallocDecision(nowSec(), rt.out.id, from, target, free, bytes, ctx.rule,
                                        ctx.score, ctx.threshold);
-      if (cfg_.trace != nullptr) traceRealloc(rt, from, target, bytes);
       rt.out.reallocations++;
       rt.out.migratedBytes += bytes;
       // The admission pass below sees this job at its new allocation with
@@ -440,7 +389,6 @@ private:
       rt.out.wait.migrationDelayNs += delayNs;
       if (cfg_.recorder != nullptr)
         cfg_.recorder->migrationDelay(nowSec(), rt.out.id, toSeconds(delay), bytes);
-      if (cfg_.trace != nullptr) traceMigration(rt, delay, bytes);
       rt.estFinishSec =
           nowSec() + toSeconds(delay) + profile.at(target).remainingFrom(js.phase);
       updateFinishIndex(i);

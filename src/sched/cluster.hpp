@@ -39,7 +39,6 @@
 namespace dps::obs {
 class Recorder;
 class Registry;
-class TraceSink;
 } // namespace dps::obs
 
 namespace dps::sched {
@@ -83,18 +82,14 @@ struct ClusterConfig {
   /// back into the simulation, so results are bit-identical either way.
   obs::Registry* metrics = nullptr;
   std::string metricsPrefix;
-  /// Per-job spans (queued/run), realloc instants and backfill decisions in
-  /// *simulated* microseconds, one trace tid per job id.
-  obs::TraceSink* trace = nullptr;
-  /// Trace process lane, so several policies share one trace file.
-  std::int32_t tracePid = 0;
   /// Flight recorder: the full decision audit log (admit/hold verdicts
   /// with typed wait reasons, backfill passes and candidates, realloc
   /// grants with policy rationale), per-job wait intervals, and the
   /// simulated-time timeseries.  Its JSON digest is pinned by the golden
-  /// test decision by decision.  Null = off (zero cost); wait
-  /// *attribution* is always-on integer bookkeeping either way, so metrics
-  /// JSON is bit-identical with and without a recorder.
+  /// test decision by decision, and Recorder::writeTrace renders it for
+  /// Perfetto.  Null = off (zero cost); wait *attribution* is always-on
+  /// integer bookkeeping either way, so metrics JSON is bit-identical with
+  /// and without a recorder.
   obs::Recorder* recorder = nullptr;
 
   /// The reconfiguration delay for moving `bytes` of state under the cost

@@ -675,7 +675,6 @@ PolicyVerifyResult verifyPolicy(const PolicyVerifyOptions& opts, const Workload&
   ClusterConfig cfg = opts.cluster;
   cfg.recorder = &rec;
   cfg.metrics = nullptr;
-  cfg.trace = nullptr;
   cfg.onProgress = {};
   cfg.progressEvery = 0;
 

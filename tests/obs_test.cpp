@@ -145,10 +145,9 @@ TEST(RegistryTest, HistogramJsonCarriesBucketsWithInfUpperBound) {
 TEST(TraceSinkTest, EmitsChromeTraceEventDocument) {
   TraceSink sink;
   sink.processName(1, "policy: fcfs");
-  sink.threadName(1, 0, "cluster");
   sink.completeSpan("job", "run", 1000.0, 500.0, 1, 0, "{\"alloc\":4}");
   sink.instant("backfill", "sched", 1200.0, 1, 0);
-  EXPECT_EQ(sink.eventCount(), 4u);
+  EXPECT_EQ(sink.events().size(), 3u);
   const std::string json = sink.jsonString();
   EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u) << json;
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos) << json;
@@ -189,7 +188,9 @@ TEST(RecorderTest, WaitAttributionHelpers) {
     }
 }
 
-TEST(RecorderTest, JsonCarriesDecisionsIntervalsJobsAndTimeseries) {
+/// A hand-built record: job 1 starts and shrinks, job 2 is blocked and
+/// waits 1 s -> 3 s, job 3 backfills past it.
+Recorder handBuiltRecord() {
   Recorder rec(/*timeseriesCadenceSec=*/0); // no timeseries at cadence 0
   rec.beginRun("fcfs-rigid", 4, 7);
   rec.admitDecision(0.0, 1, 4, 4, 4, /*started=*/true, WaitReason::HeadOfLine,
@@ -202,12 +203,18 @@ TEST(RecorderTest, JsonCarriesDecisionsIntervalsJobsAndTimeseries) {
   rec.backfillPass(1.0, 2, 4, 9.5, 2, 1, 1);
   rec.reallocDecision(2.0, 1, 4, 2, 0, 64.0, "step-down", 0.4, 0.5);
   rec.migrationDelay(2.0, 1, 0.25, 64.0);
-  rec.waitInterval(2, 1.0, 3.0, WaitReason::InsufficientFree);
+  rec.waitInterval(2, 1000000000, 3000000000, WaitReason::InsufficientFree);
+  rec.jobSummary(1, "lu-tiny", 0.0, 0.0, 4.0, false, WaitAttribution{});
   WaitAttribution wait;
   wait.byReason[1] = 2000000000;
   wait.totalNs = 2000000000;
   rec.jobSummary(2, "lu-tiny", 1.0, 3.0, 5.0, false, wait);
   rec.endRun(5.0);
+  return rec;
+}
+
+TEST(RecorderTest, JsonCarriesDecisionsIntervalsJobsAndTimeseries) {
+  const Recorder rec = handBuiltRecord();
   EXPECT_EQ(rec.decisionCount(), 7u);
   EXPECT_EQ(rec.sampleCount(), 0u);
   const std::string json = rec.jsonString();
@@ -223,6 +230,34 @@ TEST(RecorderTest, JsonCarriesDecisionsIntervalsJobsAndTimeseries) {
   EXPECT_NE(story.find("dominant wait reason: insufficient free nodes"), std::string::npos)
       << story;
   EXPECT_NE(story.find("arrived"), std::string::npos) << story;
+}
+
+TEST(RecorderTest, TraceRestatesTheRecord) {
+  // Every event restates a record row: the wait span is the 1 s -> 3 s
+  // interval in microseconds, the backfill instant takes shadow_sec from
+  // the pass that closes it, and job 1's run span sums its one realloc.
+  // Job 2 started outside this record, so its queued span has no alloc.
+  TraceSink sink;
+  handBuiltRecord().writeTrace(sink, 3);
+  EXPECT_EQ(sink.jsonString(),
+            R"({"traceEvents":[{"name":"process_name","ph":"M","pid":3,"tid":0,)"
+            R"("args":{"name":"policy: fcfs-rigid"}},)"
+            R"({"name":"insufficient_free","cat":"wait","ph":"X","ts":1000000,"dur":2000000,)"
+            R"("pid":3,"tid":2},)"
+            R"({"name":"backfill","cat":"sched","ph":"i","ts":1000000,"s":"t","pid":3,"tid":3,)"
+            R"("args":{"alloc":2,"shadow_sec":9.5,"spare":2}},)"
+            R"({"name":"realloc","cat":"job","ph":"i","ts":2000000,"s":"t","pid":3,"tid":1,)"
+            R"("args":{"from":4,"to":2,"bytes":64}},)"
+            R"({"name":"migrate","cat":"job","ph":"X","ts":2000000,"dur":250000,"pid":3,"tid":1,)"
+            R"("args":{"bytes":64}},)"
+            R"({"name":"queued","cat":"queue","ph":"X","ts":0,"dur":0,"pid":3,"tid":1,)"
+            R"("args":{"alloc":4}},)"
+            R"({"name":"lu-tiny","cat":"job","ph":"X","ts":0,"dur":4000000,"pid":3,"tid":1,)"
+            R"("args":{"reallocations":1,"migrated_bytes":64,"backfilled":false}},)"
+            R"({"name":"queued","cat":"queue","ph":"X","ts":1000000,"dur":2000000,"pid":3,"tid":2,)"
+            R"("args":{"alloc":0}},)"
+            R"({"name":"lu-tiny","cat":"job","ph":"X","ts":3000000,"dur":2000000,"pid":3,"tid":2,)"
+            R"("args":{"reallocations":0,"migrated_bytes":0,"backfilled":false}}]})");
 }
 
 TEST(RecorderTest, TimeseriesSamplesPiecewiseConstantState) {

@@ -459,11 +459,14 @@ TEST(ClusterTest, DeterministicAcrossRunsAndProfileJobs) {
 }
 
 TEST(ClusterTest, ObservationDoesNotPerturbResults) {
-  // The obs:: contract: attaching a metrics registry and a trace sink is a
+  // The obs:: contract: attaching a metrics registry and a recorder is a
   // read-only tap — the metrics JSON stays bit-identical for every policy,
-  // and the registry's counters restate the run's own aggregates.
-  const auto wl = tinyWorkload(1, 10, 2.0);
+  // the registry's counters restate the run's own aggregates, and the trace
+  // rendered from the record restates it event for event.  A saturated
+  // stream, so that backfill fires under some policy.
+  const auto wl = tinyWorkload(2, 60, 200.0);
   const auto table = JobProfileTable::build(wl.cfg.classes, 4, {}, 1);
+  std::int32_t backfills = 0;
   for (const std::string& name : policyNames()) {
     ClusterConfig plain;
     plain.nodes = 4;
@@ -472,11 +475,11 @@ TEST(ClusterTest, ObservationDoesNotPerturbResults) {
     const auto bare = simulateCluster(plain, wl, table, *p1);
 
     obs::Registry registry;
-    obs::TraceSink trace;
+    obs::Recorder recorder;
     ClusterConfig observed = plain;
     observed.metrics = &registry;
     observed.metricsPrefix = "cluster.";
-    observed.trace = &trace;
+    observed.recorder = &recorder;
     auto p2 = makePolicy(name);
     const auto traced = simulateCluster(observed, wl, table, *p2);
 
@@ -496,9 +499,25 @@ TEST(ClusterTest, ObservationDoesNotPerturbResults) {
     const auto* wait = snap.histogram("cluster.job_wait_sec");
     ASSERT_NE(wait, nullptr) << name;
     EXPECT_EQ(wait->count, traced.jobs.size()) << name;
-    // One queued span + one run span per job, at minimum.
-    EXPECT_GE(trace.eventCount(), 2 * traced.jobs.size()) << name;
+
+    obs::TraceSink trace;
+    recorder.writeTrace(trace, 0);
+    std::map<std::string, std::size_t> byCategory, byName;
+    for (const auto& e : trace.events()) {
+      ++byCategory[e.category];
+      ++byName[e.name];
+    }
+    EXPECT_EQ(byCategory["wait"], recorder.intervalCount()) << name;
+    EXPECT_EQ(byName["realloc"], static_cast<std::size_t>(traced.reallocations)) << name;
+    EXPECT_EQ(byName["backfill"], static_cast<std::size_t>(traced.backfillFires)) << name;
+    EXPECT_EQ(byName["queued"], traced.jobs.size()) << name;
+    // Run spans are named by job class, in the "job" category with the
+    // migrate spans and realloc instants.
+    EXPECT_EQ(byCategory["job"] - byName["migrate"] - byName["realloc"], traced.jobs.size())
+        << name;
+    backfills += traced.backfillFires;
   }
+  EXPECT_GT(backfills, 0); // the backfill instants were exercised
 }
 
 TEST(ClusterTest, EquipartitionBeatsFcfsRigidOnTheBenchDefaultWorkload) {
@@ -789,14 +808,14 @@ TEST(ClusterSmokeTest, TraceNestsEveryWaitSpanInsideItsQueuedSpan) {
   obs::TraceSink trace;
   const auto names = policyNames();
   for (std::size_t pi = 0; pi < names.size(); ++pi) {
+    obs::Recorder recorder;
     ClusterConfig cfg = s.cfg;
     cfg.metrics = &registry;
     cfg.metricsPrefix = "cluster." + names[pi] + ".";
-    cfg.trace = &trace;
-    cfg.tracePid = static_cast<std::int32_t>(pi);
-    trace.processName(cfg.tracePid, "policy: " + names[pi]);
+    cfg.recorder = &recorder;
     auto policy = makePolicy(names[pi]);
     simulateCluster(cfg, s.workload, s.table, *policy);
+    recorder.writeTrace(trace, static_cast<std::int32_t>(pi));
   }
   const auto snap = registry.snapshot();
   for (const std::string& name : names)

@@ -22,10 +22,12 @@
 // --timeline-max to down-sample the JSON utilization timeline.
 //
 // Observability (--metrics / --trace): every policy's event loop records
-// cluster.<policy>.* counters/gauges/histograms into one obs::Registry and
-// emits per-job queued/run spans (simulated time, one pid lane per policy)
-// into one Chrome trace-event file.  Both are read-only taps — the cluster
-// results are bit-identical with and without them.
+// cluster.<policy>.* counters/gauges/histograms into one obs::Registry, and
+// --trace renders every policy's flight record (below) as per-job wait,
+// queued, run and migrate spans plus realloc and backfill instants
+// (simulated time, one pid lane per policy) into one Chrome trace-event
+// file.  Both are read-only taps — the cluster results are bit-identical
+// with and without them.
 //
 //   $ dps_cluster --nodes 8 --policy equipartition --seed 1
 //   $ dps_cluster --nodes 8 --policy grow-eager --backfill --replay
@@ -172,10 +174,9 @@ int run(Cli& cli) {
   obs::Registry registry;
   obs::TraceSink trace;
   obs::Registry* const metrics = metricsOut ? &registry : nullptr;
-  obs::TraceSink* const traceSink = traceOut ? &trace : nullptr;
   // One flight recorder per policy (they are single-run objects), created
-  // only when --record or --explain asked for one.
-  const bool recording = recordOut || explainJob >= 0;
+  // only when --record, --explain or --trace asked for one.
+  const bool recording = recordOut || explainJob >= 0 || traceOut;
   std::vector<std::unique_ptr<obs::Recorder>> recorders;
 
   sched::ProfileBuildOptions popts;
@@ -235,14 +236,10 @@ int run(Cli& cli) {
     // so one registry / one trace file carries the whole comparison.
     ccfg.metrics = metrics;
     ccfg.metricsPrefix = "cluster." + name + ".";
-    ccfg.trace = traceSink;
-    ccfg.tracePid = static_cast<std::int32_t>(pi);
     if (recording) {
       recorders.push_back(std::make_unique<obs::Recorder>(recordCadence));
       ccfg.recorder = recorders.back().get();
     }
-    if (traceSink != nullptr)
-      trace.processName(static_cast<std::int32_t>(pi), "policy: " + name);
     const obs::WallClock loopClock;
     if (progress) {
       // Roughly one line per ~2% of jobs, with a floor so small runs stay
@@ -259,6 +256,7 @@ int run(Cli& cli) {
       };
     }
     results.push_back(sched::simulateCluster(ccfg, workload, profiles, *policy));
+    if (traceOut) recorders.back()->writeTrace(trace, static_cast<std::int32_t>(pi));
     if (progress)
       std::fprintf(stderr, "%s: done in %.1fs (%lld events)\n", name.c_str(),
                    loopClock.elapsedSec(), static_cast<long long>(results.back().events));
