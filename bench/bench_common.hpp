@@ -14,6 +14,7 @@
 // bench's body is `int run(Cli&)`, driven by dps::runMain.
 #pragma once
 
+#include <functional>
 #include <string>
 
 #include "experiments/campaign.hpp"
@@ -67,17 +68,21 @@ inline unsigned poolWorkers(const BenchArgs& a) { return a.jobs - 1; }
 /// count, check verdicts and (when the bench is campaign-based) the full
 /// observation set + aggregates — then prints the verdict summary and
 /// returns the process exit code: non-zero when a check failed.
-/// `extraJson` lets non-Campaign benches (e.g. the sched cluster sweep)
-/// append their own top-level members: pass `"key":value[,...]` fragments.
+/// `extra` lets non-Campaign benches (e.g. the sched cluster sweep) write
+/// their own top-level members (`w.key(...)` then the value) into the open
+/// document object.
 inline int finish(const std::string& benchName, const BenchArgs& args,
                   const exp::CampaignResult* campaign = nullptr,
-                  const std::string& extraJson = {}) {
+                  const std::function<void(JsonWriter&)>& extra = {}) {
   if (args.json) {
     JsonWriter w(args.json.stream());
     w.beginObject().field("bench", benchName).field("jobs", args.jobs);
     writeChecks(w);
-    if (campaign) w.key("campaign").raw(campaign->jsonString());
-    w.rawMembers(extraJson);
+    if (campaign) {
+      w.key("campaign");
+      campaign->writeJson(w);
+    }
+    if (extra) extra(w);
     w.endObject();
     DPS_CHECK(w.closed(), "unbalanced bench JSON");
     args.json.stream() << "\n";

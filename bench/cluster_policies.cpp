@@ -13,7 +13,6 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <sstream>
 
 #include "bench_common.hpp"
 #include "obs/recorder.hpp"
@@ -43,9 +42,12 @@ int run(Cli& cli) {
     obs::WaitAttribution attr;     // summed integer-ns wait attribution
   };
   std::map<std::string, PolicyAgg> agg;
-  std::ostringstream pointsJson;
-  JsonWriter points(pointsJson);
-  points.beginArray();
+  struct Point {
+    std::uint64_t seed;
+    double rate;
+    sched::ClusterMetrics metrics;
+  };
+  std::vector<Point> points; // sweep order: rate, seed, policy
   double defaultFcfs = 0, defaultEquip = 0; // seed 1, rate 0.15 — the acceptance point
 
   for (double rate : rates) {
@@ -68,7 +70,7 @@ int run(Cli& cli) {
       std::vector<std::string> cells{std::to_string(seed)};
       for (const auto& name : sched::policyNames()) {
         auto policy = sched::makePolicy(name);
-        const auto m = sched::simulateCluster(ccfg, workload, profiles, *policy);
+        auto m = sched::simulateCluster(ccfg, workload, profiles, *policy);
         check(!m.jobs.empty() && m.utilization > 0 && m.utilization <= 1.0 + 1e-9,
               name + " seed " + std::to_string(seed) + " rate " + Table::num(rate, 2) +
                   ": all jobs served, utilization in (0,1]");
@@ -89,12 +91,7 @@ int run(Cli& cli) {
           if (name == "fcfs-rigid") defaultFcfs = m.meanSlowdown;
           if (name == "equipartition") defaultEquip = m.meanSlowdown;
         }
-        points.beginObject()
-            .field("seed", seed)
-            .field("rate", rate)
-            .key("metrics")
-            .raw(m.jsonString())
-            .endObject();
+        points.push_back(Point{seed, rate, std::move(m)});
       }
       t.row(cells);
     }
@@ -113,41 +110,29 @@ int run(Cli& cli) {
   check(agg["equipartition"].wait.mean() < agg["fcfs-rigid"].wait.mean(),
         "malleable scheduling shortens mean job wait vs rigid FCFS");
 
-  points.endArray();
-  DPS_CHECK(points.closed(), "unbalanced points JSON");
-
-  std::ostringstream aggJson;
-  JsonWriter aw(aggJson);
-  aw.beginObject();
-  for (const auto& [name, a] : agg) {
-    aw.key(name)
-        .beginObject()
-        .field("mean_slowdown", a.slowdown.mean())
-        .field("mean_utilization", a.utilization.mean())
-        .field("mean_wait_sec", a.wait.mean())
-        .field("reallocations", a.reallocations)
-        .field("growth_grants", a.growthGrants)
-        .key("wait_attr")
-        .beginObject();
-    for (std::size_t r = 0; r < obs::kWaitReasonCount; ++r) {
-      std::string k = obs::waitReasonName(static_cast<obs::WaitReason>(r));
-      k += "_sec";
-      aw.field(k, static_cast<double>(a.attr.byReason[r]) * 1e-9);
+  return bench::finish("cluster_policies", args, nullptr, [&](JsonWriter& w) {
+    w.key("aggregate").beginObject();
+    for (const auto& [name, a] : agg) {
+      w.key(name)
+          .beginObject()
+          .field("mean_slowdown", a.slowdown.mean())
+          .field("mean_utilization", a.utilization.mean())
+          .field("mean_wait_sec", a.wait.mean())
+          .field("reallocations", a.reallocations)
+          .field("growth_grants", a.growthGrants)
+          .key("wait_attr");
+      sched::writeAttributionJson(w, a.attr);
+      w.endObject();
     }
-    aw.field("total_wait_sec", static_cast<double>(a.attr.totalNs) * 1e-9)
-        .field("migration_delay_sec", static_cast<double>(a.attr.migrationDelayNs) * 1e-9)
-        .field("dominant",
-               a.attr.totalNs > 0 ? obs::waitReasonName(a.attr.dominant()) : "none")
-        .field("dominant_share", a.attr.dominantShare())
-        .endObject()
-        .endObject();
-  }
-  aw.endObject();
-  DPS_CHECK(aw.closed(), "unbalanced aggregate JSON");
-
-  const std::string extra =
-      "\"aggregate\":" + aggJson.str() + ",\"points\":" + pointsJson.str();
-  return bench::finish("cluster_policies", args, nullptr, extra);
+    w.endObject();
+    w.key("points").beginArray();
+    for (const auto& p : points) {
+      w.beginObject().field("seed", p.seed).field("rate", p.rate).key("metrics");
+      p.metrics.writeJson(w);
+      w.endObject();
+    }
+    w.endArray();
+  });
 }
 
 int main(int argc, char** argv) { return runMain(argc, argv, run); }

@@ -32,7 +32,6 @@
 #include <chrono>
 #include <cmath>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -101,6 +100,46 @@ struct GridPoint {
   double rate; // chosen to keep the machine saturated (queue + backfill hot)
 };
 
+/// One grid point's measurements and verdicts, as the JSON "grid" reports
+/// them.
+struct GridRow {
+  GridPoint g;
+  std::int32_t backfillDepth = 0;
+  double wallSec = 0, evPerSec = 0, jobsPerSec = 0;
+  std::int64_t events = 0;
+  double makespanSec = 0, utilization = 0, meanSlowdown = 0;
+  bool replayIdentical = false;
+  double replayWallSec = 0;
+  bool audited = false, auditPass = false;
+  std::uint64_t auditChecks = 0;
+  double auditWallSec = 0;
+  obs::WaitAttribution waitAttr;
+
+  void writeJson(JsonWriter& w) const {
+    w.beginObject()
+        .field("job_count", g.jobCount)
+        .field("nodes", g.nodes)
+        .field("rate", g.rate)
+        .field("backfill_depth", backfillDepth)
+        .field("wall_sec", wallSec)
+        .field("events", events)
+        .field("events_per_sec", evPerSec)
+        .field("jobs_per_sec", jobsPerSec)
+        .field("makespan_sec", makespanSec)
+        .field("utilization", utilization)
+        .field("mean_slowdown", meanSlowdown)
+        .field("replay_identical", replayIdentical)
+        .field("replay_wall_sec", replayWallSec);
+    if (audited)
+      w.field("audit_pass", auditPass)
+          .field("audit_checks", auditChecks)
+          .field("audit_wall_sec", auditWallSec);
+    w.key("wait_attr");
+    sched::writeAttributionJson(w, waitAttr);
+    w.endObject();
+  }
+};
+
 } // namespace
 
 int run(Cli& cli) {
@@ -130,9 +169,7 @@ int run(Cli& cli) {
   Table t("event-loop scaling (fcfs-rigid + EASY backfill, saturated arrivals)");
   t.header({"jobs", "nodes", "rate [1/s]", "wall [s]", "events", "events/s", "jobs/s",
             "mean slowdown"});
-  std::ostringstream gridJson;
-  JsonWriter gw(gridJson);
-  gw.beginArray();
+  std::vector<GridRow> rows;
   // Every grid point records into one registry under its own prefix.
   obs::Registry registry;
   for (const GridPoint& g : grid) {
@@ -206,33 +243,14 @@ int run(Cli& cli) {
       check(res.metrics.jsonString() == m.jsonString(),
             tag + "the audited run's metrics equal the timed run's");
     }
-    gw.beginObject()
-        .field("job_count", g.jobCount)
-        .field("nodes", g.nodes)
-        .field("rate", g.rate)
-        .field("backfill_depth", ccfg.backfillDepth)
-        .field("wall_sec", wall)
-        .field("events", m.events)
-        .field("events_per_sec", evPerSec)
-        .field("jobs_per_sec", jobsPerSec)
-        .field("makespan_sec", m.makespanSec)
-        .field("utilization", m.utilization)
-        .field("mean_slowdown", m.meanSlowdown)
-        .field("replay_identical", replayIdentical)
-        .field("replay_wall_sec", replayWall);
-    if (audited)
-      gw.field("audit_pass", audit.pass())
-          .field("audit_checks", audit.totalChecks())
-          .field("audit_wall_sec", auditWall);
-    {
-      std::ostringstream attr;
-      m.writeAttributionJson(attr);
-      gw.key("wait_attr").raw(attr.str());
-    }
-    gw.endObject();
+    rows.push_back(GridRow{.g = g, .backfillDepth = ccfg.backfillDepth, .wallSec = wall,
+                           .evPerSec = evPerSec, .jobsPerSec = jobsPerSec, .events = m.events,
+                           .makespanSec = m.makespanSec, .utilization = m.utilization,
+                           .meanSlowdown = m.meanSlowdown, .replayIdentical = replayIdentical,
+                           .replayWallSec = replayWall, .audited = audited,
+                           .auditPass = audit.pass(), .auditChecks = audit.totalChecks(),
+                           .auditWallSec = auditWall, .waitAttr = m.attribution});
   }
-  gw.endArray();
-  DPS_CHECK(gw.closed(), "unbalanced grid JSON");
   t.print(std::cout);
 
   // ----------------------------------------------- interpolated profiles --
@@ -327,10 +345,12 @@ int run(Cli& cli) {
   check(report.meanAbsMakespanError == 0.029695185817426056,
         "interpolation |makespan error| pinned at its exact value (2.97%)");
 
-  std::ostringstream interpJson;
-  {
-    JsonWriter w(interpJson);
-    w.beginObject()
+  return bench::finish("cluster_scale", args, nullptr, [&](JsonWriter& w) {
+    w.key("grid").beginArray();
+    for (const GridRow& row : rows) row.writeJson(w);
+    w.endArray();
+    w.key("interpolation")
+        .beginObject()
         .field("nodes", interpNodes)
         .field("engine_runs", static_cast<std::uint64_t>(binfo.engineRunPoints))
         .field("alloc_points", static_cast<std::uint64_t>(binfo.profiledAllocs))
@@ -341,12 +361,9 @@ int run(Cli& cli) {
         .field("mean_abs_makespan_error", report.meanAbsMakespanError)
         .field("max_abs_makespan_error", report.maxAbsMakespanError)
         .endObject();
-    DPS_CHECK(w.closed(), "unbalanced interpolation JSON");
-  }
-  const std::string extraJson = "\"grid\":" + gridJson.str() +
-                                ",\"interpolation\":" + interpJson.str() +
-                                ",\"metrics\":" + registry.jsonString();
-  return bench::finish("cluster_scale", args, nullptr, extraJson);
+    w.key("metrics");
+    registry.snapshot().writeJson(w);
+  });
 }
 
 int main(int argc, char** argv) { return runMain(argc, argv, run); }

@@ -16,7 +16,6 @@
 // policy away from optimal fails this bench until the pin is updated.
 #include <algorithm>
 #include <iostream>
-#include <sstream>
 
 #include "bench_common.hpp"
 #include "sched/cluster.hpp"
@@ -155,24 +154,24 @@ int run(Cli& cli) {
   check(meanMk[indexOf("efficiency-shrink")] == want.shrinkMk,
         "efficiency-shrink makespan percentage pinned at its exact value");
 
-  std::ostringstream extra;
-  JsonWriter w(extra);
-  w.beginObject();
-  w.field("seeds", seeds.size())
-      .field("job_count", jobCount)
-      .field("nodes", nodes)
-      .field("best_policy_makespan_pct", meanBestMk)
-      .field("best_policy_slowdown_pct", meanBestSl);
-  w.key("policies").beginArray();
-  for (std::size_t i = 0; i < cfgs.size(); ++i)
-    w.beginObject()
-        .field("policy", cfgs[i].label)
-        .field("backfill", cfgs[i].backfill)
-        .field("makespan_pct_of_optimal", meanMk[i])
-        .field("slowdown_pct_of_optimal", meanSl[i])
-        .endObject();
-  w.endArray().endObject();
-  return bench::finish("policy_optimality", args, nullptr, "\"optimality\":" + extra.str());
+  return bench::finish("policy_optimality", args, nullptr, [&](JsonWriter& w) {
+    w.key("optimality")
+        .beginObject()
+        .field("seeds", seeds.size())
+        .field("job_count", jobCount)
+        .field("nodes", nodes)
+        .field("best_policy_makespan_pct", meanBestMk)
+        .field("best_policy_slowdown_pct", meanBestSl);
+    w.key("policies").beginArray();
+    for (std::size_t i = 0; i < cfgs.size(); ++i)
+      w.beginObject()
+          .field("policy", cfgs[i].label)
+          .field("backfill", cfgs[i].backfill)
+          .field("makespan_pct_of_optimal", meanMk[i])
+          .field("slowdown_pct_of_optimal", meanSl[i])
+          .endObject();
+    w.endArray().endObject();
+  });
 }
 
 int main(int argc, char** argv) { return runMain(argc, argv, run); }

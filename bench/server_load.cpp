@@ -17,7 +17,6 @@
 #include <chrono>
 #include <cmath>
 #include <iostream>
-#include <sstream>
 #include <thread>
 
 #include "bench_common.hpp"
@@ -213,33 +212,32 @@ int run(Cli& cli) {
             snap.counter("svc.queue.rejected") == queue.rejectedCount(),
         "obs registry queue counters agree with the queue's own counts");
 
-  std::ostringstream extra;
-  JsonWriter w(extra);
-  w.beginObject();
-  w.field("universe", universe.size()).field("service_threads", qopts.workers);
-  w.key("cold");
-  phaseJson(w, cold);
-  w.key("steady");
-  phaseJson(w, steady);
-  w.field("speedup", speedup);
-  w.key("cache")
-      .beginObject()
-      .field("hits", cs.hits)
-      .field("joined", cs.joined)
-      .field("misses", cs.misses)
-      .field("engine_runs", cs.engineRuns)
-      .field("hit_rate", cs.hitRate())
-      .endObject();
-  w.key("queue")
-      .beginObject()
-      .field("served", queue.served())
-      .field("rejected", queue.rejectedCount())
-      .field("ewma_service_sec", queue.ewmaServiceSec())
-      .endObject();
-  w.endObject();
-  DPS_CHECK(w.closed(), "unbalanced server_load JSON");
-  return bench::finish("server_load", args, nullptr,
-                       "\"load\":" + extra.str() + ",\"metrics\":" + registry.jsonString());
+  return bench::finish("server_load", args, nullptr, [&](JsonWriter& w) {
+    w.key("load").beginObject();
+    w.field("universe", universe.size()).field("service_threads", qopts.workers);
+    w.key("cold");
+    phaseJson(w, cold);
+    w.key("steady");
+    phaseJson(w, steady);
+    w.field("speedup", speedup);
+    w.key("cache")
+        .beginObject()
+        .field("hits", cs.hits)
+        .field("joined", cs.joined)
+        .field("misses", cs.misses)
+        .field("engine_runs", cs.engineRuns)
+        .field("hit_rate", cs.hitRate())
+        .endObject();
+    w.key("queue")
+        .beginObject()
+        .field("served", queue.served())
+        .field("rejected", queue.rejectedCount())
+        .field("ewma_service_sec", queue.ewmaServiceSec())
+        .endObject();
+    w.endObject();
+    w.key("metrics");
+    registry.snapshot().writeJson(w);
+  });
 }
 
 int main(int argc, char** argv) { return runMain(argc, argv, run); }

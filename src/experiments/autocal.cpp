@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <ostream>
 
 #include "core/engine.hpp"
 #include "experiments/campaign.hpp"
@@ -539,9 +538,8 @@ void writeEval(JsonWriter& w, const EvalRecord& rec, const ParamSpace& space) {
 
 } // namespace
 
-void writeReportJson(std::ostream& os, const AutocalResult& result, const Objective& objective,
+void writeReportJson(JsonWriter& w, const AutocalResult& result, const Objective& objective,
                      const ParamSpace& space, const Candidate& base) {
-  JsonWriter w(os);
   w.beginObject()
       .field("jobs", result.jobs)
       .field("evaluations", result.history.records.size());
@@ -581,7 +579,6 @@ void writeReportJson(std::ostream& os, const AutocalResult& result, const Object
   w.key("trace").beginArray();
   for (const EvalRecord& rec : result.history.records) writeEval(w, rec, space);
   w.endArray().endObject();
-  DPS_CHECK(w.closed(), "unbalanced autocal report JSON");
 }
 
 } // namespace dps::exp

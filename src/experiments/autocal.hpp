@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,6 +24,10 @@
 #include "experiments/scenario.hpp"
 #include "jacobi/app.hpp"
 #include "support/rng.hpp"
+
+namespace dps {
+class JsonWriter;
+} // namespace dps
 
 namespace dps::exp {
 
@@ -314,10 +317,10 @@ AutocalResult runCalibrationSearch(const Objective& objective, const ParamSpace&
                                    const std::vector<std::shared_ptr<SearchStrategy>>& strategies,
                                    const SearchOptions& options);
 
-/// JSON report: jobs/evaluation counts, scenario labels, warm start, best
-/// fit (dimension values + the applied profile), and the full ranked
-/// evaluation trace.
-void writeReportJson(std::ostream& os, const AutocalResult& result, const Objective& objective,
+/// JSON report at value position: jobs/evaluation counts, scenario labels,
+/// warm start, best fit (dimension values + the applied profile), and the
+/// full ranked evaluation trace.
+void writeReportJson(JsonWriter& w, const AutocalResult& result, const Objective& objective,
                      const ParamSpace& space, const Candidate& base);
 
 } // namespace dps::exp

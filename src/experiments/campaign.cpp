@@ -1,10 +1,5 @@
 #include "experiments/campaign.hpp"
 
-#include <cstdio>
-#include <ostream>
-#include <sstream>
-
-#include "support/csv.hpp"
 #include "support/json.hpp"
 
 namespace dps::exp {
@@ -17,9 +12,6 @@ std::vector<T> orDefault(const std::vector<T>& dim, T fallback) {
   return {std::move(fallback)};
 }
 
-/// Round-trippable double formatting for the JSON/CSV emitters.
-std::string fmtDouble(double v) { return dps::jsonDouble(v); }
-
 void writeStats(JsonWriter& w, const OnlineStats& s) {
   w.beginObject()
       .field("count", s.count())
@@ -31,8 +23,6 @@ void writeStats(JsonWriter& w, const OnlineStats& s) {
 }
 
 } // namespace
-
-std::string jsonEscape(const std::string& s) { return dps::jsonEscape(s); }
 
 std::vector<CampaignPoint> SweepGrid::expand() const {
   const auto ns = orDefault(n, base.n);
@@ -92,8 +82,7 @@ std::vector<double> CampaignResult::errors() const {
   return out;
 }
 
-void CampaignResult::writeJson(std::ostream& os) const {
-  JsonWriter w(os);
+void CampaignResult::writeJson(JsonWriter& w) const {
   w.beginObject().field("jobs", jobs);
   w.key("observations").beginArray();
   for (std::size_t i = 0; i < observations.size(); ++i) {
@@ -122,26 +111,10 @@ void CampaignResult::writeJson(std::ostream& os) const {
   w.key("error");
   writeStats(w, agg.error);
   w.endObject().endObject();
-  DPS_CHECK(w.closed(), "unbalanced campaign JSON");
 }
 
 std::string CampaignResult::jsonString() const {
-  std::ostringstream os;
-  writeJson(os);
-  return os.str();
-}
-
-void CampaignResult::writeCsv(std::ostream& os) const {
-  os << "label,n,r,workers,variant,plan,fidelity_seed,measured_sec,predicted_sec,error\n";
-  for (std::size_t i = 0; i < observations.size(); ++i) {
-    const auto& obs = observations[i];
-    const auto& p = points[i];
-    os << csvQuote(obs.label) << "," << p.cfg.n << ',' << p.cfg.r << ',' << p.cfg.workers << ','
-       << csvQuote(p.cfg.variantName()) << ',' << csvQuote(p.plan.describe()) << ','
-       << p.fidelitySeed << ','
-       << fmtDouble(obs.measuredSec) << ',' << fmtDouble(obs.predictedSec) << ','
-       << fmtDouble(obs.error()) << '\n';
-  }
+  return jsonText([&](JsonWriter& w) { writeJson(w); });
 }
 
 Campaign::Campaign(EngineSettings settings) : runner_(std::move(settings)) {}

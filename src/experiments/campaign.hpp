@@ -11,12 +11,11 @@
 // Grids expand in row-major order (n, r, workers, variant, plan/policy,
 // fidelity seed innermost), mirroring the nested loops the benches used to
 // hand-roll.  Aggregates (mean/stddev/min/max of measured, predicted and
-// signed error) plus JSON/CSV emitters make campaign outputs diffable
+// signed error) plus a JSON emitter make campaign outputs diffable
 // across PRs.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -24,6 +23,10 @@
 #include "malleable/controller.hpp"
 #include "support/stats.hpp"
 #include "support/thread_pool.hpp"
+
+namespace dps {
+class JsonWriter;
+} // namespace dps
 
 namespace dps::exp {
 
@@ -63,11 +66,6 @@ struct SweepGrid {
   std::size_t size() const;
 };
 
-/// Escapes a string for embedding in a JSON string literal (quotes,
-/// backslashes, control characters).  Shared by the campaign emitters and
-/// the benches' --json writers.
-std::string jsonEscape(const std::string& s);
-
 /// Campaign-level aggregate statistics.
 struct CampaignAggregate {
   OnlineStats measuredSec;
@@ -85,12 +83,11 @@ struct CampaignResult {
   /// Signed errors in point order (histogram / fractionWithin input).
   std::vector<double> errors() const;
 
-  /// JSON object {"jobs":..,"observations":[..],"aggregate":{..}}.
-  void writeJson(std::ostream& os) const;
+  /// JSON object {"jobs":..,"observations":[..],"aggregate":{..}} at
+  /// value position.
+  void writeJson(JsonWriter& w) const;
+  /// writeJson as a standalone document.
   std::string jsonString() const;
-
-  /// CSV with one row per observation, header included.
-  void writeCsv(std::ostream& os) const;
 };
 
 /// A set of campaign points executed against one ScenarioRunner.

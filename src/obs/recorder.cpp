@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <ostream>
 #include <sstream>
 
 #include "obs/trace.hpp"
@@ -189,8 +188,7 @@ void Recorder::endRun(double makespanSec) {
   }
 }
 
-void Recorder::writeJson(std::ostream& os) const {
-  JsonWriter w(os);
+void Recorder::writeJson(JsonWriter& w) const {
   w.beginObject()
       .field("policy", policy_)
       .field("nodes", nodes_)
@@ -313,13 +311,10 @@ void Recorder::writeJson(std::ostream& os) const {
   w.endArray().endObject();
 
   w.endObject();
-  DPS_CHECK(w.closed(), "unbalanced recorder JSON");
 }
 
 std::string Recorder::jsonString() const {
-  std::ostringstream os;
-  writeJson(os);
-  return os.str();
+  return jsonText([&](JsonWriter& w) { writeJson(w); });
 }
 
 std::string Recorder::explain(std::int32_t job) const {

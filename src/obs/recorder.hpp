@@ -24,9 +24,13 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
+
+namespace dps {
+class JsonWriter;
+} // namespace dps
 
 namespace dps::obs {
 
@@ -95,7 +99,7 @@ public:
     std::int32_t want = 0, alloc = 0, freeNodes = 0, spare = 0;
     bool started = false;
     WaitReason reason = WaitReason::HeadOfLine;
-    std::string rule{};
+    std::string_view rule{}; // DecisionContext::rule, a static string: viewed, not copied
     double score = 0, threshold = 0;
     // Kind::Pass
     std::int32_t considered = 0, startedCount = 0;
@@ -150,9 +154,11 @@ public:
 
   // --------------------------------------------------------------- render --
 
-  /// {"policy":...,"decisions":[...],"jobs":[...],"timeseries":{...}} —
-  /// deterministic, so equal recorder contents compare as equal strings.
-  void writeJson(std::ostream& os) const;
+  /// {"policy":...,"decisions":[...],"jobs":[...],"timeseries":{...}} at
+  /// value position — deterministic, so equal recorder contents compare as
+  /// equal strings.
+  void writeJson(JsonWriter& w) const;
+  /// writeJson as a standalone document.
   std::string jsonString() const;
   /// Human-readable causal narrative for one job: arrival, every decision
   /// that touched it, every wait interval with its reason, every realloc,

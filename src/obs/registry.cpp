@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
-#include <sstream>
 #include <unordered_map>
 
 #include "support/error.hpp"
@@ -266,11 +265,7 @@ void Snapshot::writeJson(JsonWriter& w) const {
 }
 
 std::string Snapshot::jsonString() const {
-  std::ostringstream os;
-  JsonWriter w(os);
-  writeJson(w);
-  DPS_CHECK(w.closed(), "unbalanced metrics snapshot JSON");
-  return os.str();
+  return jsonText([&](JsonWriter& w) { writeJson(w); });
 }
 
 } // namespace dps::obs

@@ -22,7 +22,9 @@ void TraceSink::instant(std::string name, std::string category, double tsMicros,
 }
 
 void TraceSink::processName(std::int32_t pid, const std::string& name) {
-  push(Event{'M', "process_name", {}, "{\"name\":\"" + jsonEscape(name) + "\"}", 0, 0, pid, 0});
+  std::string args =
+      jsonText([&](JsonWriter& w) { w.beginObject().field("name", name).endObject(); });
+  push(Event{'M', "process_name", {}, std::move(args), 0, 0, pid, 0});
 }
 
 void TraceSink::push(Event e) {

@@ -1,20 +1,10 @@
 #include "sched/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <ostream>
-#include <sstream>
 
-#include "support/csv.hpp"
-#include "support/error.hpp"
 #include "support/json.hpp"
 
 namespace dps::sched {
-
-namespace {
-/// Local shorthand for the shared round-trippable formatter.
-std::string fmt(double v) { return jsonDouble(v); }
-} // namespace
 
 void ClusterMetrics::recordUse(double timeSec, std::int32_t usedNodes) {
   if (!timeline.empty() && timeline.back().timeSec == timeSec) {
@@ -69,25 +59,21 @@ void ClusterMetrics::finalize() {
   }
 }
 
-void ClusterMetrics::writeAttributionJson(std::ostream& os) const {
-  JsonWriter w(os);
+void writeAttributionJson(JsonWriter& w, const obs::WaitAttribution& a) {
   w.beginObject();
   for (std::size_t r = 0; r < obs::kWaitReasonCount; ++r) {
     std::string k = waitReasonName(static_cast<obs::WaitReason>(r));
     k += "_sec";
-    w.field(k, static_cast<double>(attribution.byReason[r]) * 1e-9);
+    w.field(k, static_cast<double>(a.byReason[r]) * 1e-9);
   }
-  w.field("total_wait_sec", static_cast<double>(attribution.totalNs) * 1e-9)
-      .field("migration_delay_sec", static_cast<double>(attribution.migrationDelayNs) * 1e-9)
-      .field("dominant",
-             attribution.totalNs > 0 ? waitReasonName(attribution.dominant()) : "none")
-      .field("dominant_share", attribution.dominantShare())
+  w.field("total_wait_sec", static_cast<double>(a.totalNs) * 1e-9)
+      .field("migration_delay_sec", static_cast<double>(a.migrationDelayNs) * 1e-9)
+      .field("dominant", a.totalNs > 0 ? waitReasonName(a.dominant()) : "none")
+      .field("dominant_share", a.dominantShare())
       .endObject();
-  DPS_CHECK(w.closed(), "unbalanced attribution JSON");
 }
 
-void ClusterMetrics::writeJson(std::ostream& os, std::int32_t timelineMaxPoints) const {
-  JsonWriter w(os);
+void ClusterMetrics::writeJson(JsonWriter& w, std::int32_t timelineMaxPoints) const {
   w.beginObject()
       .field("policy", policy)
       .field("nodes", nodes)
@@ -102,11 +88,8 @@ void ClusterMetrics::writeJson(std::ostream& os, std::int32_t timelineMaxPoints)
       .field("backfill_fires", backfillFires)
       .field("events_processed", events)
       .field("timeline_points", static_cast<std::uint64_t>(timeline.size()));
-  {
-    std::ostringstream attr;
-    writeAttributionJson(attr);
-    w.key("attribution").raw(attr.str());
-  }
+  w.key("attribution");
+  writeAttributionJson(w, attribution);
   w.key("jobs").beginArray();
   for (const JobOutcome& j : jobs) {
     w.beginObject()
@@ -151,24 +134,10 @@ void ClusterMetrics::writeJson(std::ostream& os, std::int32_t timelineMaxPoints)
     }
   }
   w.endArray().endObject();
-  DPS_CHECK(w.closed(), "unbalanced cluster-metrics JSON");
 }
 
 std::string ClusterMetrics::jsonString(std::int32_t timelineMaxPoints) const {
-  std::ostringstream os;
-  writeJson(os, timelineMaxPoints);
-  return os.str();
-}
-
-void ClusterMetrics::writeCsv(std::ostream& os) const {
-  os << "id,class,arrival_sec,start_sec,finish_sec,best_sec,wait_sec,slowdown,"
-        "reallocations,migrated_bytes,backfilled\n";
-  for (const JobOutcome& j : jobs) {
-    os << j.id << "," << csvQuote(j.klass) << "," << fmt(j.arrivalSec) << "," << fmt(j.startSec)
-       << "," << fmt(j.finishSec) << "," << fmt(j.bestSec) << "," << fmt(j.waitSec()) << ","
-       << fmt(j.slowdown()) << "," << j.reallocations << "," << fmt(j.migratedBytes) << ","
-       << (j.backfilled ? 1 : 0) << "\n";
-  }
+  return jsonText([&](JsonWriter& w) { writeJson(w, timelineMaxPoints); });
 }
 
 } // namespace dps::sched

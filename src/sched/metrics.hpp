@@ -1,15 +1,18 @@
 // Cluster-simulation result set: per-job outcomes, the node-utilization
 // timeline, and the aggregate numbers scheduling studies report (makespan,
-// utilization, mean/max slowdown), with JSON and CSV emitters for cross-PR
-// trajectory tracking.
+// utilization, mean/max slowdown), with the JSON emitter the cluster
+// reports are built from.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "obs/recorder.hpp" // obs::WaitAttribution
+
+namespace dps {
+class JsonWriter;
+} // namespace dps
 
 namespace dps::sched {
 
@@ -78,20 +81,20 @@ struct ClusterMetrics {
   /// Computes the aggregate block from jobs + timeline.
   void finalize();
 
-  /// Emits the aggregate attribution as raw JSON members (per-reason
-  /// seconds, dominant reason + share) — shared by writeJson and the
-  /// benches that embed attribution in their own documents.
-  void writeAttributionJson(std::ostream& os) const;
-
   /// {"policy":...,"nodes":...,"makespan_sec":...,"jobs":[...],
-  ///  "timeline":[...]}.  `timelineMaxPoints` > 0 down-samples the emitted
-  /// timeline to at most that many points (first and last always kept;
-  /// "timeline_points" reports the full resolution either way); 0 emits
-  /// every point.
-  void writeJson(std::ostream& os, std::int32_t timelineMaxPoints = 0) const;
+  ///  "timeline":[...]} at value position.  `timelineMaxPoints` > 0
+  /// down-samples the emitted timeline to at most that many points (first
+  /// and last always kept; "timeline_points" reports the full resolution
+  /// either way); 0 emits every point.
+  void writeJson(JsonWriter& w, std::int32_t timelineMaxPoints = 0) const;
+  /// writeJson as a standalone document.
   std::string jsonString(std::int32_t timelineMaxPoints = 0) const;
-  /// One row per job, header included.
-  void writeCsv(std::ostream& os) const;
 };
+
+/// A wait attribution as a JSON object at value position (per-reason
+/// seconds, total, migration delay, dominant reason + share) — the
+/// "attribution" block of ClusterMetrics::writeJson, shared with the
+/// benches that report attribution in their own documents.
+void writeAttributionJson(JsonWriter& w, const obs::WaitAttribution& a);
 
 } // namespace dps::sched

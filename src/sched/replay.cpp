@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
-#include <sstream>
 
 #include "support/error.hpp"
 #include "support/json.hpp"
@@ -177,8 +175,7 @@ void ReplayReport::finalize() {
   }
 }
 
-void ReplayReport::writeJson(std::ostream& os) const {
-  JsonWriter w(os);
+void ReplayReport::writeJson(JsonWriter& w) const {
   w.beginObject()
       .field("policy", policy)
       .field("nodes", nodes)
@@ -214,13 +211,10 @@ void ReplayReport::writeJson(std::ostream& os) const {
         .endObject();
   }
   w.endArray().endObject();
-  DPS_CHECK(w.closed(), "unbalanced replay-report JSON");
 }
 
 std::string ReplayReport::jsonString() const {
-  std::ostringstream os;
-  writeJson(os);
-  return os.str();
+  return jsonText([&](JsonWriter& w) { writeJson(w); });
 }
 
 ReplayReport replaySchedule(const ClusterMetrics& metrics, const Workload& workload,

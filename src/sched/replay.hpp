@@ -34,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -87,7 +86,9 @@ struct ReplayReport {
   double maxAbsBytesError = 0;
 
   void finalize();
-  void writeJson(std::ostream& os) const;
+  /// The report as a JSON object at value position.
+  void writeJson(JsonWriter& w) const;
+  /// writeJson as a standalone document.
   std::string jsonString() const;
 };
 

@@ -1,12 +1,15 @@
-// Minimal JSON emission helpers shared by every layer's report writers
-// (campaign/autocal emitters, sched cluster metrics, bench --json), plus
-// the JsonWriter object API those emitters are built on.
+// Compact JSON emission: the JsonWriter every layer's report emitters write
+// into (campaign/autocal reports, sched cluster metrics and replay reports,
+// the flight record, metrics snapshots, the benches' and tools' --json
+// documents).  An emitter is `void writeJson(JsonWriter&) const` at value
+// position, so a document nests its parts in one pass.
 #pragma once
 
 #include <cmath>
 #include <concepts>
 #include <cstdio>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,36 +18,12 @@
 
 namespace dps {
 
-/// Round-trippable double formatting for JSON/CSV emitters: %.17g prints
-/// enough digits to reconstruct the exact bit pattern.
+/// Round-trippable double formatting: %.17g prints enough digits to
+/// reconstruct the exact bit pattern.
 inline std::string jsonDouble(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
-}
-
-/// Escapes a string for embedding in a JSON string literal (quotes,
-/// backslashes, control characters).
-inline std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Streaming compact-JSON writer: the one emitter behind every report
@@ -52,8 +31,8 @@ inline std::string jsonEscape(const std::string& s) {
 /// nesting are handled by a small state stack so emitters state only their
 /// structure; formatting matches the historical hand-rolled writers byte
 /// for byte — doubles through jsonDouble (%.17g), integers streamed raw,
-/// strings through jsonEscape — so reports and their pinned digests stay
-/// byte-identical.
+/// strings escaped (quotes, backslashes, control characters) — so reports
+/// and their pinned digests stay byte-identical.
 class JsonWriter {
 public:
   explicit JsonWriter(std::ostream& os) : os_(os) {}
@@ -89,7 +68,8 @@ public:
               "key() outside an object (or doubled)");
     if (stack_.back().any) os_ << ',';
     stack_.back().any = true;
-    os_ << '"' << jsonEscape(std::string(k)) << "\":";
+    writeString(k);
+    os_ << ':';
     afterKey_ = true;
     return *this;
   }
@@ -116,7 +96,7 @@ public:
   }
   JsonWriter& value(std::string_view s) {
     valuePrefix();
-    os_ << '"' << jsonEscape(std::string(s)) << '"';
+    writeString(s);
     return *this;
   }
   /// Without this overload a string literal would convert to bool (a
@@ -127,22 +107,11 @@ public:
     os_ << "null";
     return *this;
   }
-  /// Splices a pre-rendered JSON fragment at value position (the benches'
-  /// extraJson escape hatch).
+  /// Splices finished JSON text at value position, for text that arrives
+  /// as text: a trace event's caller-supplied args, a stored flight record.
   JsonWriter& raw(std::string_view json) {
     valuePrefix();
     os_ << json;
-    return *this;
-  }
-  /// Splices pre-rendered `"key":value[,...]` members into the current
-  /// object (no-op on an empty fragment).
-  JsonWriter& rawMembers(std::string_view fragment) {
-    if (fragment.empty()) return *this;
-    DPS_CHECK(!stack_.empty() && stack_.back().isObject && !afterKey_,
-              "rawMembers outside an object");
-    if (stack_.back().any) os_ << ',';
-    stack_.back().any = true;
-    os_ << fragment;
     return *this;
   }
 
@@ -153,7 +122,8 @@ public:
     return value(std::forward<T>(v));
   }
 
-  /// True once every begun object/array is ended (emitters assert this).
+  /// True once every begun object/array is ended (document owners assert
+  /// this before they finish the file).
   bool closed() const { return stack_.empty() && !afterKey_; }
 
 private:
@@ -161,6 +131,35 @@ private:
     bool isObject;
     bool any; // a key (object) or value (array) was already emitted
   };
+
+  /// `s` as a quoted JSON string literal, unescaped runs written whole.
+  void writeString(std::string_view s) {
+    os_ << '"';
+    std::size_t run = 0; // start of the pending run that needs no escaping
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      const char c = s[i];
+      const char* esc = nullptr;
+      switch (c) {
+        case '"': esc = "\\\""; break;
+        case '\\': esc = "\\\\"; break;
+        case '\n': esc = "\\n"; break;
+        case '\t': esc = "\\t"; break;
+        default:
+          if (static_cast<unsigned char>(c) >= 0x20) continue;
+      }
+      os_.write(s.data() + run, static_cast<std::streamsize>(i - run));
+      run = i + 1;
+      if (esc != nullptr) {
+        os_ << esc;
+      } else {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        os_ << buf;
+      }
+    }
+    os_.write(s.data() + run, static_cast<std::streamsize>(s.size() - run));
+    os_ << '"';
+  }
 
   void valuePrefix() {
     if (afterKey_) {
@@ -177,5 +176,16 @@ private:
   std::vector<Frame> stack_;
   bool afterKey_ = false;
 };
+
+/// Renders `emit(JsonWriter&)`, one value-position emitter, as a standalone
+/// document (report digests, tests, a trace event's args).
+template <typename Emit>
+std::string jsonText(Emit&& emit) {
+  std::ostringstream os;
+  JsonWriter w(os);
+  emit(w);
+  DPS_CHECK(w.closed(), "unbalanced JSON document");
+  return os.str();
+}
 
 } // namespace dps

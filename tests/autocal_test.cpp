@@ -13,6 +13,7 @@
 
 #include "experiments/autocal.hpp"
 #include "experiments/calibration.hpp"
+#include "support/json.hpp"
 
 namespace dps::exp {
 namespace {
@@ -290,7 +291,9 @@ TEST(AutocalSearchTest, ReportJsonCarriesBestAndTrace) {
       objective, space, {std::make_shared<GridSearch>(3)}, options);
 
   std::ostringstream os;
-  writeReportJson(os, result, objective, space, warm);
+  JsonWriter w(os);
+  writeReportJson(w, result, objective, space, warm);
+  EXPECT_TRUE(w.closed());
   const std::string j = os.str();
   EXPECT_NE(j.find("\"warm_start\":{"), std::string::npos);
   EXPECT_NE(j.find("\"best\":{"), std::string::npos);

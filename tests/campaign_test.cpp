@@ -1,5 +1,5 @@
 // Campaign subsystem: parallel execution determinism, grid expansion,
-// aggregation math, and the JSON/CSV emitters.
+// aggregation math, and the JSON emitter.
 //
 // The determinism test is the campaign layer's core contract — a parallel
 // campaign must be *bit-identical* to a serial one — and doubles as the
@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "experiments/campaign.hpp"
+#include "support/json.hpp"
 
 namespace dps::exp {
 namespace {
@@ -144,13 +145,15 @@ TEST(CampaignTest, AggregationMathMatchesHandComputation) {
   EXPECT_DOUBLE_EQ(errs[1], -0.05);
 }
 
-TEST(CampaignTest, JsonAndCsvEmitters) {
+TEST(CampaignTest, JsonEmitter) {
   Campaign campaign;
   campaign.add(tinyConfig(), {}, 1, mall::RemovalPolicy::MigrateColumns, "tiny \"quoted\"");
   const auto result = campaign.run(1);
 
   std::ostringstream json;
-  result.writeJson(json);
+  JsonWriter w(json);
+  result.writeJson(w);
+  EXPECT_TRUE(w.closed());
   const std::string j = json.str();
   EXPECT_NE(j.find("\"observations\":["), std::string::npos);
   EXPECT_NE(j.find("\"aggregate\":{"), std::string::npos);
@@ -158,19 +161,11 @@ TEST(CampaignTest, JsonAndCsvEmitters) {
   EXPECT_NE(j.find("\"measured_sec\":"), std::string::npos);
   EXPECT_EQ(j.find('\n'), std::string::npos); // single-line object
   EXPECT_EQ(result.jsonString(), j);
-
-  std::ostringstream csv;
-  result.writeCsv(csv);
-  const std::string c = csv.str();
-  EXPECT_NE(c.find("label,n,r,workers"), std::string::npos);
-  EXPECT_NE(c.find("64,16,2"), std::string::npos);
-  // RFC 4180: embedded quotes are doubled inside a quoted field.
-  EXPECT_NE(c.find("\"tiny \"\"quoted\"\"\""), std::string::npos);
 }
 
 TEST(CampaignTest, EmptyCampaignEmittersAreWellFormed) {
   // An empty sweep is legal: zero observations, zero-count aggregates, and
-  // emitters that still produce valid JSON / a CSV header.
+  // an emitter that still produces valid JSON.
   const Campaign campaign;
   EXPECT_EQ(campaign.size(), 0u);
   const auto result = campaign.run(/*jobs=*/2);
@@ -183,11 +178,6 @@ TEST(CampaignTest, EmptyCampaignEmittersAreWellFormed) {
   const std::string j = result.jsonString();
   EXPECT_NE(j.find("\"observations\":[]"), std::string::npos);
   EXPECT_NE(j.find("\"aggregate\":{"), std::string::npos);
-
-  std::ostringstream csv;
-  result.writeCsv(csv);
-  EXPECT_EQ(csv.str(),
-            "label,n,r,workers,variant,plan,fidelity_seed,measured_sec,predicted_sec,error\n");
 }
 
 TEST(CampaignTest, SinglePointSweepAggregatesDegenerate) {
@@ -205,29 +195,6 @@ TEST(CampaignTest, SinglePointSweepAggregatesDegenerate) {
   EXPECT_DOUBLE_EQ(agg.measuredSec.min(), agg.measuredSec.max());
   EXPECT_NE(result.jsonString().find("\"aggregate\":{\"measured_sec\":{\"count\":1"),
             std::string::npos);
-}
-
-TEST(CampaignTest, CsvQuotesLabelsContainingCommas) {
-  Campaign campaign;
-  campaign.add(tinyConfig(), {}, 1, mall::RemovalPolicy::MigrateColumns,
-               "sweep, with, commas");
-  const auto result = campaign.run(1);
-  std::ostringstream csv;
-  result.writeCsv(csv);
-  const std::string c = csv.str();
-  // The label lands in one quoted field; the commas stay inside it.
-  EXPECT_NE(c.find("\"sweep, with, commas\","), std::string::npos);
-  // Data row = header column count: splitting on commas outside quotes
-  // yields exactly 10 fields.
-  const std::string row = c.substr(c.find('\n') + 1);
-  int fields = 1;
-  bool quoted = false;
-  for (char ch : row) {
-    if (ch == '"') quoted = !quoted;
-    if (ch == ',' && !quoted) ++fields;
-    if (ch == '\n') break;
-  }
-  EXPECT_EQ(fields, 10);
 }
 
 TEST(CampaignTest, ExceptionsFromWorkersPropagate) {

@@ -1135,11 +1135,6 @@ TEST(MetricsTest, EmittersAreWellFormed) {
   for (const char* key : {"\"policy\":\"equipartition\"", "\"mean_slowdown\":",
                           "\"utilization\":", "\"jobs\":[", "\"timeline\":[", "\"allocs\":["})
     EXPECT_NE(json.find(key), std::string::npos) << key;
-  std::ostringstream csv;
-  m.writeCsv(csv);
-  std::size_t lines = 0;
-  for (char c : csv.str()) lines += c == '\n';
-  EXPECT_EQ(lines, m.jobs.size() + 1); // header + one row per job
 }
 
 TEST(MetricsTest, RecordUseCoalescesTheTimeline) {
@@ -1192,63 +1187,6 @@ TEST(MetricsTest, TimelineDownsampleKeepsEndpointsAndAggregates) {
   EXPECT_EQ(head, sampled.substr(0, sampled.find("\"jobs\"")));
   // The in-memory timeline is untouched either way.
   EXPECT_EQ(m.timeline.size(), 100u);
-}
-
-/// Minimal RFC-4180 parser for one CSV line (quotes, doubled quotes,
-/// embedded commas).
-std::vector<std::string> parseCsvRow(const std::string& line) {
-  std::vector<std::string> fields{""};
-  bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (quoted) {
-      if (c == '"' && i + 1 < line.size() && line[i + 1] == '"') {
-        fields.back() += '"';
-        ++i;
-      } else if (c == '"') {
-        quoted = false;
-      } else {
-        fields.back() += c;
-      }
-    } else if (c == '"') {
-      quoted = true;
-    } else if (c == ',') {
-      fields.emplace_back();
-    } else {
-      fields.back() += c;
-    }
-  }
-  return fields;
-}
-
-TEST(MetricsTest, CsvRoundTripsCommaAndQuoteInClassName) {
-  // The class name is user-definable (workload configs name their own
-  // mixes); a comma or quote in it must not shear the row apart.
-  ClusterMetrics m;
-  m.nodes = 4;
-  JobOutcome j;
-  j.id = 7;
-  j.klass = "lu \"wide\", 8 nodes";
-  j.arrivalSec = 1;
-  j.startSec = 2;
-  j.finishSec = 5;
-  j.bestSec = 1.5;
-  j.allocs = {4, 4};
-  j.backfilled = true;
-  m.jobs = {j};
-  m.finalize();
-  std::ostringstream os;
-  m.writeCsv(os);
-  const std::string text = os.str();
-  const std::string header = text.substr(0, text.find('\n'));
-  const std::string row = text.substr(text.find('\n') + 1,
-                                      text.rfind('\n') - text.find('\n') - 1);
-  const auto cols = parseCsvRow(header);
-  const auto fields = parseCsvRow(row);
-  ASSERT_EQ(fields.size(), cols.size()); // the embedded comma did not split
-  EXPECT_EQ(fields[0], "7");
-  EXPECT_EQ(fields[1], j.klass); // quote + comma round-trip intact
-  EXPECT_EQ(fields.back(), "1"); // backfilled flag
 }
 
 } // namespace

@@ -11,7 +11,6 @@
 
 #include "support/check.hpp"
 #include "support/cli.hpp"
-#include "support/csv.hpp"
 #include "support/error.hpp"
 #include "support/fingerprint.hpp"
 #include "support/json.hpp"
@@ -23,14 +22,6 @@
 
 namespace dps {
 namespace {
-
-TEST(CsvTest, QuoteIsRfc4180) {
-  EXPECT_EQ(csvQuote("plain"), "\"plain\"");
-  EXPECT_EQ(csvQuote(""), "\"\"");
-  EXPECT_EQ(csvQuote("a,b"), "\"a,b\"");
-  EXPECT_EQ(csvQuote("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(csvQuote("two\nlines"), "\"two\nlines\"");
-}
 
 TEST(TimeTest, ConstructorsAndConversions) {
   EXPECT_EQ(microseconds(1).count(), 1000);
@@ -476,14 +467,30 @@ TEST(JsonWriterTest, StringLiteralsAreStringsNotBools) {
   EXPECT_EQ(os.str(), "{\"mode\":\"static\"}");
 }
 
-TEST(JsonWriterTest, RawSplicesPreRenderedFragments) {
+TEST(JsonWriterTest, EmittersNestAtValuePosition) {
+  // Two report emitters of the `writeJson(JsonWriter&) const` shape: one
+  // lands as an array element, the other as an object member.
+  struct Point {
+    int x, y;
+    void writeJson(JsonWriter& w) const { w.beginObject().field("x", x).field("y", y).endObject(); }
+  };
+  struct Label {
+    std::string text;
+    void writeJson(JsonWriter& w) const { w.beginArray().value(text).endArray(); }
+  };
   std::ostringstream os;
   JsonWriter w(os);
-  w.beginObject().field("a", 1);
-  w.key("inner").raw("{\"pre\":true}");
-  w.rawMembers("\"b\":2,\"c\":3");
+  w.beginObject().key("points").beginArray();
+  Point{1, 2}.writeJson(w);
+  Point{3, 4}.writeJson(w);
+  EXPECT_FALSE(w.closed());
+  w.endArray().key("label");
+  Label{"tab\there \"q\" back\\slash\nnew\x01"}.writeJson(w);
+  EXPECT_FALSE(w.closed());
   w.endObject();
-  EXPECT_EQ(os.str(), "{\"a\":1,\"inner\":{\"pre\":true},\"b\":2,\"c\":3}");
+  EXPECT_TRUE(w.closed());
+  EXPECT_EQ(os.str(), "{\"points\":[{\"x\":1,\"y\":2},{\"x\":3,\"y\":4}],"
+                      "\"label\":[\"tab\\there \\\"q\\\" back\\\\slash\\nnew\\u0001\"]}");
 }
 
 TEST(JsonWriterTest, DoublesRoundTrip) {

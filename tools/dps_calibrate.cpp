@@ -27,6 +27,7 @@
 #include "obs/trace.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
 
@@ -140,7 +141,9 @@ int run(Cli& cli) {
     std::printf("  %-40s %+.4f\n", objective.scenarioLabel(i).c_str(), best.errors[i]);
 
   if (json) {
-    exp::writeReportJson(json.stream(), result, objective, space, warm);
+    JsonWriter w(json.stream());
+    exp::writeReportJson(w, result, objective, space, warm);
+    DPS_CHECK(w.closed(), "unbalanced autocal report JSON");
     json.stream() << "\n";
   }
   if (metricsOut) {

@@ -348,7 +348,7 @@ int run(Cli& cli) {
         .field("primary", policyName)
         .field("cadence_sec", recordCadence);
     w.key("policies").beginArray();
-    for (const auto& r : recorders) w.raw(r->jsonString());
+    for (const auto& r : recorders) r->writeJson(w);
     w.endArray().endObject();
     DPS_CHECK(w.closed(), "unbalanced record JSON");
     recordOut.stream() << "\n";
@@ -368,9 +368,12 @@ int run(Cli& cli) {
         .field("profile_allocs", static_cast<std::uint64_t>(binfo.profiledAllocs))
         .field("workload", workload.describe());
     w.key("policies").beginArray();
-    for (const auto& m : results) w.raw(m.jsonString(static_cast<std::int32_t>(timelineMax)));
+    for (const auto& m : results) m.writeJson(w, static_cast<std::int32_t>(timelineMax));
     w.endArray();
-    if (replay) w.key("replay").raw(replayReport.jsonString());
+    if (replay) {
+      w.key("replay");
+      replayReport.writeJson(w);
+    }
     w.endObject();
     DPS_CHECK(w.closed(), "unbalanced cluster JSON");
     json.stream() << "\n";

@@ -34,6 +34,7 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -52,9 +53,7 @@ using namespace dps;
 
 namespace {
 
-std::string statsJson(const sched::ExploreStats& st) {
-  std::ostringstream os;
-  JsonWriter w(os);
+void writeStats(JsonWriter& w, const sched::ExploreStats& st) {
   w.beginObject()
       .field("states_explored", static_cast<std::uint64_t>(st.statesExplored))
       .field("states_deduped", static_cast<std::uint64_t>(st.statesDeduped))
@@ -62,12 +61,9 @@ std::string statsJson(const sched::ExploreStats& st) {
       .field("schedules_seen", static_cast<std::uint64_t>(st.schedulesSeen))
       .field("complete", st.complete)
       .endObject();
-  return os.str();
 }
 
-std::string reportJson(const sched::VerifyReport& rep) {
-  std::ostringstream os;
-  JsonWriter w(os);
+void writeReport(JsonWriter& w, const sched::VerifyReport& rep) {
   w.beginObject()
       .field("pass", rep.pass())
       .field("violations", static_cast<std::uint64_t>(rep.violations.size()))
@@ -79,7 +75,78 @@ std::string reportJson(const sched::VerifyReport& rep) {
   w.key("violation_invariants").beginArray();
   for (const auto& v : rep.violations) w.value(sched::invariantName(v.invariant));
   w.endArray().endObject();
-  return os.str();
+}
+
+/// The "optimality" block: both proven optima, their search effort, and
+/// every oracle configuration as a percentage of optimal.
+void writeOptimality(JsonWriter& w, const sched::OracleComparison& oracle) {
+  const auto& mk = oracle.makespan;
+  const auto& sl = oracle.slowdown;
+  w.beginObject()
+      .field("optimal_makespan_sec", mk.makespanSec)
+      .field("optimal_mean_slowdown", sl.meanSlowdown)
+      .field("best_policy_makespan_pct", 100.0 * mk.makespanSec / oracle.bestMakespanSec)
+      .field("best_policy_slowdown_pct", 100.0 * sl.meanSlowdown / oracle.bestMeanSlowdown)
+      .field("trace_decisions", static_cast<std::uint64_t>(mk.trace.size()));
+  w.key("makespan_search");
+  writeStats(w, mk.stats);
+  w.key("slowdown_search");
+  writeStats(w, sl.stats);
+  w.key("policies").beginArray();
+  const auto cfgs = sched::oraclePolicies();
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    const auto& m = oracle.runs[i];
+    w.beginObject()
+        .field("policy", cfgs[i].label)
+        .field("backfill", cfgs[i].backfill)
+        .field("makespan_sec", m.makespanSec)
+        .field("mean_slowdown", m.meanSlowdown)
+        .field("makespan_pct_of_optimal", 100.0 * mk.makespanSec / m.makespanSec)
+        .field("slowdown_pct_of_optimal", 100.0 * sl.meanSlowdown / m.meanSlowdown)
+        .endObject();
+  }
+  w.endArray().endObject();
+}
+
+/// One policy x backfill flight-record audit.
+struct PolicyAudit {
+  std::string policy;
+  bool backfill = false;
+  sched::VerifyReport report;
+};
+
+/// What --verify found: the space walk, the policy audits and the mutant.
+struct Verification {
+  sched::VerifyReport space;
+  std::vector<PolicyAudit> audits;
+  sched::VerifyReport mutant;
+  bool starved = false;
+  bool replayConfirmed = false;
+};
+
+void writeVerification(JsonWriter& w, const Verification& v) {
+  w.beginObject();
+  w.key("space").beginObject();
+  w.key("stats");
+  writeStats(w, v.space.stats);
+  w.key("report");
+  writeReport(w, v.space);
+  w.endObject();
+  w.key("policies").beginArray();
+  for (const PolicyAudit& a : v.audits) {
+    w.beginObject().field("policy", a.policy).field("backfill", a.backfill).key("report");
+    writeReport(w, a.report);
+    w.endObject();
+  }
+  w.endArray();
+  w.key("mutant")
+      .beginObject()
+      .field("violations", static_cast<std::uint64_t>(v.mutant.violations.size()))
+      .field("starvation_violation", v.starved)
+      .field("replay_confirmed", v.replayConfirmed)
+      .key("report");
+  writeReport(w, v.mutant);
+  w.endObject().endObject();
 }
 
 } // namespace
@@ -159,12 +226,12 @@ int run(Cli& cli) {
   sched::ExploreLimits limits;
   limits.maxStates = static_cast<std::uint64_t>(maxStates);
 
-  std::string optimalityJson;
+  std::optional<sched::OracleComparison> oracle;
   if (optimality) {
     const obs::WallClock searchClock;
-    const auto oracle = sched::compareWithOptimum(ccfg, workload, profiles, limits);
-    const auto& mk = oracle.makespan;
-    const auto& sl = oracle.slowdown;
+    oracle = sched::compareWithOptimum(ccfg, workload, profiles, limits);
+    const auto& mk = oracle->makespan;
+    const auto& sl = oracle->slowdown;
     std::printf("oracle: optimal makespan %.3fs (%llu states, %llu deduped, %llu pruned), "
                 "optimal mean slowdown %.3f (%llu states) in %.1fs\n",
                 mk.makespanSec, static_cast<unsigned long long>(mk.stats.statesExplored),
@@ -211,8 +278,8 @@ int run(Cli& cli) {
 
     // Oracle self-validation: replaying the winning decision trace through
     // the instant machine reproduces the objective exactly.
-    const auto& mkReplay = oracle.makespanReplay;
-    const auto& slReplay = oracle.slowdownReplay;
+    const auto& mkReplay = oracle->makespanReplay;
+    const auto& slReplay = oracle->slowdownReplay;
     check(mkReplay.makespanSec == mk.makespanSec && mkReplay.meanSlowdown == mk.meanSlowdown,
           "optimal makespan trace replays bit-identically");
     check(slReplay.makespanSec == sl.makespanSec && slReplay.meanSlowdown == sl.meanSlowdown,
@@ -221,12 +288,9 @@ int run(Cli& cli) {
     Table t("policy optimality (" + std::to_string(workload.jobs.size()) + " jobs, " +
             std::to_string(nodes) + " nodes, seed " + std::to_string(seed) + ")");
     t.header({"policy", "makespan [s]", "% of optimal", "mean slowdown", "% of optimal"});
-    std::ostringstream pj;
-    JsonWriter pw(pj);
-    pw.beginArray();
     const auto cfgs = sched::oraclePolicies();
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
-      const auto& m = oracle.runs[i];
+      const auto& m = oracle->runs[i];
       const double mkPct = 100.0 * mk.makespanSec / m.makespanSec;
       const double slPct = 100.0 * sl.meanSlowdown / m.meanSlowdown;
       check(mk.makespanSec <= m.makespanSec + 1e-9,
@@ -235,36 +299,13 @@ int run(Cli& cli) {
             "optimal mean slowdown <= " + cfgs[i].label + " mean slowdown");
       t.row({cfgs[i].label, Table::num(m.makespanSec, 2), Table::num(mkPct, 1),
              Table::num(m.meanSlowdown, 3), Table::num(slPct, 1)});
-      pw.beginObject()
-          .field("policy", cfgs[i].label)
-          .field("backfill", cfgs[i].backfill)
-          .field("makespan_sec", m.makespanSec)
-          .field("mean_slowdown", m.meanSlowdown)
-          .field("makespan_pct_of_optimal", mkPct)
-          .field("slowdown_pct_of_optimal", slPct)
-          .endObject();
     }
-    pw.endArray();
     t.row({"(optimal)", Table::num(mk.makespanSec, 2), "100",
            Table::num(sl.meanSlowdown, 3), "100"});
     t.print(std::cout);
-
-    std::ostringstream oj;
-    JsonWriter ow(oj);
-    ow.beginObject()
-        .field("optimal_makespan_sec", mk.makespanSec)
-        .field("optimal_mean_slowdown", sl.meanSlowdown)
-        .field("best_policy_makespan_pct", 100.0 * mk.makespanSec / oracle.bestMakespanSec)
-        .field("best_policy_slowdown_pct", 100.0 * sl.meanSlowdown / oracle.bestMeanSlowdown)
-        .field("trace_decisions", static_cast<std::uint64_t>(mk.trace.size()));
-    ow.key("makespan_search").raw(statsJson(mk.stats));
-    ow.key("slowdown_search").raw(statsJson(sl.stats));
-    ow.key("policies").raw(pj.str());
-    ow.endObject();
-    optimalityJson = oj.str();
   }
 
-  std::string verifyJson;
+  std::optional<Verification> verified;
   if (verify) {
     const obs::WallClock verifyClock;
     // The unpruned space walk is the expensive half of verification (no
@@ -279,7 +320,9 @@ int run(Cli& cli) {
                   "audits below still cover all %zu)\n",
                   workload.jobs.size());
     }
-    const auto space = sched::verifySpace(ccfg, spaceWorkload, profiles, limits);
+    Verification& v = verified.emplace();
+    v.space = sched::verifySpace(ccfg, spaceWorkload, profiles, limits);
+    const auto& space = v.space;
     std::printf("verify: %llu reachable states, %llu structural checks, %zu violations "
                 "(%.1fs)\n",
                 static_cast<unsigned long long>(space.stats.statesExplored),
@@ -294,9 +337,6 @@ int run(Cli& cli) {
     std::printf("derived starvation bound: %.1fs\n", bound);
     Table vt("policy invariant audits (full flight-record checks)");
     vt.header({"policy", "backfill", "checks", "violations", "max wait [s]"});
-    std::ostringstream vj;
-    JsonWriter vw(vj);
-    vw.beginArray();
     for (const std::string& name : sched::policyNames()) {
       for (const bool backfill : {false, true}) {
         auto policy = sched::makePolicy(name);
@@ -310,15 +350,9 @@ int run(Cli& cli) {
         for (const auto& j : res.metrics.jobs) maxWait = std::max(maxWait, j.waitSec());
         vt.row({name, backfill ? "on" : "off", std::to_string(res.report.totalChecks()),
                 std::to_string(res.report.violations.size()), Table::num(maxWait, 1)});
-        vw.beginObject()
-            .field("policy", name)
-            .field("backfill", backfill)
-            .key("report")
-            .raw(reportJson(res.report))
-            .endObject();
+        v.audits.push_back(PolicyAudit{name, backfill, res.report});
       }
     }
-    vw.endArray();
     vt.print(std::cout);
 
     // The mutant demonstrates the counterexample path: head-hold serializes
@@ -328,18 +362,19 @@ int run(Cli& cli) {
     sched::PolicyVerifyOptions mo;
     mo.cluster = ccfg;
     const auto mres = sched::verifyPolicy(mo, workload, profiles, mutant);
-    const bool starved = std::any_of(
+    v.mutant = mres.report;
+    v.starved = std::any_of(
         mres.report.violations.begin(), mres.report.violations.end(),
         [](const auto& v) { return v.invariant == sched::Invariant::NoStarvation; });
     double mutantMaxWait = 0;
     for (const auto& j : mres.metrics.jobs) mutantMaxWait = std::max(mutantMaxWait, j.waitSec());
     std::printf("head-hold mutant: max wait %.1fs vs bound %.1fs\n", mutantMaxWait, bound);
     check(!mres.report.pass(), "head-hold mutant violates the invariant set");
-    check(starved, "head-hold mutant starves a job beyond the bound");
+    check(v.starved, "head-hold mutant starves a job beyond the bound");
     const auto mres2 = sched::verifyPolicy(mo, workload, profiles, mutant);
-    const bool replayConfirmed = mres2.recordJson == mres.recordJson &&
-                                 mres2.report.violations.size() == mres.report.violations.size();
-    check(replayConfirmed, "mutant counterexample replays byte-identically");
+    v.replayConfirmed = mres2.recordJson == mres.recordJson &&
+                        mres2.report.violations.size() == mres.report.violations.size();
+    check(v.replayConfirmed, "mutant counterexample replays byte-identically");
     if (!mres.report.pass()) {
       const auto& v = mres.report.violations.front();
       std::printf("mutant counterexample: %s — job %d at t=%.1fs: %s\n",
@@ -348,7 +383,7 @@ int run(Cli& cli) {
     }
     if (counterexample) {
       JsonWriter w(counterexample.stream());
-      w.beginObject().field("policy", mutant.name()).field("replay_confirmed", replayConfirmed);
+      w.beginObject().field("policy", mutant.name()).field("replay_confirmed", v.replayConfirmed);
       w.key("violations").beginArray();
       for (const auto& v : mres.report.violations)
         w.beginObject()
@@ -363,24 +398,6 @@ int run(Cli& cli) {
       DPS_CHECK(w.closed(), "unbalanced counterexample JSON");
       counterexample.stream() << "\n";
     }
-
-    std::ostringstream sj;
-    JsonWriter sw(sj);
-    sw.beginObject();
-    sw.key("space").beginObject();
-    sw.key("stats").raw(statsJson(space.stats));
-    sw.key("report").raw(reportJson(space)).endObject();
-    sw.key("policies").raw(vj.str());
-    sw.key("mutant")
-        .beginObject()
-        .field("violations", static_cast<std::uint64_t>(mres.report.violations.size()))
-        .field("starvation_violation", starved)
-        .field("replay_confirmed", replayConfirmed)
-        .key("report")
-        .raw(reportJson(mres.report))
-        .endObject();
-    sw.endObject();
-    verifyJson = sj.str();
   }
 
   if (json) {
@@ -392,8 +409,14 @@ int run(Cli& cli) {
         .field("arrival_rate", arrivalRate)
         .field("workload", workload.describe());
     writeChecks(w);
-    if (!optimalityJson.empty()) w.key("optimality").raw(optimalityJson);
-    if (!verifyJson.empty()) w.key("verify").raw(verifyJson);
+    if (oracle) {
+      w.key("optimality");
+      writeOptimality(w, *oracle);
+    }
+    if (verified) {
+      w.key("verify");
+      writeVerification(w, *verified);
+    }
     w.endObject();
     DPS_CHECK(w.closed(), "unbalanced explore JSON");
     json.stream() << "\n";
