@@ -29,13 +29,13 @@
 // JSON artifact (CLUSTER_scale.json): the grid (each point with its replay
 // and audit verdicts and wall times) and the interpolation error block.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "obs/clock.hpp"
 #include "obs/registry.hpp"
 #include "sched/cluster.hpp"
 #include "sched/explore.hpp"
@@ -46,10 +46,6 @@
 using namespace dps;
 
 namespace {
-
-double wallSec(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - since).count();
-}
 
 /// Pins every job to a predetermined allocation: admission asks for exactly
 /// allocFor[id] and phase boundaries keep it, so each job's history is
@@ -190,9 +186,9 @@ int run(Cli& cli) {
     ccfg.metricsPrefix =
         "grid." + std::to_string(g.jobCount) + "x" + std::to_string(g.nodes) + ".";
     sched::FcfsRigid policy;
-    const auto start = std::chrono::steady_clock::now();
+    const obs::WallClock loopClock;
     const auto m = sched::simulateCluster(ccfg, workload, profiles, policy);
-    const double wall = wallSec(start);
+    const double wall = loopClock.elapsedSec();
     const double evPerSec = wall > 0 ? static_cast<double>(m.events) / wall : 0;
     const double jobsPerSec = wall > 0 ? static_cast<double>(g.jobCount) / wall : 0;
     t.row({std::to_string(g.jobCount), std::to_string(g.nodes), Table::num(g.rate, 1),
@@ -206,12 +202,12 @@ int run(Cli& cli) {
     // The Machine re-executes the point's decisions: every job's start,
     // finish, per-phase allocations, migrations and wait ticks, plus the
     // makespan and mean slowdown, must come back bit-identical.
-    const auto replayStart = std::chrono::steady_clock::now();
+    const obs::WallClock replayClock;
     // A trace the Machine rejects throws, failing the bench with its reason.
     const bool replayIdentical = sameSchedule(
         m, sched::replayTrace(ccfg, workload, profiles,
                               sched::decisionTrace(ccfg, workload, profiles, m)));
-    const double replayWall = wallSec(replayStart);
+    const double replayWall = replayClock.elapsedSec();
     std::printf("%sreplay of its own decisions: %.2fs\n", tag.c_str(), replayWall);
     check(replayIdentical, tag + "loop equals the Machine replay of its own decisions");
     // The observability layer restates the run's own counts.
@@ -233,9 +229,9 @@ int run(Cli& cli) {
       sched::PolicyVerifyOptions vopts;
       vopts.cluster = ccfg;
       sched::FcfsRigid again;
-      const auto auditStart = std::chrono::steady_clock::now();
+      const obs::WallClock auditClock;
       const auto res = sched::verifyPolicy(vopts, workload, profiles, again);
-      auditWall = wallSec(auditStart);
+      auditWall = auditClock.elapsedSec();
       std::printf("%sflight-recorded run and audit: %.2fs\n", tag.c_str(), auditWall);
       audit = res.report;
       check(audit.pass(), tag + "the flight record passes all seven invariants (" +
@@ -259,10 +255,10 @@ int run(Cli& cli) {
   const auto scaled = sched::Workload::scaledMix(interpNodes);
   svc::ProfileCache interpCache;
   sched::ProfileBuildOptions popts; // interpolate = true, auto anchors
-  const auto interpStart = std::chrono::steady_clock::now();
+  const obs::WallClock interpClock;
   const auto interp =
       svc::buildProfileTable(scaled, interpNodes, settings, args.jobs, interpCache, popts);
-  const double interpWall = wallSec(interpStart);
+  const double interpWall = interpClock.elapsedSec();
   const auto& binfo = interp.buildInfo();
   std::printf("\ninterpolated scaled-mix table: %zu engine runs for %zu allocation points "
               "(%.1fx reduction, %.1fs)\n",

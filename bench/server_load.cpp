@@ -20,6 +20,7 @@
 #include <thread>
 
 #include "bench_common.hpp"
+#include "obs/clock.hpp"
 #include "obs/registry.hpp"
 #include "sched/engine_run.hpp"
 #include "support/rng.hpp"
@@ -29,12 +30,6 @@
 using namespace dps;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double secondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 /// The distinct queries the server answers: every (class, allocation)
 /// profile point of the default cluster mix, plus the cluster_server
@@ -106,14 +101,14 @@ PhaseResult runPhase(svc::RequestQueue& queue, const std::vector<sched::EngineRu
   PhaseResult res;
   res.requests = count;
   res.latencySec.assign(count, 0);
-  const auto phaseStart = Clock::now();
+  const obs::WallClock phase;
   for (std::size_t i = 0; i < count; ++i) {
-    const auto submitAt = Clock::now();
+    const obs::WallClock submitted;
     double* slot = &res.latencySec[i];
     for (;;) {
-      const auto adm = queue.submit(specs[pick(i)], [slot, submitAt](
+      const auto adm = queue.submit(specs[pick(i)], [slot, submitted](
                                                         const sched::EngineRunRecord&) {
-        *slot = secondsSince(submitAt);
+        *slot = submitted.elapsedSec();
       });
       if (adm.accepted()) break;
       ++res.rejections;
@@ -121,7 +116,7 @@ PhaseResult runPhase(svc::RequestQueue& queue, const std::vector<sched::EngineRu
     }
   }
   queue.drain();
-  res.seconds = secondsSince(phaseStart);
+  res.seconds = phase.elapsedSec();
   return res;
 }
 

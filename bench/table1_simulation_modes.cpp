@@ -67,20 +67,14 @@ int run(Cli& cli) {
 
   // --- "real application" references on the virtual cluster (no memory
   // column: these two legs may run concurrently) ---
-  double realParallel = 0, realSerial = 0;
+  double realSec[2] = {0, 0}; // [0] 8 nodes, [1] 1 node
   parallelFor(2, opts.jobs, [&](std::size_t leg) {
-    if (leg == 0) {
-      core::SimEngine refEngine(runner.referenceConfig(/*fidelitySeed=*/1));
-      lu::LuBuild refBuild = lu::buildLu(lucfg, usModel, false);
-      realParallel = toSeconds(lu::runLu(refEngine, refBuild).makespan);
-    } else {
-      auto serialCfg = lucfg;
-      serialCfg.workers = 1;
-      core::SimEngine serialEngine(runner.referenceConfig(1));
-      lu::LuBuild serialBuild = lu::buildLu(serialCfg, usModel, false);
-      realSerial = toSeconds(lu::runLu(serialEngine, serialBuild).makespan);
-    }
+    auto cfg = lucfg;
+    if (leg == 1) cfg.workers = 1;
+    realSec[leg] =
+        toSeconds(runner.runOne(cfg, {}, runner.referenceConfig(/*fidelitySeed=*/1)).makespan);
   });
+  const double realParallel = realSec[0], realSerial = realSec[1];
 
   t.row({"real application (8 nodes, reference executor)", "-", "-",
          Table::num(realParallel, 1)});

@@ -5,9 +5,7 @@
 #include <cstdio>
 #include <limits>
 
-#include "core/engine.hpp"
 #include "experiments/campaign.hpp"
-#include "lu/app.hpp"
 #include "sched/engine_run.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
@@ -127,10 +125,10 @@ ValidationScenario ValidationScenario::luCase(const lu::LuConfig& cfg,
                                               const mall::AllocationPlan& plan,
                                               mall::RemovalPolicy policy) {
   ValidationScenario s;
-  s.app = App::Lu;
-  s.lu = cfg;
-  s.plan = plan;
-  s.policy = policy;
+  s.run.lu = cfg;
+  s.run.plan = plan;
+  s.run.policy = policy;
+  s.run.slicePhases = false; // only the makespan is read
   s.fidelitySeed = fidelitySeed;
   s.label = "LU " + cfg.variantName() + " n=" + std::to_string(cfg.n) + " r=" +
             std::to_string(cfg.r) + " w=" + std::to_string(cfg.workers) +
@@ -141,8 +139,9 @@ ValidationScenario ValidationScenario::luCase(const lu::LuConfig& cfg,
 ValidationScenario ValidationScenario::jacobiCase(const jacobi::JacobiConfig& cfg,
                                                   std::uint64_t fidelitySeed) {
   ValidationScenario s;
-  s.app = App::Jacobi;
-  s.jacobi = cfg;
+  s.run.app = sched::AppKind::Jacobi;
+  s.run.jacobi = cfg;
+  s.run.slicePhases = false; // only the makespan is read
   s.fidelitySeed = fidelitySeed;
   s.label = "Jacobi " + std::to_string(cfg.rows) + "x" + std::to_string(cfg.cols) +
             " s=" + std::to_string(cfg.sweeps) + " w=" + std::to_string(cfg.workers);
@@ -189,27 +188,6 @@ ObjectiveSpec ObjectiveSpec::validationSet() {
   return spec;
 }
 
-namespace {
-
-/// Runs one scenario on a fresh engine and returns its makespan in seconds.
-double runScenarioSec(const core::SimConfig& cfg, const lu::KernelCostModel& luModel,
-                      const jacobi::JacobiCostModel& jacobiModel,
-                      const ValidationScenario& s) {
-  core::SimEngine engine(cfg);
-  if (s.app == ValidationScenario::App::Lu) {
-    lu::LuBuild build = lu::buildLu(s.lu, luModel, /*allocate=*/false);
-    std::unique_ptr<mall::LuMalleabilityController> controller;
-    if (!s.plan.empty())
-      controller =
-          std::make_unique<mall::LuMalleabilityController>(engine, build, s.plan, s.policy);
-    return toSeconds(lu::runLu(engine, build).makespan);
-  }
-  jacobi::JacobiBuild build = jacobi::buildJacobi(s.jacobi, jacobiModel, /*allocate=*/false);
-  return toSeconds(jacobi::runJacobi(engine, build).makespan);
-}
-
-} // namespace
-
 ScenarioObjective::ScenarioObjective(EngineSettings reference, Candidate base, ParamSpace space,
                                      ObjectiveSpec spec, unsigned jobs)
     : reference_(std::move(reference)),
@@ -228,43 +206,30 @@ std::string ScenarioObjective::scenarioLabel(std::size_t scenario) const {
 }
 
 double ScenarioObjective::measureReferenceSec(const ValidationScenario& s) const {
-  core::SimConfig cfg;
-  cfg.profile = reference_.profile;
-  cfg.mode = core::ExecutionMode::Pdexec;
-  cfg.allocatePayloads = false;
-  cfg.recordTrace = false; // only the makespan is read; skip trace recording
-  cfg.fidelity = reference_.fidelity;
-  cfg.fidelity.enabled = true;
-  cfg.fidelity.seed = s.fidelitySeed;
+  sched::EngineRunSpec spec = s.run;
+  spec.config = reference_.referenceConfig(s.fidelitySeed);
+  spec.config.recordTrace = false; // only the makespan is read
+  spec.luModel = reference_.settings().model;
+  spec.jacobiModel = jacobiModel_;
   // Reference runs are pure functions of (scenario, settings): acquire them
   // through the profile service so repeated objectives (re-runs, warm
   // starts, tests) reuse earlier simulations.  Prediction legs stay direct
   // — every candidate is new, so caching them would only grow the map.
-  sched::EngineRunSpec spec;
-  spec.app =
-      s.app == ValidationScenario::App::Lu ? sched::AppKind::Lu : sched::AppKind::Jacobi;
-  spec.lu = s.lu;
-  spec.jacobi = s.jacobi;
-  spec.plan = s.plan;
-  spec.policy = s.policy;
-  spec.slicePhases = false;
-  spec.config = cfg;
-  spec.luModel = reference_.model;
-  spec.jacobiModel = jacobiModel_;
   return svc::acquireRun(spec).totalSec;
 }
 
 double ScenarioObjective::predictSec(const Candidate& c, const ValidationScenario& s) const {
-  core::SimConfig cfg;
-  cfg.profile = c.profile;
-  cfg.mode = core::ExecutionMode::Pdexec;
-  cfg.allocatePayloads = false;
-  cfg.recordTrace = false; // only the makespan is read; skip trace recording
-  jacobi::JacobiCostModel jm = jacobiModel_;
+  sched::EngineRunSpec spec = s.run;
+  spec.config = reference_.predictorConfig();
+  spec.config.profile = c.profile;
+  spec.config.recordTrace = false; // only the makespan is read
+  spec.luModel = reference_.settings().model.scaled(c.kernelScale);
+  spec.jacobiModel = jacobiModel_;
+  jacobi::JacobiCostModel& jm = spec.jacobiModel;
   jm.cellsPerSec *= c.kernelScale;
   jm.copyBytesPerSec *= c.kernelScale;
   jm.perKernelOverhead = scale(jm.perKernelOverhead, 1.0 / c.kernelScale);
-  return runScenarioSec(cfg, reference_.model.scaled(c.kernelScale), jm, s);
+  return sched::executeEngineRun(spec).totalSec;
 }
 
 double ScenarioObjective::scenarioError(const std::vector<double>& x,
@@ -514,16 +479,10 @@ void writeParams(JsonWriter& w, const ParamSpace& space, const std::vector<doubl
 }
 
 void writeProfile(JsonWriter& w, const Candidate& c) {
-  w.beginObject()
-      .field("latency_sec", toSeconds(c.profile.latency))
-      .field("bandwidth_bytes_per_sec", c.profile.bandwidthBytesPerSec)
-      .field("per_step_overhead_sec", toSeconds(c.profile.perStepOverhead))
-      .field("local_delivery_sec", toSeconds(c.profile.localDelivery))
-      .field("cpu_per_outgoing_transfer", c.profile.cpuPerOutgoingTransfer)
-      .field("cpu_per_incoming_transfer", c.profile.cpuPerIncomingTransfer)
-      .field("compute_scale", c.profile.computeScale)
-      .field("kernel_scale", c.kernelScale)
-      .endObject();
+  w.beginObject(); // every Param in declaration order; KernelScale is the last
+  for (std::uint8_t p = 0; p <= static_cast<std::uint8_t>(Param::KernelScale); ++p)
+    w.field(paramName(static_cast<Param>(p)), getParam(c, static_cast<Param>(p)));
+  w.endObject();
 }
 
 void writeEval(JsonWriter& w, const EvalRecord& rec, const ParamSpace& space) {

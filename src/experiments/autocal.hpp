@@ -11,9 +11,9 @@
 //
 // Candidate evaluations fan out over the campaign thread pool: each
 // (candidate, scenario) prediction is an independent single-threaded
-// simulation whose result lands in an index-addressed slot, so a search is
-// bit-identical at any --jobs — the same determinism contract as
-// exp::Campaign.
+// simulation (one sched::executeEngineRun on the scenario's spec) whose
+// result lands in an index-addressed slot, so a search is bit-identical at
+// any --jobs — the same determinism contract as exp::Campaign.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +23,7 @@
 
 #include "experiments/scenario.hpp"
 #include "jacobi/app.hpp"
+#include "sched/engine_run.hpp"
 #include "support/rng.hpp"
 
 namespace dps {
@@ -108,16 +109,13 @@ private:
 // ---------------------------------------------------------------------------
 // Objective
 
-/// One validation scenario: an application configuration plus the fidelity
-/// seed ("machine state") of its reference run.
+/// One validation scenario: the application half of an engine run (app,
+/// its config, allocation plan and removal policy) plus the fidelity seed
+/// ("machine state") of its reference run.  Each leg copies `run` and fills
+/// in its own engine configuration and cost models.
 struct ValidationScenario {
-  enum class App : std::uint8_t { Lu, Jacobi };
-  App app = App::Lu;
   std::string label;
-  lu::LuConfig lu;
-  mall::AllocationPlan plan{};
-  mall::RemovalPolicy policy = mall::RemovalPolicy::MigrateColumns;
-  jacobi::JacobiConfig jacobi{};
+  sched::EngineRunSpec run;
   std::uint64_t fidelitySeed = 1;
 
   static ValidationScenario luCase(
@@ -153,11 +151,13 @@ public:
   virtual double scenarioError(const std::vector<double>& x, std::size_t scenario) const = 0;
 };
 
-/// Simulator-backed objective: reference runs (fidelity layer ON, per-
-/// scenario machine-state seed) are executed once up front — fanned out on
-/// the thread pool — then each candidate evaluation runs only the
-/// prediction leg per scenario with the candidate's profile and scaled
-/// cost model.
+/// Simulator-backed objective: reference runs (ScenarioRunner's
+/// referenceConfig, per-scenario machine-state seed) are executed once up
+/// front — fanned out on the thread pool — then each candidate evaluation
+/// runs only the prediction leg per scenario (ScenarioRunner's
+/// predictorConfig with the candidate's profile and scaled cost models).
+/// Both legs are sched::executeEngineRun calls on the scenario's spec,
+/// without trace recording.
 class ScenarioObjective final : public Objective {
 public:
   /// `reference` describes the machine being calibrated against (profile +
@@ -179,7 +179,7 @@ private:
   double predictSec(const Candidate& c, const ValidationScenario& s) const;
   double measureReferenceSec(const ValidationScenario& s) const;
 
-  EngineSettings reference_;
+  ScenarioRunner reference_;
   Candidate base_;
   ParamSpace space_;
   std::vector<ValidationScenario> scenarios_;

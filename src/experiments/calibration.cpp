@@ -148,12 +148,6 @@ CalibrationResult calibratePlatform(const core::SimConfig& referenceCfg,
   return fit;
 }
 
-CalibrationResult calibratePlatform(const core::SimConfig& referenceCfg, int rounds,
-                                    std::size_t smallBytes, std::size_t largeBytes) {
-  return calibratePlatform(referenceCfg, referenceCfg.fidelity.seed, rounds, smallBytes,
-                           largeBytes);
-}
-
 net::PlatformProfile applyCalibration(net::PlatformProfile base, const CalibrationResult& fit) {
   base.latency = fit.latency;
   base.bandwidthBytesPerSec = fit.bytesPerSec;

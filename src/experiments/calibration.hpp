@@ -41,12 +41,6 @@ CalibrationResult calibratePlatform(const core::SimConfig& referenceCfg,
                                     std::size_t smallBytes = 256,
                                     std::size_t largeBytes = 1 << 20);
 
-/// Forwarding shim: calibrates under the seed already present in
-/// `referenceCfg.fidelity`.
-CalibrationResult calibratePlatform(const core::SimConfig& referenceCfg, int rounds = 16,
-                                    std::size_t smallBytes = 256,
-                                    std::size_t largeBytes = 1 << 20);
-
 /// Returns `base` with its latency/bandwidth replaced by the fit.
 net::PlatformProfile applyCalibration(net::PlatformProfile base, const CalibrationResult& fit);
 

@@ -1,6 +1,7 @@
 #include "experiments/scenario.hpp"
 
 #include "lu/app.hpp"
+#include "sched/engine_run.hpp"
 
 namespace dps::exp {
 
@@ -57,13 +58,14 @@ core::SimConfig ScenarioRunner::referenceConfig(std::uint64_t fidelitySeed) cons
 
 core::RunResult ScenarioRunner::runOne(const lu::LuConfig& cfg, const mall::AllocationPlan& plan,
                                        core::SimConfig config, mall::RemovalPolicy policy) const {
-  core::SimEngine engine(std::move(config));
-  // Fresh build per run: the column directory mutates under malleability.
-  lu::LuBuild build = lu::buildLu(cfg, settings_.model, /*allocate=*/false);
-  std::unique_ptr<mall::LuMalleabilityController> controller;
-  if (!plan.empty())
-    controller = std::make_unique<mall::LuMalleabilityController>(engine, build, plan, policy);
-  return lu::runLu(engine, build);
+  sched::EngineRunSpec spec;
+  spec.lu = cfg;
+  spec.plan = plan;
+  spec.policy = policy;
+  spec.slicePhases = false;
+  spec.config = std::move(config);
+  spec.luModel = settings_.model;
+  return sched::runEngine(spec).run;
 }
 
 Observation ScenarioRunner::run(const lu::LuConfig& cfg, const mall::AllocationPlan& plan,

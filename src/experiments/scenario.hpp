@@ -10,6 +10,10 @@
 //     calibrated latency/bandwidth, equal-share contention, even CPU
 //     sharing, no noise.  Calibration mirrors the paper's procedure of
 //     measuring platform parameters once per target machine.
+//
+// Both legs are one sched::runEngine call each (the one engine-run path);
+// this class only supplies the two engine configurations and the LU cost
+// model.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +62,9 @@ public:
                   std::uint64_t fidelitySeed = 1,
                   mall::RemovalPolicy policy = mall::RemovalPolicy::MigrateColumns) const;
 
-  /// One leg only: a fresh engine configured by `config` (run() passes
-  /// referenceConfig / predictorConfig; ablation benches pass variants).
+  /// One leg only: sched::runEngine on a fresh engine configured by
+  /// `config` (run() passes referenceConfig / predictorConfig; ablation
+  /// benches pass variants) with the settings' LU cost model.
   core::RunResult runOne(const lu::LuConfig& cfg, const mall::AllocationPlan& plan,
                          core::SimConfig config,
                          mall::RemovalPolicy policy = mall::RemovalPolicy::MigrateColumns) const;

@@ -56,11 +56,9 @@ struct ClusterProgress {
 struct ClusterConfig {
   std::int32_t nodes = 8;
   /// Reconfiguration cost model: one-way latency plus bytes / bandwidth.
+  /// Zero latency and an infinite bandwidth make reconfiguration free.
   SimDuration migrationLatency = microseconds(100);
   double migrationBandwidthBytesPerSec = 12.5e6;
-  /// Ablation: zero-cost reconfiguration (isolates policy quality from
-  /// migration overhead).
-  bool chargeMigration = true;
   /// EASY backfill (Lifka) on the admission scan: when the head of the
   /// queue is capacity-blocked it receives a reservation at the earliest
   /// time enough nodes free up — computed from the running jobs' remaining
@@ -93,9 +91,8 @@ struct ClusterConfig {
   obs::Recorder* recorder = nullptr;
 
   /// The reconfiguration delay for moving `bytes` of state under the cost
-  /// model above; zero when chargeMigration is off.
+  /// model above.
   SimDuration migrationDelay(double bytes) const {
-    if (!chargeMigration) return SimDuration::zero();
     return migrationLatency + seconds(bytes / migrationBandwidthBytesPerSec);
   }
 

@@ -52,16 +52,9 @@ std::uint64_t EngineRunSpec::fingerprint() const {
   return fp.value();
 }
 
-EngineRunRecord executeEngineRun(const EngineRunSpec& spec) {
-  return executeEngineRun(spec, nullptr);
-}
-
-EngineRunRecord executeEngineRun(const EngineRunSpec& spec, obs::Registry* metrics) {
+EngineRunResult runEngine(const EngineRunSpec& spec, obs::Registry* metrics) {
   core::SimEngine engine(spec.config);
-  core::RunResult run;
-  const char* markerName = nullptr;
-  EngineRunRecord rec;
-
+  EngineRunResult out;
   if (spec.app == AppKind::Lu) {
     spec.lu.validate();
     DPS_CHECK(spec.startAlloc >= 0 && spec.startAlloc <= spec.lu.workers,
@@ -80,9 +73,8 @@ EngineRunRecord executeEngineRun(const EngineRunSpec& spec, obs::Registry* metri
           std::make_unique<mall::LuMalleabilityController>(engine, build, spec.plan, spec.policy);
       controller->observeWith(metrics);
     }
-    run = lu::runLu(engine, build);
-    markerName = "iteration";
-    if (controller) rec.migratedBytes = static_cast<double>(controller->migratedBytes());
+    out.run = lu::runLu(engine, build);
+    if (controller) out.migratedBytes = controller->migratedBytes();
   } else {
     spec.jacobi.validate();
     DPS_CHECK(spec.plan.empty(), "no Jacobi malleability controller exists");
@@ -90,13 +82,24 @@ EngineRunRecord executeEngineRun(const EngineRunSpec& spec, obs::Registry* metri
               "Jacobi runs cannot start below their worker count");
     jacobi::JacobiBuild build =
         jacobi::buildJacobi(spec.jacobi, spec.jacobiModel, spec.config.allocatePayloads);
-    run = jacobi::runJacobi(engine, build);
-    markerName = "sweep";
+    out.run = jacobi::runJacobi(engine, build);
   }
+  if (metrics != nullptr) {
+    metrics->counter("engine.runs").add();
+    metrics->counter("engine.sim_ns").add(static_cast<std::uint64_t>(out.run.makespan.count()));
+  }
+  return out;
+}
 
+EngineRunRecord executeEngineRun(const EngineRunSpec& spec, obs::Registry* metrics) {
+  const EngineRunResult done = runEngine(spec, metrics);
+  const core::RunResult& run = done.run;
+  EngineRunRecord rec;
   rec.totalSec = toSeconds(run.makespan);
+  rec.migratedBytes = static_cast<double>(done.migratedBytes);
   if (spec.slicePhases) {
     DPS_CHECK(run.trace != nullptr, "phase slicing requires trace recording");
+    const char* markerName = spec.app == AppKind::Lu ? "iteration" : "sweep";
     const auto segments = trace::dynamicEfficiency(*run.trace, markerName, simEpoch(),
                                                    simEpoch() + run.makespan);
     DPS_CHECK(!segments.empty(), "run produced no phases");
@@ -110,10 +113,6 @@ EngineRunRecord executeEngineRun(const EngineRunSpec& spec, obs::Registry* metri
     for (const auto& a : run.trace->allocations())
       rec.allocEvents.push_back(
           AllocEvent{toSeconds(a.time.time_since_epoch()), a.allocatedNodes});
-  }
-  if (metrics != nullptr) {
-    metrics->counter("engine.runs").add();
-    metrics->histogram("engine.sim_sec", obs::secondsBounds()).observe(rec.totalSec);
   }
   return rec;
 }

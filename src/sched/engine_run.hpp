@@ -1,13 +1,15 @@
-// The one engine-run primitive behind every profile consumer.
+// The one engine-run primitive behind every engine consumer.
 //
-// Profile builds, replay validation, autocal reference runs and the cluster
-// server's what-if queries all used to construct their own SimEngine +
-// build + controller; svc::ProfileCache needs those paths to produce
-// *identical* work units so results can be memoized across them.  This
-// module is that unit: an EngineRunSpec is a complete, self-contained
-// description of one single-threaded simulation (application config,
-// allocation plan, engine configuration, kernel cost models), and
-// executeEngineRun() is the only function that turns one into a result.
+// Profile builds, replay validation, the cluster server's what-if queries,
+// the experiments layer's reference/prediction legs (exp::ScenarioRunner,
+// the figure campaigns, autocal) and table1's reference rows all run through
+// here; svc::ProfileCache needs those paths to produce *identical* work
+// units so results can be memoized across them.  An EngineRunSpec is a
+// complete, self-contained description of one single-threaded simulation
+// (application config, allocation plan, engine configuration, kernel cost
+// models); runEngine() is the only function in src/ that builds an engine,
+// an application and a malleability controller from one and runs them, and
+// executeEngineRun() derives the cacheable record from its result.
 //
 // A spec has two-part cache identity:
 //   * engineFingerprint() — stable hash over the SimConfig and both kernel
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/result.hpp"
 #include "malleable/controller.hpp"
 #include "malleable/plan.hpp"
 #include "sched/profile.hpp"
@@ -93,13 +96,25 @@ struct EngineRunRecord {
   std::vector<AllocEvent> allocEvents;
 };
 
-/// Executes the spec on a fresh engine.  Pure function of the spec:
+/// A finished run: the engine's own result plus the controller's migrated
+/// bytes (0 for plan-free runs).
+struct EngineRunResult {
+  core::RunResult run;
+  std::uint64_t migratedBytes = 0;
+};
+
+/// Builds the spec's application (and, with a plan, its malleability
+/// controller) on a fresh engine and runs it.  Pure function of the spec:
 /// bit-identical on every call, safe to run concurrently from pool workers.
-EngineRunRecord executeEngineRun(const EngineRunSpec& spec);
-/// Observed variant: engine-run counters plus the malleability
-/// controller's migration metrics (bytes by direction) land in `metrics`.
-/// Identical results — observation never reaches simulation state.
-EngineRunRecord executeEngineRun(const EngineRunSpec& spec, obs::Registry* metrics);
+/// With `metrics`, the run counts into `engine.runs`, its simulated makespan
+/// into the integer `engine.sim_ns` counter (exact in any completion order),
+/// and the controller's migration bytes by direction land under `mall.*`.
+/// Observation never reaches simulation state.
+EngineRunResult runEngine(const EngineRunSpec& spec, obs::Registry* metrics = nullptr);
+
+/// runEngine() reduced to the record every profile consumer reads (and
+/// svc::ProfileCache memoizes).
+EngineRunRecord executeEngineRun(const EngineRunSpec& spec, obs::Registry* metrics = nullptr);
 
 /// Injection point for memoization: callers hand profile/replay code a
 /// runner (svc::cachedRunner) and identical specs simulate only once.

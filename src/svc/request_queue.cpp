@@ -1,7 +1,6 @@
 #include "svc/request_queue.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "support/error.hpp"
 
@@ -74,9 +73,9 @@ bool RequestQueue::popFront(Request& out) {
 }
 
 void RequestQueue::serve(Request req) {
-  const auto start = std::chrono::steady_clock::now();
+  const double startSec = clock_.elapsedSec();
   const sched::EngineRunRecord rec = cache_.run(req.spec);
-  const double sec = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  const double sec = clock_.elapsedSec() - startSec;
   if (req.done) req.done(rec);
   obsServed_.add();
   obsLatencySec_.observe(clock_.elapsedSec() - req.submitSec);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -544,7 +545,8 @@ TEST(ClusterTest, ZeroCostMigrationAblationNeverSlower) {
   ClusterConfig charged;
   charged.nodes = 4;
   ClusterConfig zero = charged;
-  zero.chargeMigration = false;
+  zero.migrationLatency = SimDuration::zero();
+  zero.migrationBandwidthBytesPerSec = std::numeric_limits<double>::infinity();
   EfficiencyShrink a(0.9), b(0.9);
   const auto mCharged = simulateCluster(charged, wl, table, a);
   const auto mZero = simulateCluster(zero, wl, table, b);
@@ -1069,7 +1071,10 @@ TEST(ClusterTest, LoopEqualsMachineReplayOfItsOwnDecisions) {
           cfg.nodes = 4;
           cfg.easyBackfill = mode >= 0;
           cfg.backfillDepth = std::max(mode, 0);
-          cfg.chargeMigration = charge;
+          if (!charge) {
+            cfg.migrationLatency = SimDuration::zero();
+            cfg.migrationBandwidthBytesPerSec = std::numeric_limits<double>::infinity();
+          }
           auto policy = makePolicy(name);
           const auto m = simulateCluster(cfg, wl, table, *policy);
           reallocations += m.reallocations;

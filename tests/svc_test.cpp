@@ -3,6 +3,7 @@
 // sharing profile-build cache entries, and bounded-queue admission.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -161,6 +162,34 @@ TEST(ProfileCacheTest, RegistryCountersMirrorCacheStatsExactly) {
   cache.run(spec);
   EXPECT_EQ(registry.snapshot().counter("svc.cache.hits"), cs.hits);
   EXPECT_EQ(cache.stats().hits, cs.hits + 1);
+}
+
+TEST(ProfileCacheTest, SimNsCounterIsExactInAnyCompletionOrder) {
+  // engine.sim_ns is an integer counter, so a 4-thread build sums every
+  // executed run's makespan exactly whichever pool thread finishes first.
+  const auto classes = tinyMix();
+  const sched::ProfileSettings settings;
+  obs::Registry registry;
+  ProfileCache cache;
+  cache.attachRegistry(&registry);
+  buildProfileTable(classes, 4, settings, 4, cache);
+  const std::uint64_t runs = cache.stats().engineRuns;
+
+  // Read the build's records back (cache hits, no new engine runs).
+  std::uint64_t points = 0, sumNs = 0;
+  for (const auto& klass : classes) {
+    for (const std::int32_t nodes : sched::classProfileSkeleton(klass, 4).allocs) {
+      const auto rec = cache.run(sched::profileRunSpec(klass, nodes, settings));
+      sumNs += static_cast<std::uint64_t>(std::llround(rec.totalSec * 1e9));
+      ++points;
+    }
+  }
+  EXPECT_EQ(cache.stats().engineRuns, runs);
+  EXPECT_EQ(points, runs);
+  const auto snap = registry.snapshot();
+  EXPECT_EQ(snap.counter("engine.runs"), runs);
+  EXPECT_EQ(snap.counter("engine.sim_ns"), sumNs);
+  EXPECT_GT(sumNs, 0u);
 }
 
 TEST(RequestQueueTest, RegistryCountersMirrorQueueAccounting) {
