@@ -1,6 +1,6 @@
 // Microbenchmarks of the simulation infrastructure (google-benchmark):
-// event-queue throughput, fair-share network replanning, the sizing
-// serializer, thread-pool dispatch, and end-to-end simulator event rates.
+// event-queue throughput, fair-share network replanning, wire-size
+// counting, thread-pool dispatch, and end-to-end simulator event rates.
 //
 // Scheduler hot-path history: the queue moved from std::priority_queue
 // (whose top() forces a per-event Entry copy and whose storage cannot be
@@ -91,15 +91,6 @@ void BM_SizingSerializer(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(req.wireSize());
 }
 BENCHMARK(BM_SizingSerializer);
-
-void BM_EncodeSerializer(benchmark::State& state) {
-  lu::MultRequest req;
-  req.a = lu::BlockPayload::fromMatrix(lin::testMatrix(1, 128));
-  req.b = lu::BlockPayload::fromMatrix(lin::testMatrix(2, 128));
-  for (auto _ : state) benchmark::DoNotOptimize(req.encode());
-  state.SetBytesProcessed(static_cast<std::int64_t>(req.wireSize()) * state.iterations());
-}
-BENCHMARK(BM_EncodeSerializer);
 
 void BM_LuSimulationEndToEnd(benchmark::State& state) {
   const auto r = static_cast<std::int32_t>(state.range(0));

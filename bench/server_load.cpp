@@ -56,22 +56,8 @@ std::vector<sched::EngineRunSpec> queryUniverse(bool smoke) {
     shapes.push_back(wi);
   }
   for (const auto& cfg : shapes)
-    for (std::int64_t q = 0; q < cfg.levels() - 1; ++q) {
-      sched::EngineRunSpec spec;
-      spec.app = sched::AppKind::Lu;
-      spec.lu = cfg;
-      spec.config = settings.simConfig();
-      spec.luModel = settings.luModel;
-      spec.jacobiModel = settings.jacobiModel;
-      spec.slicePhases = q == 0;
-      if (q >= 1) {
-        mall::RemovalStep step;
-        step.afterIteration = q;
-        for (std::int32_t t = cfg.workers / 2; t < cfg.workers; ++t) step.threads.push_back(t);
-        spec.plan = mall::AllocationPlan::killAfter({step});
-      }
-      universe.push_back(spec);
-    }
+    for (std::int64_t q = 0; q < cfg.levels() - 1; ++q)
+      universe.push_back(sched::whatIfSpec(cfg, q, settings));
   return universe;
 }
 

@@ -62,27 +62,6 @@ struct WhatIfSet {
   std::vector<double> staticEff;
 };
 
-/// The spec of one what-if query: a full engine run under "release
-/// workers/2 nodes after iteration q" (q = 0: the static run, sliced into
-/// the per-iteration efficiency curve the admission policy reads).
-sched::EngineRunSpec whatIfSpec(const lu::LuConfig& cfg, std::int64_t q,
-                                const sched::ProfileSettings& settings) {
-  sched::EngineRunSpec spec;
-  spec.app = sched::AppKind::Lu;
-  spec.lu = cfg;
-  spec.config = settings.simConfig();
-  spec.luModel = settings.luModel;
-  spec.jacobiModel = settings.jacobiModel;
-  spec.slicePhases = q == 0;
-  if (q >= 1) {
-    mall::RemovalStep step;
-    step.afterIteration = q;
-    for (std::int32_t t = cfg.workers / 2; t < cfg.workers; ++t) step.threads.push_back(t);
-    spec.plan = mall::AllocationPlan::killAfter({step});
-  }
-  return spec;
-}
-
 /// Simulates "release workers/2 nodes after iteration k" for every candidate
 /// k of every job on the shared pool, each run acquired through the profile
 /// cache (duplicate queries in a batch simulate once).  The (job, candidate)
@@ -113,7 +92,7 @@ std::vector<WhatIfSet> evaluateWhatIfs(ThreadPool& pool, const std::vector<lu::L
     // Wall-time span per what-if query: cache hits show up as near-zero
     // spans next to the full-simulation misses.
     const double spanStart = wall != nullptr ? wall->elapsedMicros() : 0;
-    const auto rec = svc::acquireRun(whatIfSpec(cfg, ans.iteration, settings), cache);
+    const auto rec = svc::acquireRun(sched::whatIfSpec(cfg, ans.iteration, settings), cache);
     if (trace != nullptr && wall != nullptr)
       trace->completeSpan("what-if", "svc", spanStart, wall->elapsedMicros() - spanStart, 0,
                           static_cast<std::int32_t>(pairs[i].job),

@@ -24,34 +24,22 @@ namespace {
 
 // ---- data objects -------------------------------------------------------
 
-struct WorkItem final : serial::Object<WorkItem> {
-  static constexpr const char* kTypeName = "quickstart.work";
+struct WorkItem final : serial::ObjectBase {
   std::int64_t index = 0;
   std::vector<double> samples; // payload whose size drives transfer costs
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, index, samples);
-  }
+  std::size_t wireSize() const override { return serial::byteCount(index, samples); }
 };
 
-struct Result final : serial::Object<Result> {
-  static constexpr const char* kTypeName = "quickstart.result";
+struct Result final : serial::ObjectBase {
   std::int64_t index = 0;
   double mean = 0;
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, index, mean);
-  }
+  std::size_t wireSize() const override { return serial::byteCount(index, mean); }
 };
 
-struct Report final : serial::Object<Report> {
-  static constexpr const char* kTypeName = "quickstart.report";
+struct Report final : serial::ObjectBase {
   double grandMean = 0;
   std::int64_t count = 0;
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, grandMean, count);
-  }
+  std::size_t wireSize() const override { return serial::byteCount(grandMean, count); }
 };
 
 // ---- operations ---------------------------------------------------------

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Static layering check: includes must follow the declared layer graph.
 
-The architecture is the layer ordering in src/CMakeLists.txt: support at
-the base, the DES kernel/serialization on it, the simulation core
+The architecture is the layer ordering in src/CMakeLists.txt: support and
+the wire-size layer at the base, the DES kernel on support, the simulation core
 composing them, and the application layers (lu, jacobi, malleable, sched,
 svc, experiments) on top.  Each layer declares what it may use via
 `dps_add_layer(<name> DEPS <layers...>)`, but the compiler only enforces

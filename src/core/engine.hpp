@@ -78,10 +78,6 @@ public:
   flow::ThreadState* threadStateDuringRun(flow::GroupId group, std::int32_t index);
   /// Node hosting a thread under the current deployment.
   flow::NodeId nodeOfThread(flow::GroupId group, std::int32_t index) const;
-  /// The trace being recorded, readable during a run (null when trace
-  /// recording is disabled).  Online policies use this to evaluate the
-  /// dynamic efficiency of the interval just completed.
-  const trace::Trace* liveTrace() const { return trace_.get(); }
   SimTime now() const;
 
   const SimConfig& config() const { return cfg_; }

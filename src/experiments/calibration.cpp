@@ -14,23 +14,15 @@ namespace dps::exp {
 namespace {
 
 /// Probe payload: opaque bytes of a configurable size.
-struct ProbeMsg final : serial::Object<ProbeMsg> {
-  static constexpr const char* kTypeName = "calib.probe";
+struct ProbeMsg final : serial::ObjectBase {
   std::int64_t index = 0;
   std::vector<std::uint8_t> payload;
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, index, payload);
-  }
+  std::size_t wireSize() const override { return serial::byteCount(index, payload); }
 };
 
-struct ProbeDone final : serial::Object<ProbeDone> {
-  static constexpr const char* kTypeName = "calib.done";
+struct ProbeDone final : serial::ObjectBase {
   std::int64_t count = 0;
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, count);
-  }
+  std::size_t wireSize() const override { return serial::byteCount(count); }
 };
 
 class ProbeSplit final : public flow::QueueEmitter {
@@ -102,6 +94,10 @@ std::vector<SimDuration> probeDurations(const core::SimConfig& cfg, int rounds,
   return durations;
 }
 
+/// Probe sizes of the two-point fit.
+constexpr std::size_t kSmallProbeBytes = 256;
+constexpr std::size_t kLargeProbeBytes = 1 << 20;
+
 SimDuration meanOf(const std::vector<SimDuration>& durations) {
   SimDuration total{};
   for (SimDuration d : durations) total += d;
@@ -111,16 +107,14 @@ SimDuration meanOf(const std::vector<SimDuration>& durations) {
 } // namespace
 
 CalibrationResult calibratePlatform(const core::SimConfig& referenceCfg,
-                                    std::uint64_t fidelitySeed, int rounds,
-                                    std::size_t smallBytes, std::size_t largeBytes) {
+                                    std::uint64_t fidelitySeed, int rounds) {
   DPS_CHECK(rounds > 0, "calibration needs probes");
-  DPS_CHECK(largeBytes > smallBytes, "probe sizes must differ");
   core::SimConfig cfg = referenceCfg;
   cfg.fidelity.seed = fidelitySeed;
 
   CalibrationResult fit;
-  const auto smallProbes = probeDurations(cfg, rounds, smallBytes);
-  const auto largeProbes = probeDurations(cfg, rounds, largeBytes);
+  const auto smallProbes = probeDurations(cfg, rounds, kSmallProbeBytes);
+  const auto largeProbes = probeDurations(cfg, rounds, kLargeProbeBytes);
   fit.smallMean = meanOf(smallProbes);
   fit.largeMean = meanOf(largeProbes);
   fit.probeCount = smallProbes.size() + largeProbes.size();
@@ -129,9 +123,8 @@ CalibrationResult calibratePlatform(const core::SimConfig& referenceCfg,
   // probe sizes, so it cancels in the bandwidth estimate.
   const double dSec = toSeconds(fit.largeMean - fit.smallMean);
   DPS_CHECK(dSec > 0, "large probes not slower than small ones");
-  fit.bytesPerSec = static_cast<double>(largeBytes - smallBytes) / dSec;
-  fit.latency =
-      fit.smallMean - seconds(static_cast<double>(smallBytes) / fit.bytesPerSec);
+  fit.bytesPerSec = static_cast<double>(kLargeProbeBytes - kSmallProbeBytes) / dSec;
+  fit.latency = fit.smallMean - seconds(static_cast<double>(kSmallProbeBytes) / fit.bytesPerSec);
   DPS_CHECK(fit.latency > SimDuration::zero(), "fitted negative latency");
 
   // Goodness of fit over the individual probes (the means sit on the fitted
@@ -142,8 +135,8 @@ CalibrationResult calibratePlatform(const core::SimConfig& referenceCfg,
         toSeconds(fit.latency) + static_cast<double>(bytes) / fit.bytesPerSec;
     for (SimDuration d : probes) residual += std::abs(toSeconds(d) - model) / model;
   };
-  accumulate(smallProbes, smallBytes);
-  accumulate(largeProbes, largeBytes);
+  accumulate(smallProbes, kSmallProbeBytes);
+  accumulate(largeProbes, kLargeProbeBytes);
   fit.residual = residual / static_cast<double>(fit.probeCount);
   return fit;
 }

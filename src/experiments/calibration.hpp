@@ -35,11 +35,10 @@ struct CalibrationResult {
 /// Measures l and b under `referenceCfg` with the fidelity "machine state"
 /// pinned to `fidelitySeed` (overriding whatever seed the config carries),
 /// so repeated calibrations are reproducible without mutating ambient
-/// config state.  `rounds` probes are sent per message size.
+/// config state.  `rounds` probes are sent per message size (256 B and
+/// 1 MiB).
 CalibrationResult calibratePlatform(const core::SimConfig& referenceCfg,
-                                    std::uint64_t fidelitySeed, int rounds = 16,
-                                    std::size_t smallBytes = 256,
-                                    std::size_t largeBytes = 1 << 20);
+                                    std::uint64_t fidelitySeed, int rounds);
 
 /// Returns `base` with its latency/bandwidth replaced by the fit.
 net::PlatformProfile applyCalibration(net::PlatformProfile base, const CalibrationResult& fit);

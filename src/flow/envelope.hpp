@@ -41,7 +41,8 @@ struct Envelope {
   InstancePath path;
   /// Global delivery sequence number (determinism + tracing).
   std::uint64_t seq = 0;
-  /// Serialized size, computed by the sizing archive (no payload copies).
+  /// Bytes on the wire: the payload's counted wireSize() plus the envelope
+  /// overhead.  Nothing is ever encoded.
   std::size_t wireBytes = 0;
 };
 

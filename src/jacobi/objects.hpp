@@ -15,106 +15,65 @@
 namespace dps::jacobi {
 
 /// Program input: relax a rows x cols grid for `sweeps` iterations.
-struct StartJacobi final : serial::Object<StartJacobi> {
-  static constexpr const char* kTypeName = "jacobi.start";
+struct StartJacobi final : serial::ObjectBase {
   std::int32_t rows = 0;
   std::int32_t cols = 0;
   std::int32_t sweeps = 0;
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, rows, cols, sweeps);
-  }
+  std::size_t wireSize() const override { return serial::byteCount(rows, cols, sweeps); }
 };
 
 /// Order to ship one boundary row to a neighbour (+1 = down, -1 = up).
-struct MoveOrder final : serial::Object<MoveOrder> {
-  static constexpr const char* kTypeName = "jacobi.move";
+struct MoveOrder final : serial::ObjectBase {
   std::int32_t thread = 0;    // source strip owner
   std::int32_t direction = 0; // +1 or -1
   std::int32_t sweep = 0;
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, thread, direction, sweep);
-  }
+  std::size_t wireSize() const override { return serial::byteCount(thread, direction, sweep); }
 };
 
 /// A boundary row travelling to the neighbouring strip.
-struct HaloRow final : serial::Object<HaloRow> {
-  static constexpr const char* kTypeName = "jacobi.halo";
+struct HaloRow final : serial::ObjectBase {
   std::int32_t fromThread = 0;
   std::int32_t direction = 0; // as in MoveOrder
   std::int32_t sweep = 0;
   std::vector<double> row;    // cols values (may be phantom-sized)
   std::int32_t phantomCols = 0;
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, fromThread, direction, sweep);
-    // Same wire size whether the payload is real or suppressed (NOALLOC).
-    std::uint8_t ph = row.empty() && phantomCols > 0 ? 1 : 0;
-    ar.value(ph);
-    if constexpr (Ar::isReading) {
-      std::int32_t n = 0;
-      ar.value(n);
-      if (ph) {
-        phantomCols = n;
-        row.clear();
-        ar.phantom(static_cast<std::size_t>(n) * sizeof(double));
-      } else {
-        row.resize(n);
-        if (n) ar.raw(row.data(), static_cast<std::size_t>(n) * sizeof(double));
-      }
-    } else {
-      std::int32_t n = ph ? phantomCols : static_cast<std::int32_t>(row.size());
-      ar.value(n);
-      if (ph) ar.phantom(static_cast<std::size_t>(n) * sizeof(double));
-      else if (n) ar.raw(row.data(), static_cast<std::size_t>(n) * sizeof(double));
-    }
+  /// Header, the 1-byte phantom flag, an i32 column count and the values:
+  /// the same count whether the row is real or suppressed (NOALLOC).
+  std::size_t wireSize() const override {
+    const std::size_t n =
+        row.empty() && phantomCols > 0 ? static_cast<std::size_t>(phantomCols) : row.size();
+    return serial::byteCount(fromThread, direction, sweep, std::uint8_t{}, std::int32_t{}) +
+           n * sizeof(double);
   }
 };
 
 /// Acknowledgement that a halo row was stored at its destination.
-struct HaloStored final : serial::Object<HaloStored> {
-  static constexpr const char* kTypeName = "jacobi.halostored";
+struct HaloStored final : serial::ObjectBase {
   std::int32_t atThread = 0;
   std::int32_t sweep = 0;
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, atThread, sweep);
-  }
+  std::size_t wireSize() const override { return serial::byteCount(atThread, sweep); }
 };
 
 /// Order to relax one strip for the sweep.
-struct ComputeOrder final : serial::Object<ComputeOrder> {
-  static constexpr const char* kTypeName = "jacobi.compute";
+struct ComputeOrder final : serial::ObjectBase {
   std::int32_t thread = 0;
   std::int32_t sweep = 0;
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, thread, sweep);
-  }
+  std::size_t wireSize() const override { return serial::byteCount(thread, sweep); }
 };
 
 /// Strip relaxed; carries the strip's residual contribution.
-struct StripDone final : serial::Object<StripDone> {
-  static constexpr const char* kTypeName = "jacobi.stripdone";
+struct StripDone final : serial::ObjectBase {
   std::int32_t thread = 0;
   std::int32_t sweep = 0;
   double residual = 0; // max |new - old| within the strip
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, thread, sweep, residual);
-  }
+  std::size_t wireSize() const override { return serial::byteCount(thread, sweep, residual); }
 };
 
 /// Program output: the relaxation finished.
-struct JacobiResult final : serial::Object<JacobiResult> {
-  static constexpr const char* kTypeName = "jacobi.result";
+struct JacobiResult final : serial::ObjectBase {
   std::int32_t sweeps = 0;
   double residual = 0; // max residual of the final sweep
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, sweeps, residual);
-  }
+  std::size_t wireSize() const override { return serial::byteCount(sweeps, residual); }
 };
 
 } // namespace dps::jacobi

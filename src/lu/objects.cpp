@@ -1,7 +1,5 @@
 #include "lu/objects.hpp"
 
-#include <mutex>
-
 #include "support/error.hpp"
 
 namespace dps::lu {
@@ -11,27 +9,6 @@ lin::Matrix BlockPayload::toMatrix() const {
   lin::Matrix m(rows, cols);
   m.storage() = data;
   return m;
-}
-
-void registerLuObjects() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    auto& reg = serial::Registry::instance();
-    reg.add(StartLu::kTypeName, [] { return std::make_unique<StartLu>(); });
-    reg.add(TrsmRequest::kTypeName, [] { return std::make_unique<TrsmRequest>(); });
-    reg.add(T12Ready::kTypeName, [] { return std::make_unique<T12Ready>(); });
-    reg.add(MultRequest::kTypeName, [] { return std::make_unique<MultRequest>(); });
-    reg.add(MultResult::kTypeName, [] { return std::make_unique<MultResult>(); });
-    reg.add(SubNotify::kTypeName, [] { return std::make_unique<SubNotify>(); });
-    reg.add(FlipRequest::kTypeName, [] { return std::make_unique<FlipRequest>(); });
-    reg.add(FlipNotify::kTypeName, [] { return std::make_unique<FlipNotify>(); });
-    reg.add(LevelDone::kTypeName, [] { return std::make_unique<LevelDone>(); });
-    reg.add(Factored::kTypeName, [] { return std::make_unique<Factored>(); });
-    reg.add(PmStrip::kTypeName, [] { return std::make_unique<PmStrip>(); });
-    reg.add(PmStripStored::kTypeName, [] { return std::make_unique<PmStripStored>(); });
-    reg.add(PmLineWork::kTypeName, [] { return std::make_unique<PmLineWork>(); });
-    reg.add(PmTiles::kTypeName, [] { return std::make_unique<PmTiles>(); });
-  });
 }
 
 } // namespace dps::lu

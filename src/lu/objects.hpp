@@ -2,8 +2,8 @@
 //
 // Matrix payloads travel as BlockPayload, which supports *phantom* form for
 // the NOALLOC simulation mode: the logical dimensions (and hence the exact
-// wire size, via SizingArchive) are preserved while no element storage is
-// allocated (paper §4/§7).
+// wire size) are preserved while no element storage is allocated (paper
+// §4/§7).
 #pragma once
 
 #include <cstdint>
@@ -39,183 +39,123 @@ struct BlockPayload {
   }
   lin::Matrix toMatrix() const;
 
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, rows, cols);
-    std::uint8_t ph = phantom() ? 1 : 0;
-    ar.value(ph);
-    if constexpr (Ar::isReading) {
-      if (ph) {
-        data.clear();
-        ar.phantom(logicalBytes());
-      } else {
-        data.resize(static_cast<std::size_t>(rows) * cols);
-        if (!data.empty()) ar.raw(data.data(), logicalBytes());
-      }
-    } else {
-      if (ph) ar.phantom(logicalBytes());
-      else if (!data.empty()) ar.raw(data.data(), logicalBytes());
-    }
+  /// rows, cols, the 1-byte phantom flag and rows*cols doubles: the same
+  /// count whether the payload is real or phantom.
+  std::size_t wireSize() const {
+    return serial::byteCount(rows, cols, std::uint8_t{}) + logicalBytes();
   }
 };
 
 /// Program input: factorize the n x n test matrix with block size r.
-struct StartLu final : serial::Object<StartLu> {
-  static constexpr const char* kTypeName = "lu.start";
+struct StartLu final : serial::ObjectBase {
   std::int32_t n = 0;
   std::int32_t r = 0;
   std::uint64_t seed = 0;
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, n, r, seed);
-  }
+  std::size_t wireSize() const override { return serial::byteCount(n, r, seed); }
 };
 
 /// Panel results for one trailing column: L11 + pivots (paper step 2).
-struct TrsmRequest final : serial::Object<TrsmRequest> {
-  static constexpr const char* kTypeName = "lu.trsm";
+struct TrsmRequest final : serial::ObjectBase {
   std::int32_t level = 0;
   std::int32_t col = 0;
   BlockPayload l11;                  // r x r unit-lower factor
   std::vector<std::int32_t> pivots;  // panel-local pivot rows
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, level, col, pivots);
-    l11.describe(ar);
+  std::size_t wireSize() const override {
+    return serial::byteCount(level, col, pivots) + l11.wireSize();
   }
 };
 
 /// T12 block ready; carries the solved block to the multiplication stream.
-struct T12Ready final : serial::Object<T12Ready> {
-  static constexpr const char* kTypeName = "lu.t12";
+struct T12Ready final : serial::ObjectBase {
   std::int32_t level = 0;
   std::int32_t col = 0;
   BlockPayload t12; // r x r
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, level, col);
-    t12.describe(ar);
-  }
+  std::size_t wireSize() const override { return serial::byteCount(level, col) + t12.wireSize(); }
 };
 
 /// One block multiplication L21_i * T12_j: "two matrix blocks of size r x r"
 /// (paper §5).
-struct MultRequest final : serial::Object<MultRequest> {
-  static constexpr const char* kTypeName = "lu.mult";
+struct MultRequest final : serial::ObjectBase {
   std::int32_t level = 0;
   std::int32_t i = 0; // absolute row block index
   std::int32_t j = 0; // absolute column block index
   BlockPayload a;     // L21_i  (r x r)
   BlockPayload b;     // T12_j  (r x r)
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, level, i, j);
-    a.describe(ar);
-    b.describe(ar);
+  std::size_t wireSize() const override {
+    return serial::byteCount(level, i, j) + a.wireSize() + b.wireSize();
   }
 };
 
 /// Product block heading to the subtraction at the column owner.
-struct MultResult final : serial::Object<MultResult> {
-  static constexpr const char* kTypeName = "lu.multres";
+struct MultResult final : serial::ObjectBase {
   std::int32_t level = 0;
   std::int32_t i = 0;
   std::int32_t j = 0;
   BlockPayload c; // r x r
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, level, i, j);
-    c.describe(ar);
-  }
+  std::size_t wireSize() const override { return serial::byteCount(level, i, j) + c.wireSize(); }
 };
 
 /// Subtraction done for block (i, j) of the level's trailing matrix.
-struct SubNotify final : serial::Object<SubNotify> {
-  static constexpr const char* kTypeName = "lu.subdone";
+struct SubNotify final : serial::ObjectBase {
   std::int32_t level = 0;
   std::int32_t i = 0;
   std::int32_t j = 0;
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, level, i, j);
-  }
+  std::size_t wireSize() const override { return serial::byteCount(level, i, j); }
 };
 
 /// Row-flip request for an already-factored column (paper op (g)).
-struct FlipRequest final : serial::Object<FlipRequest> {
-  static constexpr const char* kTypeName = "lu.flip";
+struct FlipRequest final : serial::ObjectBase {
   std::int32_t level = 0; // level whose pivots are applied
   std::int32_t col = 0;   // target column block (col < level)
   std::vector<std::int32_t> pivots;
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, level, col, pivots);
-  }
+  std::size_t wireSize() const override { return serial::byteCount(level, col, pivots); }
 };
 
 /// Row flips applied (termination bookkeeping, paper op (h)).
-struct FlipNotify final : serial::Object<FlipNotify> {
-  static constexpr const char* kTypeName = "lu.flipdone";
+struct FlipNotify final : serial::ObjectBase {
   std::int32_t level = 0;
   std::int32_t col = 0;
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, level, col);
-  }
+  std::size_t wireSize() const override { return serial::byteCount(level, col); }
 };
 
 /// Output object: all row flips of `level`'s pivots are applied.
-struct LevelDone final : serial::Object<LevelDone> {
-  static constexpr const char* kTypeName = "lu.leveldone";
+struct LevelDone final : serial::ObjectBase {
   std::int32_t level = 0;
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, level);
-  }
+  std::size_t wireSize() const override { return serial::byteCount(level); }
 };
 
 /// Output object: the final panel is factored.
-struct Factored final : serial::Object<Factored> {
-  static constexpr const char* kTypeName = "lu.factored";
+struct Factored final : serial::ObjectBase {
   std::int32_t levels = 0;
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, levels);
-  }
+  std::size_t wireSize() const override { return serial::byteCount(levels); }
 };
 
 // --- parallel sub-block multiplication (PM, paper Fig. 7) ---
 
 /// Column strip of the second matrix (r x s), distributed for storage.
-struct PmStrip final : serial::Object<PmStrip> {
-  static constexpr const char* kTypeName = "lu.pm.strip";
+struct PmStrip final : serial::ObjectBase {
   std::int32_t level = 0, i = 0, j = 0;
   std::int32_t strip = 0;      // strip index within B
   std::int32_t home = 0;       // thread coordinating this multiplication
   BlockPayload b;              // r x s
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, level, i, j, strip, home);
-    b.describe(ar);
+  std::size_t wireSize() const override {
+    return serial::byteCount(level, i, j, strip, home) + b.wireSize();
   }
 };
 
 /// Storage acknowledgement for one strip.
-struct PmStripStored final : serial::Object<PmStripStored> {
-  static constexpr const char* kTypeName = "lu.pm.stored";
+struct PmStripStored final : serial::ObjectBase {
   std::int32_t level = 0, i = 0, j = 0;
   std::int32_t strip = 0;
   std::int32_t storedAt = 0; // worker thread holding the strip
   std::int32_t home = 0;
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, level, i, j, strip, storedAt, home);
+  std::size_t wireSize() const override {
+    return serial::byteCount(level, i, j, strip, storedAt, home);
   }
 };
 
 /// Line block of the first matrix (s x r) sent to one storing thread.
-struct PmLineWork final : serial::Object<PmLineWork> {
-  static constexpr const char* kTypeName = "lu.pm.line";
+struct PmLineWork final : serial::ObjectBase {
   std::int32_t level = 0, i = 0, j = 0;
   std::int32_t rowStrip = 0; // strip index within A
   std::int32_t target = 0;   // thread that stores the B strips below
@@ -223,30 +163,22 @@ struct PmLineWork final : serial::Object<PmLineWork> {
   std::int32_t lastRowStrip = 0; // 1 when this is the final line for cleanup
   std::vector<std::int32_t> strips; // B strips stored at `target`
   BlockPayload a; // s x r
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, level, i, j, rowStrip, target, home, lastRowStrip, strips);
-    a.describe(ar);
+  std::size_t wireSize() const override {
+    return serial::byteCount(level, i, j, rowStrip, target, home, lastRowStrip, strips) +
+           a.wireSize();
   }
 };
 
 /// All s x s tiles produced by one line block on one storing thread,
 /// concatenated column-wise (tiles.cols = s * strips.size()).
-struct PmTiles final : serial::Object<PmTiles> {
-  static constexpr const char* kTypeName = "lu.pm.tiles";
+struct PmTiles final : serial::ObjectBase {
   std::int32_t level = 0, i = 0, j = 0;
   std::int32_t rowStrip = 0;
   std::vector<std::int32_t> strips;
   BlockPayload tiles;
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, level, i, j, rowStrip, strips);
-    tiles.describe(ar);
+  std::size_t wireSize() const override {
+    return serial::byteCount(level, i, j, rowStrip, strips) + tiles.wireSize();
   }
 };
-
-/// Registers all LU object types with the serialization registry (for wire
-/// round-trip tests); safe to call multiple times.
-void registerLuObjects();
 
 } // namespace dps::lu

@@ -1,8 +1,8 @@
 #include "malleable/controller.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "lu/state.hpp"
 #include "support/error.hpp"
@@ -30,21 +30,8 @@ std::string AllocationPlan::describe() const {
 LuMalleabilityController::LuMalleabilityController(core::SimEngine& engine, lu::LuBuild& build,
                                                    AllocationPlan plan, RemovalPolicy policy)
     : engine_(engine), build_(build), plan_(std::move(plan)), policy_(policy) {
-  engine_.setMarkerHook([this](const std::string& name, std::int64_t value, SimTime when) {
-    onMarker(name, value, when);
-  });
-  engine_.setRunStartHook([this] { onRunStart(); });
-}
-
-LuMalleabilityController::LuMalleabilityController(core::SimEngine& engine, lu::LuBuild& build,
-                                                   EfficiencyPolicy policy)
-    : engine_(engine),
-      build_(build),
-      policy_(RemovalPolicy::MigrateColumns),
-      efficiencyPolicy_(policy) {
-  engine_.setMarkerHook([this](const std::string& name, std::int64_t value, SimTime when) {
-    onMarker(name, value, when);
-  });
+  engine_.setMarkerHook(
+      [this](const std::string& name, std::int64_t value, SimTime) { onMarker(name, value); });
   engine_.setRunStartHook([this] { onRunStart(); });
 }
 
@@ -64,42 +51,6 @@ void LuMalleabilityController::observeWith(obs::Registry* metrics) {
   obsMoveBytes_ = metrics->histogram("mall.move_bytes", obs::bytesBounds());
 }
 
-void LuMalleabilityController::evaluateEfficiency(std::int64_t iteration, SimTime when) {
-  const trace::Trace* trace = engine_.liveTrace();
-  DPS_CHECK(trace != nullptr, "efficiency policy requires trace recording");
-  if (when <= lastMarker_) return;
-  const double nodeSeconds = trace->nodeSecondsIn(lastMarker_, when);
-  const double eff =
-      nodeSeconds > 0 ? toSeconds(trace->workIn(lastMarker_, when)) / nodeSeconds : 0.0;
-  observedEff_.push_back(eff);
-  lastMarker_ = when;
-
-  const EfficiencyPolicy& p = *efficiencyPolicy_;
-  if (eff >= p.threshold) return;
-  // Release a fraction of the still-active workers, highest indices first
-  // (never the entry thread, never below minWorkers).
-  std::vector<std::int32_t> active;
-  for (std::int32_t t = 0; t < build_.cfg.workers; ++t)
-    if (!removed_.count(t)) active.push_back(t);
-  const auto current = static_cast<std::int32_t>(active.size());
-  std::int32_t toRemove = std::min<std::int32_t>(
-      static_cast<std::int32_t>(static_cast<double>(current) * p.shrinkFraction),
-      current - p.minWorkers);
-  if (toRemove <= 0) return;
-  RemovalStep step;
-  step.afterIteration = iteration;
-  for (std::int32_t i = 0; i < toRemove; ++i) {
-    const std::int32_t victim = active[active.size() - 1 - i];
-    if (victim == 0) break; // keep the entry thread
-    step.threads.push_back(victim);
-  }
-  if (!step.threads.empty()) {
-    DPS_INFO("efficiency ", eff, " below threshold ", p.threshold, ": releasing ",
-             step.threads.size(), " workers after iteration ", iteration);
-    applyStep(step, iteration);
-  }
-}
-
 void LuMalleabilityController::onRunStart() {
   for (const GrowStep& step : plan_.grows)
     DPS_CHECK(step.afterIteration > 0, "grow step at iteration 0 re-adds before any removal");
@@ -107,10 +58,8 @@ void LuMalleabilityController::onRunStart() {
     if (step.afterIteration == 0) applyStep(step, 0);
 }
 
-void LuMalleabilityController::onMarker(const std::string& name, std::int64_t value,
-                                        SimTime when) {
+void LuMalleabilityController::onMarker(const std::string& name, std::int64_t value) {
   if (name != "iteration") return;
-  if (efficiencyPolicy_) evaluateEfficiency(value, when);
   for (const RemovalStep& step : plan_.steps)
     if (step.afterIteration == value) applyStep(step, value);
   for (const GrowStep& step : plan_.grows)

@@ -23,9 +23,7 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <set>
-#include <vector>
 
 #include "core/engine.hpp"
 #include "lu/builder.hpp"
@@ -39,28 +37,12 @@ enum class RemovalPolicy : std::uint8_t {
   MultOnly,       // only multiplication work leaves the thread
 };
 
-/// Online allocation policy (the paper's future-work direction, §9):
-/// after each iteration, evaluate the dynamic efficiency of the interval
-/// just completed; whenever it falls below `threshold`, release
-/// `shrinkFraction` of the remaining workers (never below `minWorkers`).
-struct EfficiencyPolicy {
-  double threshold = 0.35;
-  double shrinkFraction = 0.5;
-  std::int32_t minWorkers = 2;
-};
-
 class LuMalleabilityController {
 public:
   /// Installs itself as the engine's marker hook.  The controller must
   /// outlive the engine run.
   LuMalleabilityController(core::SimEngine& engine, lu::LuBuild& build, AllocationPlan plan,
                            RemovalPolicy policy = RemovalPolicy::MigrateColumns);
-
-  /// Online variant: no fixed plan; threads are released whenever the
-  /// measured per-iteration efficiency drops below the policy threshold.
-  /// Requires the engine to record a trace.
-  LuMalleabilityController(core::SimEngine& engine, lu::LuBuild& build,
-                           EfficiencyPolicy policy);
 
   /// Attaches migration metrics (mall.shrinks/grows, per-direction byte
   /// counters, a per-column-move size histogram).  Call before the engine
@@ -75,8 +57,6 @@ public:
   /// Bytes moved off shrinking workers / back onto regrown workers.
   std::uint64_t shrinkMigratedBytes() const { return shrinkMigratedBytes_; }
   std::uint64_t growMigratedBytes() const { return growMigratedBytes_; }
-  /// Per-iteration efficiencies observed by the online policy.
-  const std::vector<double>& observedEfficiencies() const { return observedEff_; }
 
 private:
   /// Applies plan steps scheduled at iteration 0: removals that take effect
@@ -84,14 +64,12 @@ private:
   /// the build's worker count).  Grow steps at iteration 0 are rejected —
   /// there is nothing removed yet to re-add.
   void onRunStart();
-  void onMarker(const std::string& name, std::int64_t value, SimTime when);
+  void onMarker(const std::string& name, std::int64_t value);
   void applyStep(const RemovalStep& step, std::int64_t iteration);
   void applyGrow(const GrowStep& step, std::int64_t iteration);
   /// Moves still-unfactored columns from the most loaded active workers
   /// onto the regrown `thread` until it holds an even share.
   void rebalanceOnto(std::int32_t thread, std::int64_t iteration);
-  /// Online policy: evaluate the finished interval, maybe shrink.
-  void evaluateEfficiency(std::int64_t iteration, SimTime when);
   /// Migrates all movable columns off `thread`; defers the pinned column.
   void migrateColumns(std::int32_t fromThread, std::int64_t iteration);
   /// Moves one column and returns the bytes transferred.
@@ -103,14 +81,11 @@ private:
   lu::LuBuild& build_;
   AllocationPlan plan_;
   RemovalPolicy policy_;
-  std::optional<EfficiencyPolicy> efficiencyPolicy_;
   std::set<std::int32_t> removed_;
   /// Threads waiting for a pinned column to become movable.
   std::set<std::int32_t> pendingMigration_;
   std::uint64_t shrinkMigratedBytes_ = 0;
   std::uint64_t growMigratedBytes_ = 0;
-  SimTime lastMarker_{};
-  std::vector<double> observedEff_;
   // Null-safe metric handles (no-ops until observeWith attaches a registry).
   obs::Counter obsShrinks_;
   obs::Counter obsGrows_;

@@ -130,6 +130,23 @@ EngineRunSpec profileRunSpec(const JobClass& klass, std::int32_t nodes,
   return spec;
 }
 
+EngineRunSpec whatIfSpec(const lu::LuConfig& cfg, std::int64_t q, const ProfileSettings& settings) {
+  EngineRunSpec spec;
+  spec.app = AppKind::Lu;
+  spec.lu = cfg;
+  spec.config = settings.simConfig();
+  spec.luModel = settings.luModel;
+  spec.jacobiModel = settings.jacobiModel;
+  spec.slicePhases = q == 0;
+  if (q >= 1) {
+    mall::RemovalStep step;
+    step.afterIteration = q;
+    for (std::int32_t t = cfg.workers / 2; t < cfg.workers; ++t) step.threads.push_back(t);
+    spec.plan = mall::AllocationPlan::killAfter({step});
+  }
+  return spec;
+}
+
 PhaseProfile phaseProfileFromRecord(const EngineRunRecord& rec, std::int32_t nodes) {
   PhaseProfile p;
   p.nodes = nodes;

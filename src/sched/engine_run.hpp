@@ -127,6 +127,12 @@ using EngineRunFn = std::function<EngineRunRecord(const EngineRunSpec&)>;
 EngineRunSpec profileRunSpec(const JobClass& klass, std::int32_t nodes,
                              const ProfileSettings& settings);
 
+/// The spec of one LU what-if query: "release workers/2 nodes after
+/// iteration q", where q = 0 is the static run, sliced into the
+/// per-iteration efficiency curve an admission policy reads.  Every what-if
+/// caller builds its specs here, so equal queries share one cache key.
+EngineRunSpec whatIfSpec(const lu::LuConfig& cfg, std::int64_t q, const ProfileSettings& settings);
+
 /// Converts a sliced run record into the profile-table phase form.
 PhaseProfile phaseProfileFromRecord(const EngineRunRecord& rec, std::int32_t nodes);
 

@@ -14,10 +14,10 @@
 //     entitled to totalNodes / jobs; running jobs shed nodes toward their
 //     share at phase boundaries and queued jobs start as soon as their
 //     share is free.
-//   * EfficiencyShrink  — the online generalization of
-//     mall::EfficiencyPolicy (paper §9): jobs start as large as currently
-//     possible and release nodes whenever the *profiled* dynamic efficiency
-//     of their upcoming phase falls below a threshold.
+//   * EfficiencyShrink  — online allocation driven by dynamic efficiency
+//     (the paper's §9 outlook): jobs start as large as currently possible
+//     and release nodes whenever the *profiled* dynamic efficiency of their
+//     upcoming phase falls below a threshold.
 //   * GrowEager         — the opposite direction: freed nodes are handed to
 //     running jobs at their next phase boundary instead of idling.
 #pragma once

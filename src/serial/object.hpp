@@ -1,20 +1,24 @@
 // Strongly-typed data objects circulating in DPS flow graphs.
 //
-// An object derives from serial::Object<Derived>, declares a kTypeName and a
-// `template <class Ar> void describe(Ar&)` traversal; the CRTP base supplies
-// wire encoding, decoding and zero-copy size measurement, plus factory
-// registration for receive-side reconstruction.
+// Objects never travel as bytes: both engines hand them on as shared
+// pointers and charge the network for their wire size alone.  That size is
+// the paper's "modified serializer" (§4: it "only counts the number of
+// bytes ... without performing any memory copies"), which lets the NOALLOC
+// mode move payloads that were never allocated.  Each object overrides
+// wireSize() with byteCount() over its fields:
+//   * arithmetic and enum values count sizeof;
+//   * strings and vectors count a u64 length plus their elements;
+//   * a pair counts both members.
+// A payload type adds its own count (see lu::BlockPayload).
 #pragma once
 
-#include <functional>
-#include <map>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
-#include <mutex>
-#include <span>
 #include <string>
-
-#include "serial/archive.hpp"
-#include "support/error.hpp"
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace dps::serial {
 
@@ -22,83 +26,56 @@ class ObjectBase {
 public:
   virtual ~ObjectBase() = default;
 
-  virtual const char* typeName() const = 0;
-  virtual void save(WriteArchive& ar) const = 0;
-  virtual void load(ReadArchive& ar) = 0;
-  virtual void measure(SizingArchive& ar) const = 0;
-
-  /// Wire size in bytes, computed without copying payload memory.
-  std::size_t wireSize() const {
-    SizingArchive ar;
-    measure(ar);
-    return ar.size();
-  }
-
-  std::vector<std::byte> encode() const {
-    WriteArchive ar;
-    save(ar);
-    return ar.take();
-  }
+  /// Wire size in bytes, computed without touching payload memory.
+  virtual std::size_t wireSize() const = 0;
 };
 
 using ObjectPtr = std::shared_ptr<const ObjectBase>;
 
-/// Factory registry mapping type names to default-constructors; used by the
-/// wire decoder and by the serialization round-trip tests.  Mutex-guarded:
-/// campaign workers may register application object types (or decode) from
-/// several threads concurrently.
-class Registry {
-public:
-  using Factory = std::function<std::unique_ptr<ObjectBase>()>;
-
-  static Registry& instance();
-
-  void add(std::string name, Factory f);
-  bool contains(const std::string& name) const;
-  std::unique_ptr<ObjectBase> create(const std::string& name) const;
-
-  /// Decodes a framed object (type name + payload) produced by encodeFramed.
-  std::unique_ptr<ObjectBase> decodeFramed(std::span<const std::byte> data) const;
-
-private:
-  Factory find(const std::string& name) const;
-
-  mutable std::mutex mutex_;
-  std::map<std::string, Factory> factories_;
-};
-
-/// Encodes an object with a self-describing frame (type name + payload).
-std::vector<std::byte> encodeFramed(const ObjectBase& obj);
-
-template <typename Derived>
-class Object : public ObjectBase {
-public:
-  const char* typeName() const override { return Derived::kTypeName; }
-
-  void save(WriteArchive& ar) const override {
-    // describe() is logically const for non-reading archives.
-    const_cast<Derived&>(static_cast<const Derived&>(*this)).describe(ar);
-  }
-  void load(ReadArchive& ar) override { static_cast<Derived&>(*this).describe(ar); }
-  void measure(SizingArchive& ar) const override {
-    const_cast<Derived&>(static_cast<const Derived&>(*this)).describe(ar);
-  }
-};
-
 namespace detail {
+
 template <typename T>
-struct Registrar {
-  Registrar() {
-    Registry::instance().add(T::kTypeName, [] { return std::make_unique<T>(); });
+struct IsPair : std::false_type {};
+template <typename A, typename B>
+struct IsPair<std::pair<A, B>> : std::true_type {};
+
+template <typename T>
+struct IsSequence : std::false_type {};
+template <>
+struct IsSequence<std::string> : std::true_type {};
+template <typename T>
+struct IsSequence<std::vector<T>> : std::true_type {};
+
+template <typename T>
+constexpr bool kScalar = std::is_arithmetic_v<T> || std::is_enum_v<T>;
+
+template <typename T>
+concept Countable = kScalar<T> || IsPair<T>::value || IsSequence<T>::value;
+
+template <Countable T>
+std::size_t fieldBytes(const T& v) {
+  if constexpr (kScalar<T>) {
+    return sizeof(T);
+  } else if constexpr (IsPair<T>::value) {
+    return fieldBytes(v.first) + fieldBytes(v.second);
+  } else {
+    using E = typename T::value_type;
+    std::size_t n = sizeof(std::uint64_t);
+    if constexpr (std::is_arithmetic_v<E>) {
+      n += v.size() * sizeof(E);
+    } else {
+      for (const E& e : v) n += fieldBytes(e);
+    }
+    return n;
   }
-};
+}
+
 } // namespace detail
 
-} // namespace dps::serial
+/// Wire bytes of the given fields: byteCount(level, i, j, pivots).
+template <typename... Ts>
+std::size_t byteCount(const Ts&... vs) {
+  return (std::size_t{0} + ... + detail::fieldBytes(vs));
+}
 
-/// Place in one translation unit per object type to enable wire decoding.
-#define DPS_REGISTER_OBJECT(Type)                                          \
-  namespace {                                                              \
-  [[maybe_unused]] const ::dps::serial::detail::Registrar<Type>            \
-      dpsRegistrar_##Type;                                                 \
-  }
+} // namespace dps::serial

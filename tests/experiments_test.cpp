@@ -65,13 +65,23 @@ TEST(ScenarioTest, ErrorsVaryAcrossSeedsButStayBounded) {
   EXPECT_GE(fractionWithin(errors, 0.15), 0.99);
 }
 
+// A seed and a round count read alike as integers: calibratePlatform(cfg,
+// 32) must not compile as "seed 32, default rounds".  Every caller names
+// the round count.
+template <typename Cfg>
+concept CalibratesFromSeedAlone = requires(const Cfg& c) { calibratePlatform(c, 32); };
+template <typename Cfg>
+concept CalibratesFromSeedAndRounds = requires(const Cfg& c) { calibratePlatform(c, 32, 16); };
+static_assert(!CalibratesFromSeedAlone<core::SimConfig>);
+static_assert(CalibratesFromSeedAndRounds<core::SimConfig>);
+
 TEST(CalibrationTest, RecoversPlainPlatformParameters) {
   // With the fidelity layer off, the probes must recover the configured
   // l and b almost exactly.
   core::SimConfig cfg;
   cfg.profile = net::ultraSparc440();
   cfg.mode = core::ExecutionMode::Pdexec;
-  const auto fit = calibratePlatform(cfg, cfg.fidelity.seed);
+  const auto fit = calibratePlatform(cfg, cfg.fidelity.seed, 16);
   EXPECT_NEAR(toSeconds(fit.latency), toSeconds(cfg.profile.latency),
               toSeconds(cfg.profile.latency) * 0.1);
   EXPECT_NEAR(fit.bytesPerSec, cfg.profile.bandwidthBytesPerSec,

@@ -200,54 +200,6 @@ TEST(GrowTest, GrowingANeverRemovedThreadThrows) {
   EXPECT_THROW(lu::runLu(engine, build), Error);
 }
 
-TEST(EfficiencyPolicyTest, ShrinksAllocationWhenEfficiencyDrops) {
-  // The paper's future-work direction (§9): allocation driven by the
-  // observed dynamic efficiency instead of a fixed plan.
-  lu::LuConfig cfg = baseConfig();
-  cfg.workers = 8;
-  core::SimEngine engine(pdexecConfig());
-  lu::LuBuild build = lu::buildLu(cfg, lu::KernelCostModel::ultraSparc440(), false);
-  EfficiencyPolicy policy;
-  policy.threshold = 0.45;
-  policy.minWorkers = 2;
-  LuMalleabilityController controller(engine, build, policy);
-  auto result = lu::runLu(engine, build);
-  lu::checkOutputs(cfg, result);
-  // The LU efficiency decays below 45% well before the end: the policy
-  // must have released workers.
-  EXPECT_FALSE(controller.removed().empty());
-  EXPECT_FALSE(controller.observedEfficiencies().empty());
-  const auto& allocs = result.trace->allocations();
-  EXPECT_LT(allocs.back().allocatedNodes, allocs.front().allocatedNodes);
-}
-
-TEST(EfficiencyPolicyTest, RespectsMinimumWorkers) {
-  lu::LuConfig cfg = baseConfig();
-  cfg.workers = 4;
-  core::SimEngine engine(pdexecConfig());
-  lu::LuBuild build = lu::buildLu(cfg, lu::KernelCostModel::ultraSparc440(), false);
-  EfficiencyPolicy policy;
-  policy.threshold = 0.99; // always below threshold -> shrink every time
-  policy.minWorkers = 3;
-  LuMalleabilityController controller(engine, build, policy);
-  auto result = lu::runLu(engine, build);
-  lu::checkOutputs(cfg, result);
-  EXPECT_LE(controller.removed().size(), 1u); // 4 -> 3 and no further
-}
-
-TEST(EfficiencyPolicyTest, HighThresholdStaysCorrectUnderDirectExecution) {
-  lu::LuConfig cfg = baseConfig();
-  cfg.workers = 8;
-  core::SimEngine engine(directConfig());
-  lu::LuBuild build = lu::buildLu(cfg, lu::KernelCostModel::ultraSparc440().scaled(100.0), true);
-  EfficiencyPolicy policy;
-  policy.threshold = 0.5;
-  policy.minWorkers = 2;
-  LuMalleabilityController controller(engine, build, policy);
-  auto result = lu::runLu(engine, build);
-  EXPECT_LT(lu::verifyLu(cfg, result, build.workersGroup), 1e-9);
-}
-
 TEST(MalleableTest, EfficiencyImprovesAfterRemoval) {
   // Paper Fig. 11: deallocating idle capacity raises per-iteration
   // efficiency for subsequent iterations.

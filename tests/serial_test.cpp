@@ -1,108 +1,46 @@
 #include <gtest/gtest.h>
 
+#include "jacobi/objects.hpp"
 #include "lu/objects.hpp"
-#include "serial/archive.hpp"
 #include "serial/object.hpp"
+#include "support/error.hpp"
 
 namespace dps::serial {
 namespace {
 
-struct Simple final : Object<Simple> {
-  static constexpr const char* kTypeName = "test.simple";
+struct Simple final : ObjectBase {
   std::int32_t a = 0;
   double b = 0;
   std::string name;
   std::vector<std::int64_t> values;
-  template <typename Ar>
-  void describe(Ar& ar) {
-    fields(ar, a, b, name, values);
-  }
+  std::size_t wireSize() const override { return byteCount(a, b, name, values); }
 };
 
-struct Nested final : Object<Nested> {
-  static constexpr const char* kTypeName = "test.nested";
+struct Nested final : ObjectBase {
   std::vector<std::pair<std::int32_t, std::string>> entries;
-  template <typename Ar>
-  void describe(Ar& ar) {
-    fields(ar, entries);
-  }
+  std::size_t wireSize() const override { return byteCount(entries); }
 };
 
-DPS_REGISTER_OBJECT(Simple)
-DPS_REGISTER_OBJECT(Nested)
-
-TEST(ArchiveTest, RoundTripPrimitivesAndContainers) {
-  Simple s;
-  s.a = 42;
-  s.b = 3.25;
-  s.name = "hello world";
-  s.values = {1, -2, 3000000000LL};
-
-  const auto bytes = s.encode();
-  Simple back;
-  ReadArchive ar({bytes.data(), bytes.size()});
-  back.load(ar);
-  EXPECT_EQ(back.a, 42);
-  EXPECT_DOUBLE_EQ(back.b, 3.25);
-  EXPECT_EQ(back.name, "hello world");
-  EXPECT_EQ(back.values, s.values);
-  EXPECT_EQ(ar.remaining(), 0u);
-}
-
-TEST(ArchiveTest, SizingMatchesEncodedBytesExactly) {
+TEST(WireSizeTest, CountsFieldsExactly) {
   Simple s;
   s.a = 1;
   s.name = std::string(100, 'x');
   s.values.assign(17, 9);
-  EXPECT_EQ(s.wireSize(), s.encode().size());
+  // i32 + f64 + (u64 length + 100 chars) + (u64 length + 17 x i64).
+  EXPECT_EQ(s.wireSize(), 264u);
 
   Nested n;
   n.entries = {{1, "a"}, {2, "bb"}, {3, ""}};
-  EXPECT_EQ(n.wireSize(), n.encode().size());
-}
+  // u64 length + three (i32 + u64 length + chars) pairs.
+  EXPECT_EQ(n.wireSize(), 47u);
 
-TEST(ArchiveTest, SizingNeverTouchesPayloadMemory) {
-  // The sizing archive must accept null data pointers — that is the whole
-  // point of the paper's modified serializer (no allocation, no copies).
-  SizingArchive ar;
-  ar.raw(nullptr, 1234);
-  ar.phantom(4096);
-  EXPECT_EQ(ar.size(), 1234u + 4096u);
-}
-
-TEST(ArchiveTest, ReadUnderflowThrows) {
-  std::vector<std::byte> tiny(4);
-  ReadArchive ar({tiny.data(), tiny.size()});
-  std::int64_t v;
-  EXPECT_THROW(ar.raw(&v, 8), Error);
-}
-
-TEST(RegistryTest, FramedRoundTrip) {
-  Simple s;
-  s.a = 7;
-  s.name = "framed";
-  const auto framed = encodeFramed(s);
-  auto obj = Registry::instance().decodeFramed({framed.data(), framed.size()});
-  auto* back = dynamic_cast<Simple*>(obj.get());
-  ASSERT_NE(back, nullptr);
-  EXPECT_EQ(back->a, 7);
-  EXPECT_EQ(back->name, "framed");
-}
-
-TEST(RegistryTest, UnknownTypeThrows) {
-  EXPECT_THROW(Registry::instance().create("no.such.type"), Error);
-}
-
-TEST(RegistryTest, DuplicateRegistrationThrows) {
-  EXPECT_THROW(
-      Registry::instance().add("test.simple", [] { return std::make_unique<Simple>(); }),
-      Error);
+  EXPECT_EQ(byteCount(), 0u);
+  EXPECT_EQ(Nested{}.wireSize(), 8u);
 }
 
 // --- phantom payloads (NOALLOC) ---
 
 TEST(PhantomTest, PhantomAndRealHaveIdenticalWireSize) {
-  lu::registerLuObjects();
   lu::MultRequest real;
   real.level = 1;
   real.i = 2;
@@ -118,41 +56,37 @@ TEST(PhantomTest, PhantomAndRealHaveIdenticalWireSize) {
   phantom.b = lu::BlockPayload::phantomOf(16, 16);
 
   EXPECT_EQ(real.wireSize(), phantom.wireSize());
-  // And the encoded frame of the real object matches the measured size.
-  EXPECT_EQ(real.encode().size(), real.wireSize());
-  EXPECT_EQ(phantom.encode().size(), phantom.wireSize());
+  // Three i32 indices + two (rows, cols, phantom flag, 16 x 16 doubles).
+  EXPECT_EQ(real.wireSize(), 4126u);
 }
 
-TEST(PhantomTest, PhantomRoundTripsAsPhantom) {
-  lu::registerLuObjects();
+TEST(PhantomTest, PayloadCarryingObjectsPinTheirWireSize) {
   lu::T12Ready t;
-  t.level = 4;
-  t.col = 5;
   t.t12 = lu::BlockPayload::phantomOf(8, 8);
-  const auto bytes = t.encode();
-  lu::T12Ready back;
-  ReadArchive ar({bytes.data(), bytes.size()});
-  back.load(ar);
-  EXPECT_TRUE(back.t12.phantom());
-  EXPECT_EQ(back.t12.rows, 8);
-  EXPECT_EQ(back.t12.cols, 8);
+  EXPECT_EQ(t.wireSize(), 529u);
+  t.t12 = lu::BlockPayload::fromMatrix(lin::testMatrix(3, 8));
+  EXPECT_EQ(t.wireSize(), 529u);
+
+  lu::TrsmRequest trsm;
+  trsm.l11 = lu::BlockPayload::phantomOf(8, 8);
+  trsm.pivots.assign(8, 0);
+  EXPECT_EQ(trsm.wireSize(), 569u);
+}
+
+TEST(PhantomTest, HaloRowSizeIgnoresWhetherTheRowIsReal) {
+  jacobi::HaloRow real;
+  real.row.assign(100, 1.0);
+  jacobi::HaloRow phantom;
+  phantom.phantomCols = 100;
+  EXPECT_EQ(real.wireSize(), 817u);
+  EXPECT_EQ(phantom.wireSize(), 817u);
+  // Three i32 header fields, the phantom flag and the i32 column count.
+  EXPECT_EQ(jacobi::HaloRow{}.wireSize(), 17u);
 }
 
 TEST(PhantomTest, MaterializingPhantomThrows) {
   auto p = lu::BlockPayload::phantomOf(4, 4);
   EXPECT_THROW(p.toMatrix(), Error);
-}
-
-TEST(PhantomTest, RealPayloadRoundTripsData) {
-  const lin::Matrix m = lin::testMatrix(3, 12);
-  auto p = lu::BlockPayload::fromMatrix(m);
-  lu::MultResult res;
-  res.c = p;
-  const auto bytes = res.encode();
-  lu::MultResult back;
-  ReadArchive ar({bytes.data(), bytes.size()});
-  back.load(ar);
-  EXPECT_EQ(back.c.toMatrix(), m);
 }
 
 } // namespace

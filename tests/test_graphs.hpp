@@ -15,25 +15,17 @@
 namespace dps::test {
 
 /// Work item with a padded payload (controls transfer sizes).
-struct Item final : serial::Object<Item> {
-  static constexpr const char* kTypeName = "test.item";
+struct Item final : serial::ObjectBase {
   std::int64_t value = 0;
   std::vector<std::uint8_t> padding;
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, value, padding);
-  }
+  std::size_t wireSize() const override { return serial::byteCount(value, padding); }
 };
 
 /// Aggregate result from the merge.
-struct Sum final : serial::Object<Sum> {
-  static constexpr const char* kTypeName = "test.sum";
+struct Sum final : serial::ObjectBase {
   std::int64_t total = 0;
   std::int64_t count = 0;
-  template <typename Ar>
-  void describe(Ar& ar) {
-    serial::fields(ar, total, count);
-  }
+  std::size_t wireSize() const override { return serial::byteCount(total, count); }
 };
 
 struct FanoutSpec {
