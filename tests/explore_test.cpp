@@ -7,6 +7,9 @@
 #include <algorithm>
 #include <functional>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/recorder.hpp"
 #include "sched/cluster.hpp"
@@ -139,6 +142,80 @@ TEST(ExploreOracleTest, DedupCutsStatesWithoutChangingTheOptimum) {
   EXPECT_GT(a.stats.statesDeduped, 0u);
   EXPECT_EQ(b.stats.statesDeduped, 0u);
   EXPECT_LT(a.stats.statesExplored, b.stats.statesExplored);
+  // Exact counts: a seen-set that drops or merges keys moves them.
+  EXPECT_EQ(a.stats.statesExplored, 19851u);
+  EXPECT_EQ(a.stats.statesDeduped, 1300u);
+  EXPECT_EQ(a.stats.schedulesSeen, 8850u);
+  EXPECT_EQ(b.stats.statesExplored, 31483u);
+  EXPECT_EQ(b.stats.schedulesSeen, 14526u);
+}
+
+// Machine::hash keys the dedup, so it must cover the complete
+// search-relevant state: equal states hash equal, and a change to any one
+// field -- to or from the -1 sentinels, to values past 2^31 -- or a swap of
+// two jobs' slots changes it.  The sentinel base puts -1 in every narrow
+// field, where a sign-extended pack would smear into its neighbour.
+TEST(ExploreStateHashTest, EveryFieldMovesTheHash) {
+  const auto profiles = unitProfiles();
+  const auto wl = unitWorkload(3);
+  const auto cfg = unitConfig();
+  const Machine m(cfg, wl, profiles);
+
+  constexpr std::int64_t kWide = std::int64_t{1} << 33; // past 2^31 and 2^32
+  MachineState live = m.initial();
+  live.nowNs = 7'500'000'000;
+  live.free = 1;
+  live.jobs[0] = {JobSt::Running, 1, 0, 12'500'000'000, 5'000'000'000, -1};
+  live.jobs[1] = {JobSt::Finished, 0, 2, 5'000'000'000, 0, 5'000'000'000};
+  live.jobs[2] = {JobSt::Queued, 0, 0, 0, -1, -1};
+  MachineState sentinel = live;
+  sentinel.free = -1;
+  for (JobState& js : sentinel.jobs) {
+    js.alloc = -1;
+    js.phase = -1;
+    js.nextNs = -1;
+  }
+
+  const std::vector<std::int32_t> narrow = {-1, 0, 1, 2, 0x7fffffff};
+  const std::vector<std::int64_t> wide = {-1, 0, 1, 5'000'000'000, kWide, kWide + 1};
+  constexpr auto kLastSt = static_cast<std::uint8_t>(JobSt::Finished);
+  for (const MachineState& base : {live, sentinel}) {
+    const std::uint64_t h0 = m.hash(base);
+    MachineState copy = base;
+    EXPECT_EQ(m.hash(copy), h0) << "equal states must hash equal";
+    const auto expectMoves = [&](const std::string& what,
+                                 const std::function<void(MachineState&)>& edit) {
+      MachineState s = base;
+      edit(s);
+      EXPECT_NE(m.hash(s), h0) << what;
+    };
+    for (const std::int64_t v : wide)
+      if (v != base.nowNs) expectMoves("nowNs", [v](MachineState& s) { s.nowNs = v; });
+    for (const std::int32_t v : narrow)
+      if (v != base.free) expectMoves("free", [v](MachineState& s) { s.free = v; });
+    for (std::size_t j = 0; j < base.jobs.size(); ++j) {
+      const JobState& js = base.jobs[j];
+      const auto jobMoves = [&](const char* field, const std::function<void(JobState&)>& edit) {
+        expectMoves("job " + std::to_string(j) + " " + field,
+                    [&](MachineState& s) { edit(s.jobs[j]); });
+      };
+      for (std::uint8_t st = 0; st <= kLastSt; ++st) {
+        const auto to = static_cast<JobSt>(st);
+        if (to != js.st) jobMoves("st", [to](JobState& x) { x.st = to; });
+      }
+      for (const std::int32_t v : narrow) {
+        if (v != js.alloc) jobMoves("alloc", [v](JobState& x) { x.alloc = v; });
+        if (v != js.phase) jobMoves("phase", [v](JobState& x) { x.phase = v; });
+      }
+      for (const std::int64_t v : wide) {
+        if (v != js.nextNs) jobMoves("nextNs", [v](JobState& x) { x.nextNs = v; });
+        if (v != js.startNs) jobMoves("startNs", [v](JobState& x) { x.startNs = v; });
+        if (v != js.finishNs) jobMoves("finishNs", [v](JobState& x) { x.finishNs = v; });
+      }
+    }
+    expectMoves("swap 0,1", [](MachineState& s) { std::swap(s.jobs[0], s.jobs[1]); });
+    expectMoves("swap 1,2", [](MachineState& s) { std::swap(s.jobs[1], s.jobs[2]); });
+  }
 }
 
 // Branch-and-bound with an admissible lower bound and strict-improvement
