@@ -5,8 +5,8 @@
 #include <limits>
 #include <map>
 #include <queue>
-#include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "obs/recorder.hpp"
 #include "support/error.hpp"
@@ -17,6 +17,58 @@ namespace {
 
 constexpr std::size_t kMaxViolations = 8;
 constexpr double kEps = 1e-9;
+
+/// The set of state hashes the search has expanded: open addressing with
+/// linear probing in a power-of-two table, doubled before it passes half
+/// full.  Slot value 0 marks an empty slot, so a real key 0 is held in its
+/// own flag.
+class SeenSet {
+public:
+  bool contains(std::uint64_t key) const {
+    if (key == 0) return hasZero_;
+    if (slots_.empty()) return false;
+    for (std::size_t i = key & mask_;; i = (i + 1) & mask_) {
+      if (slots_[i] == key) return true;
+      if (slots_[i] == 0) return false;
+    }
+  }
+
+  void insert(std::uint64_t key) {
+    if (key == 0) {
+      hasZero_ = true;
+      return;
+    }
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    if (place(key)) ++size_;
+  }
+
+private:
+  static constexpr std::size_t kInitialSlots = 1024;
+
+  /// Stores `key` unless present; true when it was new.
+  bool place(std::uint64_t key) {
+    for (std::size_t i = key & mask_;; i = (i + 1) & mask_) {
+      if (slots_[i] == key) return false;
+      if (slots_[i] == 0) {
+        slots_[i] = key;
+        return true;
+      }
+    }
+  }
+
+  void grow() {
+    std::vector<std::uint64_t> old(std::max(kInitialSlots, 2 * slots_.size()), 0);
+    old.swap(slots_);
+    mask_ = slots_.size() - 1;
+    for (const std::uint64_t key : old)
+      if (key != 0) place(key);
+  }
+
+  std::vector<std::uint64_t> slots_;
+  std::size_t mask_ = 0;
+  std::size_t size_ = 0;
+  bool hasZero_ = false;
+};
 
 /// The depth-first search driver.  Oracle mode runs branch-and-bound for
 /// the optimal schedule; Verify mode disables pruning (it could hide
@@ -266,7 +318,7 @@ private:
   double bestSlowdown_ = 0;
   std::vector<ExploreDecision> bestTrace_;
   std::vector<ExploreDecision> path_;
-  std::unordered_set<std::uint64_t> seen_;
+  SeenSet seen_;
 };
 
 } // namespace

@@ -9,8 +9,8 @@
 // space is finite and enumerable.  This module walks it depth-first the way
 // SimGrid's DFSExplorer walks interleavings: snapshot the cluster state,
 // fork every branch a policy could take, restore, and deduplicate revisited
-// states with an FNV-1a fingerprint (support/fingerprint.hpp) so the search
-// visits each reachable cluster state once.
+// states by a 64-bit state hash (Machine::hash, one multiply-fold per word)
+// so the search visits each reachable cluster state once.
 //
 // Decision model.  The explorer advances the same sched::Machine whose
 // transitions simulateCluster fires (machine.hpp), so its schedule
@@ -79,11 +79,12 @@ struct ExploreLimits {
   /// (the result is then an upper bound, not a proven optimum).
   std::uint64_t maxStates = 20'000'000;
   bool prune = true; ///< branch-and-bound on the admissible lower bound
-  /// FNV-1a state-hash deduplication.  The seen set keeps only each
-  /// state's 64-bit hash, so a collision would silently drop a distinct
-  /// state and its subtree.  Over n explored states the chance of any
-  /// collision is at most n^2 / 2^65: about 6e-8 for the 1 515 146 states
-  /// of perfbench's explore-oracle run.
+  /// State-hash deduplication (Machine::hash).  The seen set keeps only
+  /// each state's 64-bit hash, so a collision would silently drop a
+  /// distinct state and its subtree.  Assuming a well-mixed 64-bit hash,
+  /// the chance of any collision over n explored states is at most
+  /// n^2 / 2^65: about 6e-8 for the 1 515 146 states of perfbench's
+  /// explore-oracle run.
   bool dedup = true;
   /// External upper bound on the objective (e.g. the best policy's value).
   /// Branches are cut only when their lower bound strictly exceeds it, so

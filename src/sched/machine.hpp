@@ -29,7 +29,6 @@
 #include "sched/profile.hpp"
 #include "sched/workload.hpp"
 #include "support/error.hpp"
-#include "support/fingerprint.hpp"
 
 namespace dps::sched {
 
@@ -292,25 +291,41 @@ public:
     return sum / static_cast<double>(s.jobs.size());
   }
 
-  /// FNV-1a over the complete search-relevant state.  Two states with equal
-  /// fingerprint fields have identical reachable futures *and* identical
-  /// already-banked objective contributions, so collapsing them is sound
-  /// for both objectives.
+  /// The complete search-relevant state, mixed one 64-bit word at a time
+  /// by a 64x64->128-bit multiply folded hi ^ lo (wyhash's "mum"): nowNs,
+  /// free, then per job st, alloc and phase packed into one word, nextNs,
+  /// startNs and finishNs.  The 32-bit fields go through uint32_t, so a -1
+  /// cannot sign-extend over a neighbouring field.  Two states with equal
+  /// fields have identical reachable futures *and* identical already-banked
+  /// objective contributions, so collapsing them is sound for both
+  /// objectives.
   std::uint64_t hash(const MachineState& s) const {
-    Fingerprint f;
-    f.add(s.nowNs).add(s.free);
+    std::uint64_t h = mix(kHashSeed, static_cast<std::uint64_t>(s.nowNs));
+    h = mix(h, static_cast<std::uint32_t>(s.free));
     for (const JobState& js : s.jobs) {
-      f.add(static_cast<std::int64_t>(js.st))
-          .add(js.alloc)
-          .add(js.phase)
-          .add(js.nextNs)
-          .add(js.startNs)
-          .add(js.finishNs);
+      h = mix(h, static_cast<std::uint64_t>(js.st));
+      h = mix(h, pack(js.alloc, js.phase));
+      h = mix(h, static_cast<std::uint64_t>(js.nextNs));
+      h = mix(h, static_cast<std::uint64_t>(js.startNs));
+      h = mix(h, static_cast<std::uint64_t>(js.finishNs));
     }
-    return f.value();
+    return h;
   }
 
 private:
+  /// wyhash's secrets: odd, with dense, well-spread bits.
+  static constexpr std::uint64_t kHashSeed = 0xa0761d6478bd642full;
+  static constexpr std::uint64_t kHashMul = 0xe7037ed1a0b428dbull;
+
+  static std::uint64_t pack(std::int32_t lo, std::int32_t hi) {
+    return static_cast<std::uint32_t>(lo) | std::uint64_t{static_cast<std::uint32_t>(hi)} << 32;
+  }
+
+  static std::uint64_t mix(std::uint64_t h, std::uint64_t word) {
+    const unsigned __int128 p = static_cast<unsigned __int128>(h ^ word) * kHashMul;
+    return static_cast<std::uint64_t>(p) ^ static_cast<std::uint64_t>(p >> 64);
+  }
+
   static std::size_t level(const ClassTab& t, std::int32_t alloc) {
     const auto& a = t.profile->allocs;
     const auto it = std::lower_bound(a.begin(), a.end(), alloc);

@@ -5,7 +5,7 @@
 // schedule any policy could produce lives in a finite decision space: at
 // each instant, start-or-hold each queued job (at any feasible allocation)
 // and keep/shrink/grow each running job at its phase boundary.  This tool
-// walks that space depth-first with FNV-1a state deduplication and
+// walks that space depth-first with 64-bit state-hash deduplication and
 // branch-and-bound on the profile table's remaining-time suffix sums, and
 // uses the result two ways:
 //
