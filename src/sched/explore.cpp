@@ -26,7 +26,6 @@ class SeenSet {
 public:
   bool contains(std::uint64_t key) const {
     if (key == 0) return hasZero_;
-    if (slots_.empty()) return false;
     for (std::size_t i = key & mask_;; i = (i + 1) & mask_) {
       if (slots_[i] == key) return true;
       if (slots_[i] == 0) return false;
@@ -57,15 +56,15 @@ private:
   }
 
   void grow() {
-    std::vector<std::uint64_t> old(std::max(kInitialSlots, 2 * slots_.size()), 0);
+    std::vector<std::uint64_t> old(2 * slots_.size(), 0);
     old.swap(slots_);
     mask_ = slots_.size() - 1;
     for (const std::uint64_t key : old)
       if (key != 0) place(key);
   }
 
-  std::vector<std::uint64_t> slots_;
-  std::size_t mask_ = 0;
+  std::vector<std::uint64_t> slots_ = std::vector<std::uint64_t>(kInitialSlots, 0);
+  std::size_t mask_ = kInitialSlots - 1;
   std::size_t size_ = 0;
   bool hasZero_ = false;
 };
