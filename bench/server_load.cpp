@@ -1,23 +1,24 @@
 // Profile-service load bench: thousands of mixed what-if and cluster
-// profile queries pushed through svc::RequestQueue + svc::ProfileCache, the
-// stack a cluster server answering allocation queries would run (paper §9).
+// profile queries answered through svc::acquireRun + svc::ProfileCache,
+// fanned out with parallelFor over --jobs threads as the cluster_server
+// example does: the stack a cluster server answering allocation queries
+// would run (paper §9).
 //
 // Two phases over one query universe:
-//   * cold   — every distinct query once; each is a full engine simulation
-//     (fanned over --jobs service threads, backpressure on overload);
+//   * cold   — every distinct query once; each is a full engine simulation;
 //   * steady — thousands of queries drawn from the same universe by a
 //     seeded generator; the cache serves them without touching the engine.
 //
-// Reported per phase: throughput plus p50/p99 submit-to-completion latency;
-// plus cache hit/miss/run counters and queue admission stats.  The [CHECK]
-// claims pin the service-layer contract by counts, not wall time: the cold
-// phase runs exactly one simulation per distinct query and the steady phase
-// runs none; under --smoke the cache hit rate is pinned at its exact value.
-// The throughput ratio between the phases is printed, not gated.
-#include <chrono>
+// Reported per phase: throughput plus p50/p99 per-query latency (each query
+// times its own acquireRun call); plus the cache hit/miss/run counters.
+// The [CHECK] claims pin the service-layer contract by counts, not wall
+// time: the cold phase runs exactly one simulation per distinct query and
+// the steady phase runs none; under --smoke the cache hit rate is pinned at
+// its exact value.  The throughput ratio between the phases is printed, not
+// gated.
 #include <cmath>
 #include <iostream>
-#include <thread>
+#include <numeric>
 
 #include "bench_common.hpp"
 #include "obs/clock.hpp"
@@ -25,7 +26,6 @@
 #include "sched/engine_run.hpp"
 #include "support/rng.hpp"
 #include "svc/profile_cache.hpp"
-#include "svc/request_queue.hpp"
 
 using namespace dps;
 
@@ -64,8 +64,7 @@ std::vector<sched::EngineRunSpec> queryUniverse(bool smoke) {
 struct PhaseResult {
   std::size_t requests = 0;
   double seconds = 0;
-  std::vector<double> latencySec; // submit-to-completion, request order
-  std::uint64_t rejections = 0;   // admissions retried after backpressure
+  std::vector<double> latencySec; // per query, request order
 
   double qps() const { return seconds > 0 ? static_cast<double>(requests) / seconds : 0; }
   double percentileMs(double p) const {
@@ -78,30 +77,19 @@ struct PhaseResult {
   }
 };
 
-/// Pushes `specs[pick(i)]` for i in [0, count) through the queue, retrying
-/// rejected submits after the admission hint (counted as backpressure
-/// events, not as extra requests).
-template <typename Pick>
-PhaseResult runPhase(svc::RequestQueue& queue, const std::vector<sched::EngineRunSpec>& specs,
-                     std::size_t count, Pick pick) {
+/// Answers `universe[queries[i]]` for every i over `jobs` threads; each
+/// query times its own acquireRun call.
+PhaseResult runPhase(svc::ProfileCache& cache, const std::vector<sched::EngineRunSpec>& universe,
+                     const std::vector<std::size_t>& queries, unsigned jobs) {
   PhaseResult res;
-  res.requests = count;
-  res.latencySec.assign(count, 0);
+  res.requests = queries.size();
+  res.latencySec.assign(queries.size(), 0);
   const obs::WallClock phase;
-  for (std::size_t i = 0; i < count; ++i) {
-    const obs::WallClock submitted;
-    double* slot = &res.latencySec[i];
-    for (;;) {
-      const auto adm = queue.submit(specs[pick(i)], [slot, submitted](
-                                                        const sched::EngineRunRecord&) {
-        *slot = submitted.elapsedSec();
-      });
-      if (adm.accepted()) break;
-      ++res.rejections;
-      std::this_thread::sleep_for(std::chrono::duration<double>(adm.retryAfterSec));
-    }
-  }
-  queue.drain();
+  parallelFor(queries.size(), jobs, [&](std::size_t i) {
+    const obs::WallClock query;
+    svc::acquireRun(universe[queries[i]], cache);
+    res.latencySec[i] = query.elapsedSec();
+  });
   res.seconds = phase.elapsedSec();
   return res;
 }
@@ -113,7 +101,6 @@ void phaseJson(JsonWriter& w, const PhaseResult& r) {
       .field("qps", r.qps())
       .field("p50_ms", r.percentileMs(0.50))
       .field("p99_ms", r.percentileMs(0.99))
-      .field("rejections", r.rejections)
       .endObject();
 }
 
@@ -125,47 +112,39 @@ int run(Cli& cli) {
   const std::size_t steadyCount = args.smoke ? 800 : 4000;
 
   // The whole service stack records into one registry: svc.cache.* from the
-  // cache, svc.queue.* from the admission queue, engine.*/mall.* from the
-  // engine runs the cold phase executes.
+  // cache, engine.*/mall.* from the engine runs the cold phase executes.
   obs::Registry registry;
   svc::ProfileCache cache;
   cache.attachRegistry(&registry);
-  svc::RequestQueue::Options qopts;
-  qopts.capacity = 64;
-  qopts.workers = args.jobs;
-  qopts.metrics = &registry;
-  svc::RequestQueue queue(cache, qopts);
 
-  std::printf("query universe: %zu distinct specs, %u service threads, queue capacity %zu\n\n",
-              universe.size(), qopts.workers, qopts.capacity);
+  std::printf("query universe: %zu distinct specs, %u service threads\n\n", universe.size(),
+              args.jobs);
 
   // Cold phase: every distinct query once — all engine simulations.
-  const auto cold =
-      runPhase(queue, universe, universe.size(), [](std::size_t i) { return i; });
+  std::vector<std::size_t> distinct(universe.size());
+  std::iota(distinct.begin(), distinct.end(), std::size_t{0});
+  const auto cold = runPhase(cache, universe, distinct, args.jobs);
   const std::uint64_t coldRuns = cache.stats().engineRuns;
 
   // Steady phase: a seeded stream of repeat queries — all cache hits.
   Rng rng(20060425);
-  const auto steady = runPhase(queue, universe, steadyCount, [&](std::size_t) {
-    return static_cast<std::size_t>(rng.below(universe.size()));
-  });
+  std::vector<std::size_t> repeats(steadyCount);
+  for (std::size_t& q : repeats) q = static_cast<std::size_t>(rng.below(universe.size()));
+  const auto steady = runPhase(cache, universe, repeats, args.jobs);
 
   const auto cs = cache.stats();
-  Table t("profile service under load (" + std::to_string(qopts.workers) + " service threads)");
-  t.header({"phase", "requests", "time [s]", "qps", "p50 [ms]", "p99 [ms]", "rejections"});
+  Table t("profile service under load (" + std::to_string(args.jobs) + " service threads)");
+  t.header({"phase", "requests", "time [s]", "qps", "p50 [ms]", "p99 [ms]"});
   t.row({"cold (distinct)", std::to_string(cold.requests), Table::num(cold.seconds, 2),
          Table::num(cold.qps(), 1), Table::num(cold.percentileMs(0.50), 2),
-         Table::num(cold.percentileMs(0.99), 2), std::to_string(cold.rejections)});
+         Table::num(cold.percentileMs(0.99), 2)});
   t.row({"steady (repeat)", std::to_string(steady.requests), Table::num(steady.seconds, 2),
          Table::num(steady.qps(), 1), Table::num(steady.percentileMs(0.50), 2),
-         Table::num(steady.percentileMs(0.99), 2), std::to_string(steady.rejections)});
+         Table::num(steady.percentileMs(0.99), 2)});
   t.print(std::cout);
-  std::printf("\ncache: %llu lookups, %llu engine runs, hit rate %.1f%%; queue served %llu, "
-              "rejected %llu\n\n",
+  std::printf("\ncache: %llu lookups, %llu engine runs, hit rate %.1f%%\n\n",
               static_cast<unsigned long long>(cs.lookups()),
-              static_cast<unsigned long long>(cs.engineRuns), cs.hitRate() * 100.0,
-              static_cast<unsigned long long>(queue.served()),
-              static_cast<unsigned long long>(queue.rejectedCount()));
+              static_cast<unsigned long long>(cs.engineRuns), cs.hitRate() * 100.0);
   const double speedup = cold.qps() > 0 ? steady.qps() / cold.qps() : 0;
   std::printf("steady/cold throughput: %.1fx\n\n", speedup);
 
@@ -189,13 +168,10 @@ int run(Cli& cli) {
             snap.counter("svc.cache.misses") == cs.misses &&
             snap.counter("svc.cache.engine_runs") == cs.engineRuns,
         "obs registry cache counters agree with CacheStats exactly");
-  check(snap.counter("svc.queue.served") == queue.served() &&
-            snap.counter("svc.queue.rejected") == queue.rejectedCount(),
-        "obs registry queue counters agree with the queue's own counts");
 
   return bench::finish("server_load", args, nullptr, [&](JsonWriter& w) {
     w.key("load").beginObject();
-    w.field("universe", universe.size()).field("service_threads", qopts.workers);
+    w.field("universe", universe.size()).field("service_threads", args.jobs);
     w.key("cold");
     phaseJson(w, cold);
     w.key("steady");
@@ -208,12 +184,6 @@ int run(Cli& cli) {
         .field("misses", cs.misses)
         .field("engine_runs", cs.engineRuns)
         .field("hit_rate", cs.hitRate())
-        .endObject();
-    w.key("queue")
-        .beginObject()
-        .field("served", queue.served())
-        .field("rejected", queue.rejectedCount())
-        .field("ewma_service_sec", queue.ewmaServiceSec())
         .endObject();
     w.endObject();
     w.key("metrics");

@@ -1,20 +1,21 @@
 // obs::Registry — named counters, gauges, and fixed-bucket histograms
-// shared by every layer (the observability side of the ROADMAP's
-// production-service north star).
+// shared by every layer.
 //
 // Design constraints, in order:
 //   * zero-cost when disabled — instrumented code holds null-safe handles;
 //     a default-constructed Counter/Gauge/Histogram is a no-op, so layers
 //     instrument unconditionally and pay one branch when no registry is
 //     attached;
-//   * thread-safe without a hot shared lock — each thread writes its own
-//     shard (registered on first use, guarded by a per-shard mutex that is
-//     uncontended except while snapshot() folds), so pool workers never
-//     serialize on a global metrics mutex;
-//   * deterministic output — snapshot() folds shards into one name-sorted
-//     value set, so the emitted JSON is stable across thread interleavings
-//     whenever the recorded totals are (counters sum, gauges fold by max —
-//     high-water semantics — histograms merge bucket-wise).
+//   * one lock — every metric has one value cell, written under the
+//     registry's mutex.  That is enough because no write site is hot: the
+//     cluster loop folds its totals once per run (sched/observe.cpp), an
+//     engine run once per run or per migration step (sched/engine_run.cpp,
+//     the malleability controller), the profile cache once per lookup;
+//   * deterministic output — cells live in a name-keyed map, so snapshot()
+//     emits name-sorted values and the JSON is stable across thread
+//     interleavings whenever the recorded totals are: counters sum, a
+//     gauge keeps the maximum value ever set (high-water), a histogram
+//     counts every observation.
 //
 // Instrumentation must stay OUTSIDE result computation: nothing in this
 // header feeds back into simulation state, and the determinism tests run
@@ -22,7 +23,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -33,50 +34,9 @@ class JsonWriter;
 
 namespace dps::obs {
 
-class Registry;
-
-/// Monotonic event count.  Null-safe: default-constructed handles no-op.
-class Counter {
-public:
-  Counter() = default;
-  void add(std::uint64_t n = 1) const;
-
-private:
-  friend class Registry;
-  Counter(Registry* reg, std::uint32_t id) : reg_(reg), id_(id) {}
-  Registry* reg_ = nullptr;
-  std::uint32_t id_ = 0;
-};
-
-/// Point-in-time value; shards fold by MAX at snapshot (high-water
-/// semantics — the common use is queue-depth / score high-water marks).
-class Gauge {
-public:
-  Gauge() = default;
-  void set(double v) const;
-
-private:
-  friend class Registry;
-  Gauge(Registry* reg, std::uint32_t id) : reg_(reg), id_(id) {}
-  Registry* reg_ = nullptr;
-  std::uint32_t id_ = 0;
-};
-
-/// Fixed upper-bound bucket histogram (latencies, sizes).  Values above the
-/// last bound land in an overflow bucket; count/sum/min/max are exact.
-class Histogram {
-public:
-  Histogram() = default;
-  void observe(double v) const;
-
-private:
-  friend class Registry;
-  Histogram(Registry* reg, std::uint32_t id, std::shared_ptr<const std::vector<double>> bounds)
-      : reg_(reg), id_(id), bounds_(std::move(bounds)) {}
-  Registry* reg_ = nullptr;
-  std::uint32_t id_ = 0;
-  std::shared_ptr<const std::vector<double>> bounds_;
-};
+class Counter;
+class Gauge;
+class Histogram;
 
 /// Log-spaced second bounds, 1us .. 1000s (service latencies and simulated
 /// durations alike).
@@ -84,7 +44,7 @@ std::vector<double> secondsBounds();
 /// Power-of-16 byte bounds, 1KiB .. 16GiB (migration / state sizes).
 std::vector<double> bytesBounds();
 
-/// One consistent fold of every shard, name-sorted.
+/// Every metric's value at one instant, name-sorted.
 struct Snapshot {
   struct CounterValue {
     std::string name;
@@ -124,8 +84,7 @@ struct Snapshot {
 
 class Registry {
 public:
-  Registry();
-  ~Registry() = default;
+  Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
@@ -147,42 +106,63 @@ private:
 
   enum class Kind : std::uint8_t { Counter, Gauge, Histogram };
 
-  struct Metric {
-    std::string name;
-    Kind kind = Kind::Counter;
-    std::shared_ptr<const std::vector<double>> bounds; // histograms only
-  };
-
-  /// Per-metric slot inside one thread's shard; only the fields of the
-  /// metric's kind are used.
+  /// One metric's value; only the fields of its kind are used.
   struct Cell {
-    std::uint64_t count = 0;
-    double gaugeValue = 0;
-    bool gaugeSet = false;
-    std::vector<std::uint64_t> bucketCounts;
+    Kind kind = Kind::Counter;
+    std::vector<double> bounds;         // histogram bucket bounds
+    std::vector<std::uint64_t> buckets; // histogram: bounds.size() + 1
+    std::uint64_t count = 0;            // counter total, gauge sets, observations
     double sum = 0;
     double min = 0;
-    double max = 0;
+    double max = 0; // gauge high-water, histogram max
   };
 
-  struct Shard {
-    std::mutex mu;
-    std::vector<Cell> cells;
-  };
+  Cell* intern(const std::string& name, Kind kind, std::vector<double> bounds = {});
 
-  void counterAdd(std::uint32_t id, std::uint64_t n);
-  void gaugeSet(std::uint32_t id, double v);
-  void observe(std::uint32_t id, const std::vector<double>& bounds, double v);
+  mutable std::mutex mu_; // guards cells_ and every Cell in it
+  // Map nodes never move, so handles keep plain pointers to their cells.
+  std::map<std::string, Cell> cells_;
+};
 
-  std::uint32_t intern(const std::string& name, Kind kind,
-                       std::shared_ptr<const std::vector<double>> bounds);
-  Shard& localShard();
-  static Cell& cellFor(Shard& shard, std::uint32_t id);
+/// Monotonic event count.  Null-safe: default-constructed handles no-op.
+class Counter {
+public:
+  Counter() = default;
+  void add(std::uint64_t n = 1) const;
 
-  mutable std::mutex mu_; // metrics_ + shards_ registration and snapshot
-  std::vector<Metric> metrics_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  const std::uint64_t uid_; // process-unique; keys the thread-local shard map
+private:
+  friend class Registry;
+  Counter(Registry* reg, Registry::Cell* cell) : reg_(reg), cell_(cell) {}
+  Registry* reg_ = nullptr;
+  Registry::Cell* cell_ = nullptr;
+};
+
+/// High-water mark: the snapshot reads the maximum value ever set, 0 when
+/// never set (queue depths, scores, makespans set once per run).
+class Gauge {
+public:
+  Gauge() = default;
+  void set(double v) const;
+
+private:
+  friend class Registry;
+  Gauge(Registry* reg, Registry::Cell* cell) : reg_(reg), cell_(cell) {}
+  Registry* reg_ = nullptr;
+  Registry::Cell* cell_ = nullptr;
+};
+
+/// Fixed upper-bound bucket histogram (latencies, sizes).  Values above the
+/// last bound land in an overflow bucket; count/sum/min/max are exact.
+class Histogram {
+public:
+  Histogram() = default;
+  void observe(double v) const;
+
+private:
+  friend class Registry;
+  Histogram(Registry* reg, Registry::Cell* cell) : reg_(reg), cell_(cell) {}
+  Registry* reg_ = nullptr;
+  Registry::Cell* cell_ = nullptr;
 };
 
 } // namespace dps::obs

@@ -111,14 +111,6 @@ std::size_t ProfileCache::size() const {
   return entries_.size();
 }
 
-void ProfileCache::clear() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second->state == Entry::State::Ready) it = entries_.erase(it);
-    else ++it;
-  }
-}
-
 ProfileCache& instance() {
   static ProfileCache cache;
   return cache;

@@ -87,8 +87,6 @@ public:
 
   CacheStats stats() const;
   std::size_t size() const;
-  /// Drops every completed entry (in-flight entries drain first).
-  void clear();
 
 private:
   struct Entry {

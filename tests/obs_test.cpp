@@ -46,6 +46,14 @@ TEST(RegistryTest, GaugeFoldsByMaxAcrossShards) {
   EXPECT_DOUBLE_EQ(reg.snapshot().gauge("high_water"), 7.0);
 }
 
+TEST(RegistryTest, GaugeIsHighWaterOnOneThread) {
+  Registry reg;
+  const Gauge g = reg.gauge("high_water");
+  g.set(7.0);
+  g.set(1.0); // same thread: the later, lower value must not win either
+  EXPECT_DOUBLE_EQ(reg.snapshot().gauge("high_water"), 7.0);
+}
+
 TEST(RegistryTest, UnsetGaugeReadsZero) {
   Registry reg;
   (void)reg.gauge("never_set");

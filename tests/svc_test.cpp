@@ -1,6 +1,6 @@
 // svc:: profile service: cache key fingerprints, single-flight memoization,
-// the acquisition API's bit-identity and determinism contracts, replay
-// sharing profile-build cache entries, and bounded-queue admission.
+// the acquisition API's bit-identity and determinism contracts, and replay
+// sharing profile-build cache entries.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +12,6 @@
 #include "sched/engine_run.hpp"
 #include "sched/replay.hpp"
 #include "svc/profile_cache.hpp"
-#include "svc/request_queue.hpp"
 
 namespace dps::svc {
 namespace {
@@ -192,33 +191,6 @@ TEST(ProfileCacheTest, SimNsCounterIsExactInAnyCompletionOrder) {
   EXPECT_GT(sumNs, 0u);
 }
 
-TEST(RequestQueueTest, RegistryCountersMirrorQueueAccounting) {
-  obs::Registry registry;
-  ProfileCache cache;
-  RequestQueue::Options opts;
-  opts.capacity = 2;
-  opts.workers = 0;
-  opts.metrics = &registry;
-  RequestQueue queue(cache, opts);
-
-  const auto spec = tinySpec();
-  EXPECT_TRUE(queue.submit(spec).accepted());
-  EXPECT_TRUE(queue.submit(spec).accepted());
-  EXPECT_FALSE(queue.submit(spec).accepted());
-  EXPECT_TRUE(queue.drainOne());
-  EXPECT_TRUE(queue.drainOne());
-
-  const auto snap = registry.snapshot();
-  EXPECT_EQ(snap.counter("svc.queue.accepted"), 2u);
-  EXPECT_EQ(snap.counter("svc.queue.rejected"), queue.rejectedCount());
-  EXPECT_EQ(snap.counter("svc.queue.served"), queue.served());
-  EXPECT_DOUBLE_EQ(snap.gauge("svc.queue.depth_high_water"), 2.0);
-  const auto* lat = snap.histogram("svc.queue.latency_sec");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_EQ(lat->count, queue.served());
-  EXPECT_GT(lat->sum, 0.0);
-}
-
 TEST(AcquireProfileTest, MatchesDirectBuildAtAnyJobCount) {
   const auto classes = tinyMix();
   const sched::ProfileSettings settings;
@@ -328,62 +300,6 @@ TEST(ReplayThroughCacheTest, StaticReplaysShareProfileBuildEntries) {
   EXPECT_EQ(cache.stats().engineRuns, runsAfterProfile)
       << "static replays must be served from the profile build's cache entries";
   EXPECT_GT(cache.stats().lookups(), cache.stats().engineRuns);
-}
-
-TEST(RequestQueueTest, BoundedAdmissionRejectsWithRetryHint) {
-  ProfileCache cache;
-  RequestQueue::Options opts;
-  opts.capacity = 2;
-  opts.workers = 0; // manual drain: nothing serves until we say so
-  RequestQueue queue(cache, opts);
-
-  const auto spec = tinySpec();
-  int completions = 0;
-  auto onDone = [&](const sched::EngineRunRecord&) { ++completions; };
-  EXPECT_TRUE(queue.submit(spec, onDone).accepted());
-  EXPECT_TRUE(queue.submit(spec, onDone).accepted());
-
-  const auto rejected = queue.submit(spec, onDone);
-  EXPECT_FALSE(rejected.accepted());
-  EXPECT_EQ(rejected.depth, 2u);
-  EXPECT_GT(rejected.retryAfterSec, 0.0) << "rejections must carry a backoff hint";
-  EXPECT_EQ(queue.rejectedCount(), 1u);
-
-  EXPECT_TRUE(queue.drainOne());
-  EXPECT_TRUE(queue.submit(spec, onDone).accepted()) << "drained slot frees capacity";
-  EXPECT_TRUE(queue.drainOne());
-  EXPECT_TRUE(queue.drainOne());
-  EXPECT_FALSE(queue.drainOne()) << "queue must report empty";
-  EXPECT_EQ(completions, 3);
-  EXPECT_EQ(queue.served(), 3u);
-  EXPECT_GT(queue.ewmaServiceSec(), 0.0);
-  EXPECT_EQ(cache.stats().engineRuns, 1u) << "identical queued requests memoize";
-}
-
-TEST(RequestQueueTest, WorkerThreadsDrainConcurrentSubmissions) {
-  ProfileCache cache;
-  RequestQueue::Options opts;
-  opts.capacity = 64;
-  opts.workers = 2;
-  RequestQueue queue(cache, opts);
-
-  const auto classes = tinyMix();
-  const sched::ProfileSettings settings;
-  std::atomic<int> completions{0};
-  int submitted = 0;
-  for (int round = 0; round < 4; ++round)
-    for (const auto& klass : classes)
-      for (std::int32_t alloc : sched::feasibleAllocations(klass, 4)) {
-        const auto adm = queue.submit(sched::profileRunSpec(klass, alloc, settings),
-                                      [&](const sched::EngineRunRecord&) { ++completions; });
-        ASSERT_TRUE(adm.accepted());
-        ++submitted;
-      }
-  queue.drain();
-  EXPECT_EQ(completions.load(), submitted);
-  EXPECT_EQ(queue.served(), static_cast<std::uint64_t>(submitted));
-  // 4 identical rounds: only the first can simulate.
-  EXPECT_EQ(cache.stats().engineRuns, static_cast<std::uint64_t>(submitted) / 4);
 }
 
 } // namespace
